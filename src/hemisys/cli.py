@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import curves, groups, hemisystem, numbers, pg3
-from .gf import NotPrime, EvenCharacteristic, FieldTooLarge, is_prime
+from .gf import NotPrime, EvenCharacteristic, FieldTooLarge
 
 
 def _emit(report: dict, fmt: str, out=None) -> None:
@@ -95,19 +95,8 @@ def cmd_verify(args) -> int:
 def _survey_list(args):
     if args.q_list:
         return [int(x) for x in args.q_list.split(",")]
-    qs = []
-    for q in range(5, args.q_max + 1):
-        if q % 4 != 1:
-            continue
-        p = next((d for d in range(2, q + 1) if q % d == 0), q)
-        if not is_prime(p):
-            continue
-        m = q
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            qs.append(q)
-    return qs
+    return [q for q in range(5, args.q_max + 1)
+            if q % 4 == 1 and numbers.prime_power(q)]
 
 
 def cmd_survey(args) -> int:

@@ -109,7 +109,7 @@ def conj_pair_line_keys(ctx2: FieldCtx, ctx4: FieldCtx, inv_emb, coords) -> np.n
             tr = vec_add(ctx4, m, frob2[m])
             small = inv_emb[tr]
             assert small.min() >= 0, "trace left the GF(q^2) image"
-            cols2.append(small.astype(np.int64))
+            cols2.append(small)
         packed = pg3.norm_pack_batch(ctx2, *cols2)
         two = np.partition(packed, 1, axis=1)[:, :2]
         two.sort(axis=1)

@@ -12,17 +12,29 @@ Two total orders on elements are used:
   the constant term first.  Canonical choices (construction polynomial,
   generator, square roots) are always minimal in digit-lex order.
 
-The FieldCtx carries numpy lookup tables so that bulk geometry code can
-run vectorised: exp/log of the fixed generator for every field, and full
-2-D add/mul tables for fields of order <= MUL_TABLE_MAX.
+Each operation has one formula, shared by the scalar methods of FieldCtx
+and the array functions vec_*:
+
+* a + b adds the digit vectors mod p.  One 2-D table adds two chunks of
+  c digits, c the largest (at most d) with p^c <= ADD_TABLE_MAX; a field
+  of order p^d takes one lookup per chunk, so every field of order up to
+  ADD_TABLE_MAX takes one and GF(17^4) two.
+* a * b is exp[log a + log b] for the powers of a fixed generator.  The
+  log of zero points past every sum of two true logs into a zero tail of
+  exp, so zero needs no mask.
+
+The tables are built with array operations, and make_field refuses a
+field whose tables would take more than TABLE_BYTES_CAP bytes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-MUL_TABLE_MAX = 2048       # full 2-D tables up to this order
-ORDER_CAP = 10 ** 8        # loud-failure cap on p^d
+ADD_TABLE_MAX = 2048         # largest side of the 2-D addition table
+TABLE_BYTES_CAP = 2 ** 30    # refuse fields whose tables need more bytes
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,6 +61,10 @@ class ZeroInput(ValueError):
 
 class BadExponent(ValueError):
     pass
+
+
+class TableInvariantFailed(RuntimeError):
+    """A field table or subfield embedding broke an invariant: a bug, not input."""
 
 
 def is_prime(n: int) -> bool:
@@ -180,12 +196,64 @@ def smallest_irreducible(p: int, d: int) -> tuple:
         coeffs[i] += 1
 
 
+def _smallest_generator(p: int, d: int, f) -> list:
+    """Digit list of the digit-lex smallest element of order p^d - 1.
+
+    Candidate r has the base-p digits of r, constant term most significant;
+    primitive elements are dense, so the search stops after a few.
+    """
+    n1 = p ** d - 1
+    fac = factorize(n1)
+    for r in range(1, n1 + 1):
+        g = [r // p ** (d - 1 - i) % p for i in range(d)]
+        if all(_poly_powmod(g, n1 // ell, f, p) != [1] for ell in fac):
+            return g
+    raise RuntimeError("no generator found")
+
+
+def _mul_matrix(h, f, p):
+    """d x d matrix over GF(p) of multiplication by h mod f on digit columns."""
+    d = len(f) - 1
+    out = np.zeros((d, d), dtype=np.int64)
+    for j in range(d):
+        col = _poly_mulmod(h, [0] * j + [1], f, p)
+        out[:len(col), j] = col
+    return out
+
+
+def _chunk_digits(p: int, d: int) -> int:
+    """Digits per addition-table chunk: largest c <= d with p^c <= ADD_TABLE_MAX."""
+    c = 1
+    while c < d and p ** (c + 1) <= ADD_TABLE_MAX:
+        c += 1
+    return c
+
+
+def _table_bytes(p: int, d: int) -> int:
+    """Bytes of the int64 tables a FieldCtx of GF(p^d) holds at most.
+
+    rank, unrank, log, neg, inv and up to d-1 cached Frobenius tables of
+    one entry per element; exp of 4(order-1)+1 entries; the addition table.
+    """
+    order = p ** d
+    m = p ** _chunk_digits(p, d)
+    return 8 * ((4 + d) * order + 4 * (order - 1) + 1 + m * m)
+
+
 class FieldCtx:
     """GF(p^d) with exp/log tables of a fixed multiplicative generator.
 
-    Attributes: p, d, order, poly (monic, constant first), gen, and numpy
-    tables exp_np/log_np (+ full add/mul/inv/neg tables for small orders).
-    log_np[0] is 0 as a harmless sentinel; callers mask zeros themselves.
+    Attributes: p, d, order, poly (monic, constant first), gen, and int64
+    numpy tables:
+
+    * rank_np/unrank_np: index <-> digit-lex rank;
+    * exp_np: exp_np[k] = gen^k for 0 <= k < 2(order-1), then a zero tail
+      up to index 4(order-1);
+    * log_np: log_np[x] = k with gen^k = x for x != 0; log_np[0] is the
+      sentinel 2(order-1), so any sum with it lands in the zero tail;
+    * neg_np, inv_np (inv_np[0] = 0), frob_np(k) on demand;
+    * add_np: digit-wise sums of two elements below chunk = p^c (the
+      addition formula, c = _chunk_digits(p, d)).
     """
 
     def __init__(self, p: int, d: int, poly: tuple):
@@ -198,22 +266,6 @@ class FieldCtx:
 
     # -- construction ------------------------------------------------------
 
-    def _mul_digits(self, a, b):
-        out = [0] * (2 * self.d - 1)
-        p = self.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        f = self.poly
-        for i in range(len(out) - 1, self.d - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(self.d):
-                    out[i - self.d + j] = (out[i - self.d + j] - c * f[j]) % p
-        return out[: self.d]
-
     def digits(self, x: int) -> tuple:
         out = []
         for _ in range(self.d):
@@ -224,116 +276,97 @@ class FieldCtx:
     def from_digits(self, dg) -> int:
         return sum(int(c) % self.p * pp for c, pp in zip(dg, self._pp))
 
-    def _pow_digits(self, a, n):
-        r = [1] + [0] * (self.d - 1)
-        b = list(a)
-        while n:
-            if n & 1:
-                r = self._mul_digits(r, b)
-            b = self._mul_digits(b, b)
-            n >>= 1
-        return r
-
     def _build_tables(self):
+        p, d, f = self.p, self.d, list(self.poly)
         n1 = self.order - 1
-        fac = factorize(n1)
-        # digit-lex rank permutation: rank r corresponds to digits read as a
-        # base-p number with the constant term most significant
         idx = np.arange(self.order, dtype=np.int64)
+        # digit-lex rank (digits read as a base-p number with the constant
+        # term most significant) and the negative, one digit at a time
         rank = np.zeros(self.order, dtype=np.int64)
+        neg = np.zeros(self.order, dtype=np.int64)
         rem = idx.copy()
-        for i in range(self.d):
-            rank += (rem % self.p) * (self.p ** (self.d - 1 - i))
-            rem //= self.p
+        for i in range(d):
+            c = rem % p
+            rank += c * self._pp[d - 1 - i]
+            neg += (-c % p) * self._pp[i]
+            rem //= p
         self.rank_np = rank
-        unrank = np.empty(self.order, dtype=np.int64)
-        unrank[rank] = idx
-        self.unrank_np = unrank
+        self.unrank_np = np.empty(self.order, dtype=np.int64)
+        self.unrank_np[rank] = idx
+        self.neg_np = neg
 
-        # generator: digit-lex smallest element of full order
-        gen_digits = None
-        for r in range(1, self.order):
-            cand = int(unrank[r])
-            dg = list(self.digits(cand))
-            ok = True
-            for ell in fac:
-                pw = self._pow_digits(dg, n1 // ell)
-                if pw == [1] + [0] * (self.d - 1):
-                    ok = False
-                    break
-            if ok:
-                gen_digits = dg
-                self.gen = cand
-                break
-        if gen_digits is None:
-            raise RuntimeError("no generator found")
+        g = _smallest_generator(p, d, f)
+        self.gen = self.from_digits(g)
 
-        exp = np.empty(2 * n1, dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
-        cur = [1] + [0] * (self.d - 1)
-        for k in range(n1):
-            e = self.from_digits(cur)
-            exp[k] = e
-            exp[k + n1] = e
-            log[e] = k
-            cur = self._mul_digits(cur, gen_digits)
-        assert cur == [1] + [0] * (self.d - 1), "generator order mismatch"
+        # exp in blocks of B consecutive powers held as digit columns: the
+        # first block by doubling, each next one is the last times g^B
+        B = math.isqrt(n1) + 1
+        block = np.zeros((d, 1), dtype=np.int64)
+        block[0, 0] = 1
+        while block.shape[1] < B:
+            step = _mul_matrix(_poly_powmod(g, block.shape[1], f, p), f, p)
+            block = np.concatenate([block, step @ block % p], axis=1)
+        block = block[:, :B]
+        step = _mul_matrix(_poly_powmod(g, B, f, p), f, p)
+        weights = np.asarray(self._pp, dtype=np.int64)
+        # only exp[:2 n1] gets written below; the rest is the zero tail
+        exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+        for lo in range(0, n1 + 1, B):
+            exp[lo:lo + B] = weights @ block
+            block = step @ block % p
+        if exp[n1] != 1:
+            raise TableInvariantFailed(f"gen^{n1} != 1 in GF({p}^{d})")
+        exp[n1:2 * n1] = exp[:n1]
+        log = np.full(self.order, 2 * n1, dtype=np.int64)
+        log[exp[:n1]] = np.arange(n1, dtype=np.int64)
+        if not np.array_equal(log[exp[:n1]], np.arange(n1)):
+            raise TableInvariantFailed(f"powers of the generator of GF({p}^{d}) repeat")
         self.exp_np = exp
         self.log_np = log
 
-        neg = np.empty(self.order, dtype=np.int64)
-        for x in range(self.order):
-            neg[x] = self.from_digits([(-c) % self.p for c in self.digits(x)])
-        self.neg_np = neg
         inv = np.zeros(self.order, dtype=np.int64)
         nz = exp[:n1]
         inv[nz] = exp[(n1 - log[nz]) % n1]
         self.inv_np = inv
 
-        # per-digit decomposition for vectorised addition in large fields
-        self.dig_np = []
-        rem = idx.copy()
-        for _ in range(self.d):
-            self.dig_np.append((rem % self.p).astype(np.int64))
-            rem //= self.p
-
-        if self.order <= MUL_TABLE_MAX:
-            a = idx[:, None]
-            b = idx[None, :]
-            add = np.zeros((self.order, self.order), dtype=np.int64)
-            rem_a, rem_b = a, b
-            for i in range(self.d):
-                add += ((rem_a % self.p + rem_b % self.p) % self.p) * self._pp[i]
-                rem_a = rem_a // self.p
-                rem_b = rem_b // self.p
-            self.add_np = add.astype(np.int32)
-            mul = np.zeros((self.order, self.order), dtype=np.int64)
-            la = log[nz]
-            mul[np.ix_(nz, nz)] = exp[(la[:, None] + la[None, :])]
-            self.mul_np = mul.astype(np.int32)
-        else:
-            self.add_np = None
-            self.mul_np = None
+        c = _chunk_digits(p, d)
+        self.chunk = p ** c
+        a, b = idx[:self.chunk, None], idx[None, :self.chunk]
+        add = np.zeros((self.chunk, self.chunk), dtype=np.int64)
+        for w in self._pp[:c]:
+            add += (a % p + b % p) % p * w
+            a, b = a // p, b // p
+        self.add_np = add
         self._frob_cache = {}
+
+    # -- the two formulas, on ints or int64 arrays ----------------------------
+
+    def _sum(self, a, b, n=None):
+        """a + b for elements below n (default: all): the low chunk of digits
+        takes one add_np lookup and the higher chunks recurse."""
+        n = self.order if n is None else n
+        m = self.chunk
+        if n <= m:
+            return self.add_np[a, b]
+        return self.add_np[a % m, b % m] + m * self._sum(a // m, b // m, n // m)
+
+    def _prod(self, a, b):
+        """a * b; a zero factor's log sends the sum into the zero tail of exp."""
+        return self.exp_np[self.log_np[a] + self.log_np[b]]
 
     # -- scalar operations --------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_np is not None:
-            return int(self.add_np[a, b])
-        return self.from_digits(
-            [(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+        return int(self._sum(a, b))
 
     def neg(self, a: int) -> int:
         return int(self.neg_np[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, int(self.neg_np[b]))
+        return int(self._sum(a, self.neg_np[b]))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_np[self.log_np[a] + self.log_np[b]])
+        return int(self._prod(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -382,14 +415,6 @@ class FieldCtx:
             cur = self.frobenius(cur, k)
         return t
 
-    def norm_to_subfield(self, a: int, k: int) -> int:
-        if self.d % k:
-            raise BadExponent("subfield degree must divide d")
-        if a == 0:
-            return 0
-        e = (self.order - 1) // (self.p ** k - 1)
-        return self.pow(a, e)
-
     def is_square(self, a: int) -> bool:
         if a == 0:
             return True
@@ -419,15 +444,9 @@ class FieldCtx:
         step = n1 // m
         return sorted(int(self.exp_np[(lc // m + i * step) % n1]) for i in range(m))
 
-    def elements(self):
-        return range(self.order)
-
     def elements_by_rank(self):
         """All elements in digit-lex order."""
         return [int(x) for x in self.unrank_np]
-
-    def lex_min(self, a: int, b: int) -> int:
-        return a if self.rank_np[a] <= self.rank_np[b] else b
 
     def descriptor(self) -> str:
         return "p=%d d=%d poly=%s" % (
@@ -443,8 +462,10 @@ def make_field(p: int, d: int) -> FieldCtx:
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported")
-    if p ** d > ORDER_CAP:
-        raise FieldTooLarge(f"{p}^{d} exceeds the table cap {ORDER_CAP}")
+    need = _table_bytes(p, d)
+    if need > TABLE_BYTES_CAP:
+        raise FieldTooLarge(
+            f"GF({p}^{d}) needs {need} bytes of tables, over the cap {TABLE_BYTES_CAP}")
     poly = smallest_irreducible(p, d)
     return FieldCtx(p, d, poly)
 
@@ -473,59 +494,40 @@ def embed_subfield(small: FieldCtx, big: FieldCtx):
     xs = np.arange(big.order, dtype=np.int64)
     acc = np.zeros(big.order, dtype=np.int64)
     for c in reversed(small.poly):
-        acc = _vec_mul(big, acc, xs)
-        if c % p:
-            acc = _vec_add(big, acc, np.full(big.order, c % p, dtype=np.int64))
+        acc = big._sum(big._prod(acc, xs), c % p)
     roots = np.nonzero(acc == 0)[0]
-    assert len(roots) == small.d, "root count mismatch for subfield embedding"
+    if len(roots) != small.d:
+        raise TableInvariantFailed(
+            f"{len(roots)} roots of {small.poly} in GF({p}^{big.d}), expected {small.d}")
     rho = int(roots[np.argmin(big.rank_np[roots])])
+    # x = sum c_i a^i goes to sum c_i rho^i; a digit c_i is the prime-field element c_i
     emb = np.zeros(small.order, dtype=np.int64)
-    pw = [1]
-    for _ in range(small.d - 1):
-        pw.append(big.mul(pw[-1], rho))
-    for x in range(small.order):
-        acc_x = 0
-        for c, w in zip(small.digits(x), pw):
-            if c:
-                acc_x = big.add(acc_x, big.mul(c, w))
-        emb[x] = acc_x
+    rem = np.arange(small.order, dtype=np.int64)
+    w = 1
+    for _ in range(small.d):
+        emb = big._sum(emb, big._prod(rem % p, w))
+        rem //= p
+        w = big.mul(w, rho)
+    n1 = small.order - 1
+    lg = big.log_np[emb[small.gen]]
+    if not np.array_equal(emb[small.exp_np[:n1]],
+                          big.exp_np[np.arange(n1) * lg % (big.order - 1)]):
+        raise TableInvariantFailed("subfield embedding is not multiplicative")
     inv = np.full(big.order, -1, dtype=np.int64)
     inv[emb] = np.arange(small.order, dtype=np.int64)
-    assert big.mul(int(emb[small.gen]), int(emb[small.gen])) == int(emb[small.mul(small.gen, small.gen)])
     return emb, inv
 
 
 # ---------------------------------------------------------------------------
 # vectorised arithmetic on int64 arrays of element indices
 
-def _vec_add(ctx: FieldCtx, A, B):
-    if ctx.add_np is not None:
-        return ctx.add_np[A, B].astype(np.int64)
-    out = np.zeros_like(A)
-    for i in range(ctx.d):
-        out += ((ctx.dig_np[i][A] + ctx.dig_np[i][B]) % ctx.p) * ctx._pp[i]
-    return out
-
-
-def _vec_mul(ctx: FieldCtx, A, B):
-    if ctx.mul_np is not None:
-        return ctx.mul_np[A, B].astype(np.int64)
-    n1 = ctx.order - 1
-    out = ctx.exp_np[(ctx.log_np[A] + ctx.log_np[B]) % n1]
-    return np.where((A != 0) & (B != 0), out, 0)
-
-
 def vec_add(ctx: FieldCtx, A, B):
-    return _vec_add(ctx, np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
+    return ctx._sum(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
 
 
 def vec_mul(ctx: FieldCtx, A, B):
-    return _vec_mul(ctx, np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
+    return ctx._prod(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
 
 
 def vec_neg(ctx: FieldCtx, A):
     return ctx.neg_np[np.asarray(A, dtype=np.int64)]
-
-
-def vec_frob(ctx: FieldCtx, A, k: int = 1):
-    return ctx.frob_np(k)[np.asarray(A, dtype=np.int64)]

@@ -39,6 +39,10 @@ class NotGeneratorInSet(ValueError):
     pass
 
 
+class IncidenceSumMismatch(RuntimeError):
+    pass
+
+
 class ParseError(ValueError):
     pass
 
@@ -360,7 +364,10 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     else:
         parts = [_count_chunk(ctx, c) for c in chunks]
     vals, counts = _merge_counts(parts)
-    assert int(counts.sum()) == len(keys) * (ctx.order + 1), "incidence sum mismatch"
+    if int(counts.sum()) != len(keys) * (ctx.order + 1):
+        raise IncidenceSumMismatch(
+            f"{int(counts.sum())} incidences counted for {len(keys)} lines of "
+            f"{ctx.order + 1} points")
     hist_vals, hist_counts = np.unique(counts, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(hist_vals, hist_counts)}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2

@@ -124,18 +124,23 @@ def condition_B_holds(q: int) -> bool:
     return count_E3(ctx) in (q - 1, q + 3)
 
 
+def prime_power(q: int):
+    """(p, h) with q = p^h for a prime p, or None when q is no prime power."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    h = 0
+    while q % p == 0:
+        q //= p
+        h += 1
+    return (p, h) if q == 1 else None
+
+
 def _field_of_order(q: int) -> FieldCtx:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return make_field(p, h)
-    raise ValueError(f"bad order {q}")
+    ph = prime_power(q)
+    if ph is None:
+        raise ValueError(f"{q} is not a prime power")
+    return make_field(*ph)
 
 
 # ---------------------------------------------------------------------------

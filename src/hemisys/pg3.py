@@ -112,7 +112,7 @@ def norm_pack_batch(ctx: FieldCtx, c0, c1, c2, c3):
     s = ctx.inv_np[piv]
     r = ctx.rank_np
     n = ctx.order
-    out = r[vec_mul(ctx, c0, s)].astype(np.int64)
+    out = r[vec_mul(ctx, c0, s)]
     out = out * n + r[vec_mul(ctx, c1, s)]
     out = out * n + r[vec_mul(ctx, c2, s)]
     out = out * n + r[vec_mul(ctx, c3, s)]
@@ -149,17 +149,22 @@ def on_surface(frame: HermitianFrame, P) -> bool:
     return herm_form(frame, P, P) == 0
 
 
-def on_surface_batch(frame: HermitianFrame, c0, c1, c2, c3):
+def _herm_form_batch(frame: HermitianFrame, A, B):
+    """herm_form over coordinate arrays: A, B are 4-tuples of index arrays."""
     ctx = frame.ctx
     fr = ctx.frob_np(ctx.d // 2)
-    cs = (c0, c1, c2, c3)
-    acc = np.zeros_like(np.asarray(c0, dtype=np.int64))
+    acc = 0
     for i, j, g in frame.sparse:
-        term = vec_mul(ctx, cs[i], fr[cs[j]])
+        term = vec_mul(ctx, A[i], fr[B[j]])
         if g != 1:
-            term = vec_mul(ctx, np.full_like(term, g), term)
+            term = vec_mul(ctx, g, term)
         acc = vec_add(ctx, acc, term)
-    return acc == 0
+    return acc
+
+
+def on_surface_batch(frame: HermitianFrame, c0, c1, c2, c3):
+    cs = (c0, c1, c2, c3)
+    return _herm_form_batch(frame, cs, cs) == 0
 
 
 def tangent_plane(frame: HermitianFrame, P) -> tuple:
@@ -300,25 +305,6 @@ def key_points(ctx: FieldCtx, key) -> tuple:
     return unpack(ctx, key[0]), unpack(ctx, key[1])
 
 
-def point_on_line(ctx: FieldCtx, A, B, P) -> bool:
-    """Linear dependence of P on {A, B} via 3x3 minors."""
-    rows = (A, B, P)
-    for drop in range(4):
-        idx = [i for i in range(4) if i != drop]
-        m = [[rows[r][c] for c in idx] for r in range(3)]
-        det = _det3(ctx, m)
-        if det != 0:
-            return False
-    return True
-
-
-def _det3(ctx, m):
-    t1 = ctx.mul(m[0][0], ctx.sub(ctx.mul(m[1][1], m[2][2]), ctx.mul(m[1][2], m[2][1])))
-    t2 = ctx.mul(m[0][1], ctx.sub(ctx.mul(m[1][0], m[2][2]), ctx.mul(m[1][2], m[2][0])))
-    t3 = ctx.mul(m[0][2], ctx.sub(ctx.mul(m[1][0], m[2][1]), ctx.mul(m[1][1], m[2][0])))
-    return ctx.add(ctx.sub(t1, t2), t3)
-
-
 def is_generator(frame: HermitianFrame, A, B) -> bool:
     """Two-point criterion: both on the surface and mutually conjugate."""
     return (herm_form(frame, A, A) == 0 and herm_form(frame, B, B) == 0
@@ -332,21 +318,10 @@ def is_generator_key(frame: HermitianFrame, key) -> bool:
 
 def check_generators_batch(frame: HermitianFrame, keys):
     """Indices of key rows that fail the generator criterion."""
-    ctx = frame.ctx
-    a0, a1, a2, a3 = unpack_batch(ctx, keys[:, 0])
-    b0, b1, b2, b3 = unpack_batch(ctx, keys[:, 1])
-    ok = on_surface_batch(frame, a0, a1, a2, a3)
-    ok &= on_surface_batch(frame, b0, b1, b2, b3)
-    fr = ctx.frob_np(ctx.d // 2)
-    acc = np.zeros(len(keys), dtype=np.int64)
-    av = (a0, a1, a2, a3)
-    bv = (b0, b1, b2, b3)
-    for i, j, g in frame.sparse:
-        term = vec_mul(ctx, av[i], fr[bv[j]])
-        if g != 1:
-            term = vec_mul(ctx, np.full_like(term, g), term)
-        acc = vec_add(ctx, acc, term)
-    ok &= acc == 0
+    a = unpack_batch(frame.ctx, keys[:, 0])
+    b = unpack_batch(frame.ctx, keys[:, 1])
+    ok = ((_herm_form_batch(frame, a, a) == 0) & (_herm_form_batch(frame, b, b) == 0)
+          & (_herm_form_batch(frame, a, b) == 0))
     return np.nonzero(~ok)[0]
 
 

@@ -33,6 +33,26 @@ def test_make_field_errors():
         gf.make_field(101, 5)
 
 
+def test_make_field_refuses_by_table_bytes_before_allocating(monkeypatch):
+    # 3^16 is under the old order cap of 10^8, but its tables need gigabytes
+    assert 3 ** 16 < 10 ** 8
+
+    def no_tables(*args):
+        pytest.fail("field tables were allocated")
+
+    monkeypatch.setattr(gf, "FieldCtx", no_tables)
+    with pytest.raises(gf.FieldTooLarge):
+        gf.make_field(3, 16)
+
+
+def test_tables_refuse_a_generator_of_low_order(monkeypatch):
+    # -1 has order 2 in GF(9)*, so its powers repeat
+    monkeypatch.setattr(gf, "_smallest_generator", lambda p, d, f: [2, 0])
+    with pytest.raises(gf.TableInvariantFailed):
+        gf.make_field(3, 2)
+    assert not issubclass(gf.TableInvariantFailed, ValueError)
+
+
 def test_field_axioms_random(F9, F289):
     rng = random.Random(0)
     for ctx in (F9, F289):
@@ -184,3 +204,12 @@ def test_vec_ops_match_scalar(F289):
         for i in range(200):
             assert int(vm[i]) == ctx.mul(int(A[i]), int(B[i]))
             assert int(va[i]) == ctx.add(int(A[i]), int(B[i]))
+        # broadcast operands: a column against a row gives the full table
+        col, row = A[:20, None], B[None, :30]
+        vm = gf.vec_mul(ctx, col, row)
+        va = gf.vec_add(ctx, col, row)
+        assert vm.shape == va.shape == (20, 30)
+        for i in range(20):
+            for j in range(30):
+                assert int(vm[i, j]) == ctx.mul(int(A[i]), int(B[j]))
+                assert int(va[i, j]) == ctx.add(int(A[i]), int(B[j]))

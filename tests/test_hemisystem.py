@@ -211,6 +211,22 @@ def test_verify_rejects_non_generator(ft17, ft17_build):
         hemisystem.verify(mut, frame=ft17.frame)
 
 
+def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):
+    cand, _ = cp3_build
+    count_chunk = hemisystem._count_chunk
+
+    def drop_one(ctx, keys):
+        vals, counts = count_chunk(ctx, keys)
+        counts[0] -= 1
+        return vals, counts
+
+    monkeypatch.setattr(hemisystem, "_count_chunk", drop_one)
+    with pytest.raises(hemisystem.IncidenceSumMismatch):
+        hemisystem.verify(cand)
+    # an internal fault, not a usage error the CLI would report as exit 2
+    assert not issubclass(hemisystem.IncidenceSumMismatch, ValueError)
+
+
 def test_complement_is_hemisystem_q17(ft17, ft17_gens, ft17_build, ft17_g1,
                                       ft17_g2, ft17_chords):
     # the two curves' chord sets are disjoint and tile the generator class

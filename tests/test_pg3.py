@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hemisys import pg3
+from hemisys import gf, pg3
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,13 @@ def test_tangent_plane_requires_surface_point(ft17f):
 def test_line_has_q2_plus_1_points(F9, F289):
     assert len(pg3.line_points(F9, (1, 0, 0, 0), (0, 1, 0, 0))) == 10
     assert len(pg3.line_points(F289, (1, 0, 0, 0), (0, 1, 0, 0))) == 290
+
+
+def test_line_points_in_a_field_above_the_one_chunk_size():
+    # GF(47^2) has order 2209 > 2048: its additions take one lookup per digit
+    F = gf.make_field(47, 2)
+    pts = pg3.line_points(F, (1, 0, 0, 0), (0, 1, 0, 0))
+    assert len(np.unique(pts)) == len(pts) == 47 ** 2 + 1
 
 
 def test_line_key_symmetric(F9):
