@@ -16,9 +16,10 @@ Each operation has one formula, shared by the scalar methods of FieldCtx
 and the array functions vec_*:
 
 * a + b adds the digit vectors mod p.  One 2-D table adds two chunks of
-  c digits, c the largest (at most d) with p^c <= ADD_TABLE_MAX; a field
-  of order p^d takes one lookup per chunk, so every field of order up to
-  ADD_TABLE_MAX takes one and GF(17^4) two.
+  c digits, c the largest (at most d) with p^c <= ADD_TABLE_MAX; a prime
+  above that adds one digit through a (p, p) view of its 2p - 1 sums.
+  A field takes one lookup per chunk: one up to order ADD_TABLE_MAX,
+  two for GF(17^4).
 * a * b is exp[log a + log b] for the powers of a fixed generator.  The
   log of zero points past every sum of two true logs into a zero tail of
   exp, so zero needs no mask.
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-ADD_TABLE_MAX = 2048         # largest side of the 2-D addition table
+ADD_TABLE_MAX = 2048         # largest side of a dense 2-D addition table
 TABLE_BYTES_CAP = 2 ** 30    # refuse fields whose tables need more bytes
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -222,7 +223,7 @@ def _mul_matrix(h, f, p):
 
 
 def _chunk_digits(p: int, d: int) -> int:
-    """Digits per addition-table chunk: largest c <= d with p^c <= ADD_TABLE_MAX."""
+    """Digits per addition-table chunk: largest c <= d with p^c <= ADD_TABLE_MAX, or 1."""
     c = 1
     while c < d and p ** (c + 1) <= ADD_TABLE_MAX:
         c += 1
@@ -233,11 +234,13 @@ def _table_bytes(p: int, d: int) -> int:
     """Bytes of the int64 tables a FieldCtx of GF(p^d) holds at most.
 
     rank, unrank, log, neg, inv and up to d-1 cached Frobenius tables of
-    one entry per element; exp of 4(order-1)+1 entries; the addition table.
+    one entry per element; exp of 4(order-1)+1 entries; the addition table,
+    dense up to ADD_TABLE_MAX^2 entries and else the 2p - 1 sums it views.
     """
     order = p ** d
     m = p ** _chunk_digits(p, d)
-    return 8 * ((4 + d) * order + 4 * (order - 1) + 1 + m * m)
+    add = m * m if m <= ADD_TABLE_MAX else 2 * p - 1
+    return 8 * ((4 + d) * order + 4 * (order - 1) + 1 + add)
 
 
 class FieldCtx:
@@ -253,7 +256,9 @@ class FieldCtx:
       sentinel 2(order-1), so any sum with it lands in the zero tail;
     * neg_np, inv_np (inv_np[0] = 0), frob_np(k) on demand;
     * add_np: digit-wise sums of two elements below chunk = p^c (the
-      addition formula, c = _chunk_digits(p, d)).
+      addition formula, c = _chunk_digits(p, d)); for a prime p above
+      ADD_TABLE_MAX a read-only (p, p) view with add_np[a, b] = sums[a + b]
+      of the 2p - 1 entries sums[k] = k mod p.
     """
 
     def __init__(self, p: int, d: int, poly: tuple):
@@ -331,11 +336,18 @@ class FieldCtx:
 
         c = _chunk_digits(p, d)
         self.chunk = p ** c
-        a, b = idx[:self.chunk, None], idx[None, :self.chunk]
-        add = np.zeros((self.chunk, self.chunk), dtype=np.int64)
-        for w in self._pp[:c]:
-            add += (a % p + b % p) % p * w
-            a, b = a // p, b // p
+        if self.chunk > ADD_TABLE_MAX:
+            # one digit per chunk: entry (a, b) of the view is sums[a + b]
+            sums = np.arange(2 * p - 1, dtype=np.int64) % p
+            step = sums.strides[0]
+            add = np.lib.stride_tricks.as_strided(
+                sums, (p, p), (step, step), writeable=False)
+        else:
+            a, b = idx[:self.chunk, None], idx[None, :self.chunk]
+            add = np.zeros((self.chunk, self.chunk), dtype=np.int64)
+            for w in self._pp[:c]:
+                add += (a % p + b % p) % p * w
+                a, b = a // p, b // p
         self.add_np = add
         self._frob_cache = {}
 

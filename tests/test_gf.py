@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,28 @@ def test_make_field_refuses_by_table_bytes_before_allocating(monkeypatch):
     monkeypatch.setattr(gf, "FieldCtx", no_tables)
     with pytest.raises(gf.FieldTooLarge):
         gf.make_field(3, 16)
+
+
+@pytest.mark.parametrize("p", [2053, 12289])
+def test_prime_above_the_dense_table_side_adds_in_small_tables(p):
+    # a dense p x p addition table would take 8 p^2 bytes: 34 MB at p = 2053,
+    # 1.2 GB at p = 12289
+    tracemalloc.start()
+    try:
+        ctx = gf.make_field(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * gf.ADD_TABLE_MAX ** 2
+    assert gf._table_bytes(p, 1) < 8 * gf.ADD_TABLE_MAX ** 2
+    rng = np.random.default_rng(p)
+    A = np.append(rng.integers(0, p, 300), [0, p - 1])
+    B = np.append(rng.integers(0, p, 300), [p - 1, p - 1])
+    assert np.array_equal(gf.vec_add(ctx, A[:, None], B[None, :]),
+                          (A[:, None] + B[None, :]) % p)
+    for a, b in zip(A.tolist(), B.tolist()):
+        assert ctx.add(a, b) == (a + b) % p
+        assert ctx.sub(a, b) == (a - b) % p
 
 
 def test_tables_refuse_a_generator_of_low_order(monkeypatch):
