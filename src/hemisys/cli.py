@@ -2,7 +2,8 @@
 
 Subcommands: construct, verify, survey, primes, eccount, diagnose.
 Exit codes: 0 success / completed report, 1 verification failure,
-2 usage or configuration error.  Stdout is deterministic for fixed
+2 usage or configuration error, 3 internal error (any other exception,
+with its traceback on stderr).  Stdout is deterministic for fixed
 inputs; timing goes to stderr.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -92,9 +94,13 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def q_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
 def _survey_list(args):
     if args.q_list:
-        return [int(x) for x in args.q_list.split(",")]
+        return args.q_list
     return [q for q in range(5, args.q_max + 1)
             if q % 4 == 1 and numbers.prime_power(q)]
 
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("survey", parents=[common], help="feasibility survey over q = 1 mod 4")
     grp = s.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--q-list", default=None)
+    grp.add_argument("--q-list", type=q_list, default=None)
     grp.add_argument("--q-max", type=int, default=None)
     s.set_defaults(func=cmd_survey)
 
@@ -228,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 USAGE_ERRORS = (NotPrime, EvenCharacteristic, FieldTooLarge,
                 curves.BadCongruence, curves.TwoNotSquare,
-                numbers.NotOneModFour, numbers.OmegaIsSquare,
-                hemisystem.ConditionBFails, pg3.TooLarge, ValueError)
+                numbers.NotOneModFour, numbers.NotPrimePower, numbers.OmegaIsSquare,
+                hemisystem.ConditionBFails, pg3.TooLarge)
 
 
 def main(argv=None) -> int:
@@ -250,6 +256,9 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.
+surface points.  Each worker thread bincounts the pg3.surface_index of
+the points on its share of 2048-line chunks into its own array of one
+int64 per surface point, so memory grows with the points, not with the
+incidences.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldCtx, make_field, embed_subfield, vec_add, vec_mul, vec_neg
+from .gf import EvenCharacteristic, FieldCtx, make_field, embed_subfield
 from . import pg3, curves, groups
 from .curves import FTFrame
 from .pg3 import HermitianFrame
@@ -174,39 +177,11 @@ def ell_line(fr: FTFrame, eps: int) -> tuple:
     return pg3.line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))
 
 
-def through_point_mask(ctx: FieldCtx, keys: np.ndarray, P) -> np.ndarray:
-    """Boolean mask of key rows whose line passes through the point P.
-
-    Membership is rank([A, B, P]) = 2, tested by vanishing of all four
-    3x3 minors, vectorized over the key rows.
-    """
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    a = pg3.unpack_batch(ctx, keys[:, 0])
-    b = pg3.unpack_batch(ctx, keys[:, 1])
-    P = pg3.normalize(ctx, P)
-    mask = np.ones(len(keys), dtype=bool)
-
-    def det2(x0, y0, x1, y1):
-        return vec_add(ctx, vec_mul(ctx, x0, y1), vec_neg(ctx, vec_mul(ctx, x1, y0)))
-
-    for drop in range(4):
-        idx = [i for i in range(4) if i != drop]
-        m = ([a[i] for i in idx], [b[i] for i in idx],
-             [np.full(len(keys), P[i], dtype=np.int64) for i in idx])
-        d = vec_mul(ctx, m[0][0], det2(m[1][1], m[1][2], m[2][1], m[2][2]))
-        d = vec_add(ctx, d, vec_neg(ctx, vec_mul(
-            ctx, m[0][1], det2(m[1][0], m[1][2], m[2][0], m[2][2]))))
-        d = vec_add(ctx, d, vec_mul(
-            ctx, m[0][2], det2(m[1][0], m[1][1], m[2][0], m[2][1])))
-        mask &= d == 0
-    return mask
-
-
 def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
     """Generators of the half-orbit through the tangency point, split (r, r')."""
     eps = 1 if which_point == "plus" else -1
-    P = fr.p_eps(eps)
-    r = int(through_point_mask(fr.ctx2, m1_keys, P).sum())
+    m1 = {(int(a), int(b)) for a, b in m1_keys}
+    r = sum(k in m1 for k in pg3.generators_through(fr.frame, fr.p_eps(eps)))
     return r, (fr.q + 1) // 2 - r
 
 
@@ -218,7 +193,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords."""
     q = p ** h
     if q % 2 == 0:
-        raise ValueError("q must be odd")
+        raise EvenCharacteristic("q must be odd")
     if q > 7 and not force:
         raise pg3.TooLarge(f"cp build at q={q} is heavy; pass force")
     ctx2 = make_field(p, 2 * h)
@@ -250,7 +225,6 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
 
 def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False,
              fr: FTFrame | None = None,
-             sets: curves.CurvePointSets | None = None,
              chords: np.ndarray | None = None) -> HemisystemCandidate:
     """Fuhrmann-Torres hemisystem candidate (orbit rule, no verification)."""
     from . import numbers
@@ -260,8 +234,6 @@ def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False,
             f"the point-count criterion fails at q={q}; pass force to build anyway")
     if fr is None:
         fr = curves.ft_frame_setup(p, h, eps)
-    if sets is None:
-        sets = curves.ft_point_sets(fr.ctx2)
     G, H, w = groups.ft_group_gens(fr)
     key0, quad0, seed_prov = seed_generator_g0(fr)
     m1 = groups.orbit(fr.ctx2, H.gens, key0)
@@ -295,9 +267,8 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     outcome is recorded in the provenance.  Returns (candidate, report).
     """
     fr = curves.ft_frame_setup(p, h, eps)
-    sets = curves.ft_point_sets(fr.ctx2)
     chords = curves.ft_imaginary_chords(fr.ctx2, fr.ctx4, fr.emb, fr.inv_emb)
-    cand = build_ft(p, h, eps, force=force, fr=fr, sets=sets, chords=chords)
+    cand = build_ft(p, h, eps, force=force, fr=fr, chords=chords)
     report = verify(cand, threads=threads, frame=fr.frame)
     if report.passed:
         cand.provenance["m2_choice"] = "rule"
@@ -326,23 +297,13 @@ def _frame_for(cand: HemisystemCandidate) -> HermitianFrame:
     return pg3.cp_frame(ctx2) if cand.family == "cp" else pg3.ft_frame(ctx2)
 
 
-def _count_chunk(ctx, keys):
-    a = pg3.unpack_batch(ctx, keys[:, 0])
-    b = pg3.unpack_batch(ctx, keys[:, 1])
-    pts = pg3.line_points_batch(ctx, np.stack(a, axis=1), np.stack(b, axis=1))
-    vals, counts = np.unique(pts.reshape(-1), return_counts=True)
-    return vals, counts
-
-
-def _merge_counts(parts):
-    vals = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    counts = counts[order]
-    uniq, start = np.unique(vals, return_index=True)
-    summed = np.add.reduceat(counts, start)
-    return uniq, summed
+def _chunk_counts(frame: HermitianFrame, keys) -> np.ndarray:
+    """Incidences of every surface point, by pg3.surface_index, on key rows."""
+    a = pg3.unpack_batch(frame.ctx, keys[:, 0])
+    b = pg3.unpack_batch(frame.ctx, keys[:, 1])
+    pts = pg3.line_points_batch(frame.ctx, np.stack(a, axis=1), np.stack(b, axis=1))
+    return np.bincount(pg3.surface_index(frame, pts.reshape(-1)),
+                       minlength=frame.num_points)
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
@@ -358,25 +319,31 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         k = keys[int(bad[0])]
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
     chunks = [keys[lo:lo + 2048] for lo in range(0, len(keys), 2048)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda c: _count_chunk(ctx, c), chunks))
-    else:
-        parts = [_count_chunk(ctx, c) for c in chunks]
-    vals, counts = _merge_counts(parts)
-    if int(counts.sum()) != len(keys) * (ctx.order + 1):
+
+    def count(share):
+        counts = np.zeros(frame.num_points, dtype=np.int64)
+        for chunk in share:
+            counts += _chunk_counts(frame, chunk)
+        return counts
+
+    workers = max(1, min(threads, len(chunks)))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        counts = sum(ex.map(count, [chunks[i::workers] for i in range(workers)]))
+    total = int(counts.sum())
+    if total != len(keys) * (ctx.order + 1):
         raise IncidenceSumMismatch(
-            f"{int(counts.sum())} incidences counted for {len(keys)} lines of "
+            f"{total} incidences counted for {len(keys)} lines of "
             f"{ctx.order + 1} points")
-    hist_vals, hist_counts = np.unique(counts, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(hist_vals, hist_counts)}
+    point_count = int(np.count_nonzero(counts))
+    hist = np.bincount(counts)
+    histogram = {v: int(c) for v, c in enumerate(hist) if v and c}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
     expected_inc = (frame.q + 1) // 2
     passed = (len(keys) == expected_lines
-              and len(vals) == frame.num_points
+              and point_count == frame.num_points
               and histogram == {expected_inc: frame.num_points})
     return VerificationReport(
-        passed=passed, line_count=len(keys), point_count=int(len(vals)),
+        passed=passed, line_count=len(keys), point_count=point_count,
         histogram=histogram, wall_time=time.time() - t0,
         expected_lines=expected_lines, expected_points=frame.num_points,
         expected_incidence=expected_inc)

@@ -37,6 +37,10 @@ class NotOneModFour(ValueError):
     pass
 
 
+class NotPrimePower(ValueError):
+    pass
+
+
 def _chi(ctx: FieldCtx, x: int) -> int:
     """Quadratic character with chi(0) = 0."""
     if x == 0:
@@ -139,7 +143,7 @@ def prime_power(q: int):
 def _field_of_order(q: int) -> FieldCtx:
     ph = prime_power(q)
     if ph is None:
-        raise ValueError(f"{q} is not a prime power")
+        raise NotPrimePower(f"{q} is not a prime power")
     return make_field(*ph)
 
 

@@ -5,7 +5,8 @@ nonzero coordinate is 1.  Normalized points are packed into a single
 int64 whose numeric order is digit-lex order on the coordinate digits,
 so minima over packed arrays pick canonical representatives.  A line is
 identified by its canonical key: the ordered pair of the two smallest
-packed points on it.
+packed points on it.  Surface points also have a dense index
+0 .. num_points-1 (surface_index, and its inverse surface_point).
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -17,6 +18,8 @@ and the surface predicate is x^T G x^(q) = 0 in both cases.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +60,32 @@ class HermitianFrame:
 
     def __repr__(self):
         return f"HermitianFrame({self.tag}, q={self.q})"
+
+    @cached_property
+    def index_tables(self) -> tuple:
+        """Tables of surface_index/surface_point, indexed by field rank.
+
+        (rank of 1, trace x + x^q, place of x in its trace fibre,
+        N(x1) + e N(x2) by rank x1 * order + rank x2, the (order, q)
+        fibre rows by trace value, x2's place among the solutions of
+        1 + e N(x2) = 0 or -1).
+        """
+        ctx, q, n = self.ctx, self.q, self.ctx.order
+        xs = ctx.unrank_np
+        xq = ctx.frob_np(ctx.d // 2)[xs]
+        trace = vec_add(ctx, xs, xq)
+        norm = vec_mul(ctx, xs, xq)
+        e_norm = vec_mul(ctx, self.gram[2][2], norm)
+        rhs = vec_add(ctx, norm[:, None], e_norm[None, :]).reshape(-1)
+        order = np.argsort(trace, kind="stable")          # q fibres of q ranks
+        fibre = np.zeros((n, q), dtype=np.int64)
+        fibre[trace[order[::q]]] = order.reshape(q, q)
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.tile(np.arange(q), q)
+        sol_at = np.full(n, -1, dtype=np.int64)
+        sols = np.flatnonzero(e_norm == ctx.neg_np[1])
+        sol_at[sols] = np.arange(len(sols))
+        return int(ctx.rank_np[1]), trace, pos, rhs, fibre, sol_at
 
 
 def cp_frame(ctx: FieldCtx) -> HermitianFrame:
@@ -362,77 +391,64 @@ def _generator_partners(frame: HermitianFrame, P):
     coeffs = tangent_plane(frame, P)
     piv = next(i for i in range(4) if coeffs[i])
     i0 = next(i for i in range(4) if i != piv and P[i])
-    basis = [v for v in plane_kernel_basis(ctx, coeffs)
-             if v[i0] == 0]
-    u, v = basis[0], basis[1]
-    hits = []
-    for lam in range(ctx.order):
-        R = tuple(ctx.add(u[j], ctx.mul(lam, v[j])) for j in range(4))
-        if on_surface(frame, R):
-            hits.append(normalize(ctx, R))
-    if on_surface(frame, v):
-        hits.append(normalize(ctx, v))
-    return hits
+    u, v = [b for b in plane_kernel_basis(ctx, coeffs) if b[i0] == 0]
+    pts = line_points_batch(ctx, np.asarray([u], dtype=np.int64),
+                            np.asarray([v], dtype=np.int64))[0]
+    hits = pts[on_surface_batch(frame, *unpack_batch(ctx, pts))]
+    return [unpack(ctx, int(x)) for x in hits]
 
 
 # ---------------------------------------------------------------------------
-# bulk enumeration
+# surface point index
 
-def _trace_fibers(ctx: FieldCtx):
-    """Map value -> sorted array of x with x + x^q = value (q fibres of size q)."""
-    h = ctx.d // 2
-    xs = np.arange(ctx.order, dtype=np.int64)
-    tr = vec_add(ctx, xs, ctx.frob_np(h)[xs])
-    fibers = {}
-    order = np.argsort(tr, kind="stable")
-    sorted_tr = tr[order]
-    bounds = np.searchsorted(sorted_tr, np.unique(sorted_tr))
-    uniq = np.unique(sorted_tr)
-    for i, c in enumerate(uniq):
-        lo = bounds[i]
-        hi = bounds[i + 1] if i + 1 < len(bounds) else ctx.order
-        fibers[int(c)] = np.sort(order[lo:hi])
-    return fibers
+def surface_index(frame: HermitianFrame, packed):
+    """Index in 0 .. num_points-1 of each normalized packed surface point.
+
+    An affine point (1, x1, x2, x3) lies on the surface iff
+    tr(x3) = x3 + x3^q equals N(x1) + e N(x2), with N(x) = x^(q+1) and
+    e = G[2][2], so x3 is one of the q elements of a trace fibre.  Its
+    index is (rank x1 * order + rank x2) * q + the place of x3 in its
+    fibre, read off the packed int.  The X0 = 0 points follow from q^5
+    on: (0,0,0,1), then (0,1,x2,x3) with 1 + e N(x2) = 0, by x2's place
+    among the q+1 solutions and the rank of x3.  Any other point raises
+    NotOnSurface.
+    """
+    one, trace, pos, rhs, _, sol_at = frame.index_tables
+    n, q = frame.ctx.order, frame.q
+    hi, r3 = np.divmod(np.asarray(packed, dtype=np.int64), n)
+    a = hi - one * n * n                      # rank x1 * n + rank x2 if X0 = 1
+    tail = np.flatnonzero(a < 0)
+    a.flat[tail] = 0
+    idx = a * q + pos[r3]
+    ok = trace[r3] == rhs[a]
+    if len(tail):
+        r1, r2 = np.divmod(hi.flat[tail], n)
+        x3 = r3.flat[tail]
+        j = sol_at[r2]
+        idx.flat[tail] = np.where(r1 == one, q ** 5 + 1 + j * n + x3, q ** 5)
+        ok.flat[tail] = np.where(r1 == one, j >= 0, (r1 == 0) & (r2 == 0) & (x3 == one))
+    if not ok.all():
+        bad = int(np.ravel(packed)[np.argmin(ok)])
+        raise NotOnSurface(f"{unpack(frame.ctx, bad)} is not on the surface")
+    return idx
+
+
+def surface_point(frame: HermitianFrame, index):
+    """Packed surface point of each index (the inverse of surface_index)."""
+    one, _, _, rhs, fibre, sol_at = frame.index_tables
+    n, q5 = frame.ctx.order, frame.q ** 5
+    i = np.asarray(index, dtype=np.int64)
+    a, k = np.divmod(np.minimum(i, q5 - 1), frame.q)
+    affine = (one * n * n + a) * n + fibre[rhs[a], k]
+    j, r3 = np.divmod(np.maximum(i - q5 - 1, 0), n)
+    sols = np.flatnonzero(sol_at >= 0)
+    tail = np.where(i == q5, one, (one * n + sols[j]) * n + r3)
+    return np.where(i < q5, affine, tail)
 
 
 def enumerate_surface(frame: HermitianFrame) -> np.ndarray:
     """Sorted packed array of all (q^3+1)(q^2+1) surface points."""
-    ctx = frame.ctx
-    q, n = frame.q, ctx.order
-    h = ctx.d // 2
-    e = frame.gram[2][2]
-    fr = ctx.frob_np(h)
-    xs = np.arange(n, dtype=np.int64)
-    norms = vec_mul(ctx, xs, fr[xs])          # x^(q+1)
-    x1 = np.repeat(xs, n)
-    x2 = np.tile(xs, n)
-    rhs = vec_add(ctx, norms[x1],
-                  vec_mul(ctx, np.full(n * n, e, dtype=np.int64), norms[x2]))
-    fibers = _trace_fibers(ctx)
-    fiber_rows = np.zeros((n, q), dtype=np.int64)
-    for c, arr in fibers.items():
-        fiber_rows[c] = arr
-    x3 = fiber_rows[rhs]                      # (n*n, q)
-    m = n * n * q
-    c0 = np.ones(m, dtype=np.int64)
-    c1 = np.repeat(x1, q)
-    c2 = np.repeat(x2, q)
-    c3 = x3.reshape(-1)
-    affine = norm_pack_batch(ctx, c0, c1, c2, c3)
-
-    # X0 = 0 part: (0,0,0,1) plus (0,1,x2,x3) with 1 + e*x2^(q+1) = 0
-    neg_inv_e = ctx.neg(ctx.inv(e))
-    sols = ctx.power_residue_solutions(neg_inv_e, q + 1)
-    parts = [np.asarray([pack_point(ctx, (0, 0, 0, 1))], dtype=np.int64)]
-    if sols:
-        s2 = np.repeat(np.asarray(sols, dtype=np.int64), n)
-        s3 = np.tile(xs, len(sols))
-        z = np.zeros(len(s2), dtype=np.int64)
-        parts.append(norm_pack_batch(ctx, z, np.ones_like(s2), s2, s3))
-    out = np.concatenate([affine] + parts)
-    out = np.unique(out)
-    assert len(out) == frame.num_points, (len(out), frame.num_points)
-    return out
+    return np.sort(surface_point(frame, np.arange(frame.num_points)))
 
 
 def enumerate_generators(frame: HermitianFrame, force: bool = False) -> list:

@@ -73,8 +73,8 @@ def ft17_g2(ft17, ft17_sets):
 
 
 @pytest.fixture(scope="session")
-def ft17_build(ft17, ft17_sets, ft17_chords):
-    cand = hemisystem.build_ft(17, 1, 1, fr=ft17, sets=ft17_sets, chords=ft17_chords)
+def ft17_build(ft17, ft17_chords):
+    cand = hemisystem.build_ft(17, 1, 1, fr=ft17, chords=ft17_chords)
     report = hemisystem.verify(cand, frame=ft17.frame)
     return cand, report
 

@@ -1,6 +1,6 @@
 import json
 
-from hemisys import cli
+from hemisys import cli, hemisystem, pg3
 
 
 def run(capsys, *argv):
@@ -105,6 +105,24 @@ def test_tampered_file_exit_code(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["construct", "--family", "xx", "--p", "3"]) == 2
     assert cli.main(["--threads", "0", "primes", "--max", "20"]) == 2
+
+
+def test_bad_user_input_exit_code(capsys):
+    for argv in (["survey", "--q-list", "12"], ["survey", "--q-list", "x"],
+                 ["survey", "--q-list", "21"], ["eccount", "--p", "21"],
+                 ["construct", "--family", "cp", "--p", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def equal_points(*args, **kwargs):
+        raise pg3.EqualPoints("line through equal points")
+
+    monkeypatch.setattr(hemisystem, "verify", equal_points)
+    code, out, err = run(capsys, "construct", "--family", "cp", "--p", "3")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "EqualPoints" in err
 
 
 def test_survey_csv_header(capsys):

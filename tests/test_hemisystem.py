@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,14 +215,14 @@ def test_verify_rejects_non_generator(ft17, ft17_build):
 
 def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):
     cand, _ = cp3_build
-    count_chunk = hemisystem._count_chunk
+    chunk_counts = hemisystem._chunk_counts
 
-    def drop_one(ctx, keys):
-        vals, counts = count_chunk(ctx, keys)
-        counts[0] -= 1
-        return vals, counts
+    def drop_one(frame, keys):
+        counts = chunk_counts(frame, keys)
+        counts[np.argmax(counts)] -= 1
+        return counts
 
-    monkeypatch.setattr(hemisystem, "_count_chunk", drop_one)
+    monkeypatch.setattr(hemisystem, "_chunk_counts", drop_one)
     with pytest.raises(hemisystem.IncidenceSumMismatch):
         hemisystem.verify(cand)
     # an internal fault, not a usage error the CLI would report as exit 2
@@ -259,6 +261,20 @@ def test_complement_arithmetic_q17(ft17, ft17_build):
         pencil = pg3.generators_through(ft17.frame, P)
         assert len(pencil) == 18
         assert sum(1 for k in pencil if k in key_set) == 9
+
+
+def test_verify_peak_memory_grows_with_points_q17(ft17, ft17_build):
+    # one counts array per worker (1,425,060 int64 = 11 MB) plus one chunk of
+    # 2048 lines x 290 points; sorting every incidence took about 0.8 GB
+    cand, report = ft17_build
+    tracemalloc.start()
+    try:
+        again = hemisystem.verify(cand, frame=ft17.frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.histogram == report.histogram == {9: 1425060}
+    assert peak < 300e6, peak
 
 
 def test_verify_threads_match(cp3_build):
@@ -375,3 +391,31 @@ def test_export_is_sorted_and_deterministic(cp3_build, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     body = [ln for ln in p1.read_text().split("\n")[4:] if ln]
     assert len(body) == 56 and len(set(body)) == 56
+
+
+# ---------------------------------------------------------------------------
+# golden candidate files
+
+GOLDEN_SHA256 = {
+    3: "fe912ec4075b0790a45815fcd995784c99978c5a7464320f819d9f0d8df8caf3",
+    5: "0957327cb059cb16c058c7b0da82bd1f0bcb488ea584a86c33ecf7ad52b67851",
+    7: "a2ae3bd886181c5782028be3ae0ddeba793bf9c669e8705f2287d1b859e12248",
+}
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_export_sha256_pinned_cp(p, tmp_path):
+    path = tmp_path / f"h{p}.hs"
+    hemisystem.export(hemisystem.build_cp(p), str(path))
+    assert _file_sha256(path) == GOLDEN_SHA256[p]
+
+
+def test_export_sha256_pinned_ft17(ft17_build, tmp_path):
+    path = tmp_path / "h17.hs"
+    hemisystem.export(ft17_build[0], str(path))
+    assert _file_sha256(path) == (
+        "3d635b144e90f573dacdba2b8facdf063d7bd6e491a26cb09cad42faf1ab7d43")

@@ -148,6 +148,39 @@ def test_enumerate_surface_counts(cp3, ft17f, F25):
     assert pg3.enumerate_surface(ft17f).shape[0] == 1425060
 
 
+@pytest.mark.parametrize("family,p,d", [("cp", 3, 2), ("cp", 5, 2),
+                                        ("ft", 3, 4), ("ft", 17, 2)])
+def test_surface_index_round_trips_enumerate_surface(family, p, d):
+    ctx = gf.make_field(p, d)
+    frame = pg3.cp_frame(ctx) if family == "cp" else pg3.ft_frame(ctx)
+    pts = pg3.enumerate_surface(frame)
+    assert len(pts) == frame.num_points and (np.diff(pts) > 0).all()
+    assert pg3.on_surface_batch(frame, *pg3.unpack_batch(ctx, pts)).all()
+    idx = pg3.surface_index(frame, pts)
+    assert (np.sort(idx) == np.arange(frame.num_points)).all()
+    assert (pg3.surface_point(frame, idx) == pts).all()
+
+
+@pytest.mark.parametrize("family", ["cp", "ft"])
+def test_surface_index_raises_exactly_off_the_surface(family, F9):
+    frame = pg3.cp_frame(F9) if family == "cp" else pg3.ft_frame(F9)
+    on = 0
+    for packed in range(1, 9 ** 4):
+        P = pg3.unpack(F9, packed)
+        if pg3.normalize(F9, P) != P:
+            continue
+        if pg3.on_surface(frame, P):
+            on += 1
+            pg3.surface_index(frame, [packed])
+        else:
+            with pytest.raises(pg3.NotOnSurface):
+                pg3.surface_index(frame, [packed])
+    assert on == frame.num_points
+    surf = pg3.enumerate_surface(frame)
+    with pytest.raises(pg3.NotOnSurface):
+        pg3.surface_index(frame, np.append(surf, pg3.pack(F9, (0, 0, 1, 0))))
+
+
 def test_enumerate_generators_counts(cp3, F25):
     assert len(pg3.enumerate_generators(cp3)) == 112
     assert len(pg3.enumerate_generators(pg3.cp_frame(F25))) == 756
