@@ -98,6 +98,13 @@ def q_list(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"{n} is not positive")
+    return n
+
+
 def _survey_list(args):
     if args.q_list:
         return args.q_list
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     c.add_argument("--family", choices=("cp", "ft"), required=True)
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--h", type=int, default=1)
+    c.add_argument("--h", type=positive_int, default=1)
     c.add_argument("--eps", type=int, choices=(1, -1), default=1)
     c.add_argument("--force", action="store_true")
     c.add_argument("--seed-orbit", choices=("plus", "minus"), default="plus")
@@ -220,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eccount", parents=[common], help="point counts of the feasibility curves")
     e.add_argument("--p", type=int, required=True)
-    e.add_argument("--h", type=int, default=1)
+    e.add_argument("--h", type=positive_int, default=1)
     e.set_defaults(func=cmd_eccount)
 
     d = sub.add_parser("diagnose", parents=[common], help="orbit sizes, balance counts, action checks")
     d.add_argument("--p", type=int, required=True)
-    d.add_argument("--h", type=int, default=1)
+    d.add_argument("--h", type=positive_int, default=1)
     d.add_argument("--eps", type=int, choices=(1, -1), default=1)
     d.add_argument("--samples", type=int, default=1000)
     d.set_defaults(func=cmd_diagnose)

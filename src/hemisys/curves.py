@@ -39,6 +39,10 @@ class ProjectionUndefined(ValueError):
     pass
 
 
+class TraceLeftSubfield(RuntimeError):
+    """A chord trace fell outside GF(q^2): a bug, not input."""
+
+
 G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
 G1_MEETS_DELTAS = "G1_MEETS_DELTAS"
 DISJOINT = "DISJOINT"
@@ -82,39 +86,23 @@ def cp_curve_coords_q4(ctx2: FieldCtx, ctx4: FieldCtx, emb) -> tuple:
 # ---------------------------------------------------------------------------
 # conjugate-pair chords: GF(q^4) point pairs -> GF(q^2) line keys
 
-def _coset_reps(ctx4: FieldCtx, n_small: int) -> np.ndarray:
-    """Multiplicative coset representatives of GF(q^2)* inside GF(q^4)*."""
-    n_reps = (ctx4.order - 1) // (n_small - 1)
-    return ctx4.exp_np[np.arange(n_reps, dtype=np.int64)]
-
-
 def conj_pair_line_keys(ctx2: FieldCtx, ctx4: FieldCtx, inv_emb, coords) -> np.ndarray:
     """Canonical GF(q^2) line keys of lines P -- Phi(P) for GF(q^4) points P.
 
     coords are four (n,) arrays over ctx4; each row must be a point off the
-    GF(q^2) subgeometry.  The rational points of the chord are traces
-    mu*P + (mu*P)^Frobenius over coset representatives mu.
+    GF(q^2) subgeometry.  mu*P + (mu*P)^Frobenius is a rational point of the
+    chord for each mu, and mu = 1, gen lie in distinct cosets of GF(q^2)*,
+    so their two points span it.
     """
-    h2 = ctx4.d // 2
-    frob2 = ctx4.frob_np(h2)
-    mus = _coset_reps(ctx4, ctx2.order)
-    n = len(coords[0])
-    out = np.empty((n, 2), dtype=np.int64)
-    step = max(1, (1 << 19) // len(mus))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        cols2 = []
-        for c in coords:
-            m = vec_mul(ctx4, mus[None, :], c[lo:hi][:, None])
-            tr = vec_add(ctx4, m, frob2[m])
-            small = inv_emb[tr]
-            assert small.min() >= 0, "trace left the GF(q^2) image"
-            cols2.append(small)
-        packed = pg3.norm_pack_batch(ctx2, *cols2)
-        two = np.partition(packed, 1, axis=1)[:, :2]
-        two.sort(axis=1)
-        out[lo:hi] = two
-    return out
+    frob2 = ctx4.frob_np(ctx4.d // 2)
+    spans = []
+    for mu in (1, ctx4.gen):
+        m = vec_mul(ctx4, mu, np.stack(coords, axis=1))
+        small = inv_emb[vec_add(ctx4, m, frob2[m])]
+        if (small < 0).any():
+            raise TraceLeftSubfield("trace left the GF(q^2) image")
+        spans.append(small)
+    return pg3.line_keys_batch(ctx2, *spans)
 
 
 def _dedupe_conjugate(ctx4: FieldCtx, coords) -> tuple:

@@ -474,6 +474,8 @@ def make_field(p: int, d: int) -> FieldCtx:
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported")
+    if d < 1:
+        raise BadExponent(f"field degree {d} is not positive")
     need = _table_bytes(p, d)
     if need > TABLE_BYTES_CAP:
         raise FieldTooLarge(

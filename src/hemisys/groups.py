@@ -68,8 +68,7 @@ class Collineation:
                 m = self.mat[i][j]
                 if not m:
                     continue
-                term = cols[j] if m == 1 else vec_mul(
-                    ctx, np.full_like(cols[j], m), cols[j])
+                term = cols[j] if m == 1 else vec_mul(ctx, m, cols[j])
                 acc = term if acc is None else vec_add(ctx, acc, term)
             out.append(acc if acc is not None else np.zeros_like(cols[0]))
         return out
@@ -117,17 +116,9 @@ def apply_to_key(ctx: FieldCtx, col: Collineation, key) -> tuple:
 def apply_to_keys(ctx: FieldCtx, col: Collineation, keys) -> np.ndarray:
     """Canonical keys of the images of a batch of lines; (n,2) -> (n,2)."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    out = np.empty_like(keys)
-    for lo in range(0, len(keys), 4096):
-        hi = min(len(keys), lo + 4096)
-        a = pg3.unpack_batch(ctx, keys[lo:hi, 0])
-        b = pg3.unpack_batch(ctx, keys[lo:hi, 1])
-        ia = col.apply_batch(ctx, a)
-        ib = col.apply_batch(ctx, b)
-        A = np.stack(ia, axis=1)
-        B = np.stack(ib, axis=1)
-        out[lo:hi] = pg3.line_keys_batch(ctx, A, B)
-    return out
+    A, B = (np.stack(col.apply_batch(ctx, pg3.unpack_batch(ctx, keys[:, k])), axis=1)
+            for k in (0, 1))
+    return pg3.line_keys_batch(ctx, A, B)
 
 
 def orbit(ctx: FieldCtx, gens, seed_key, max_size=None) -> list:

@@ -299,9 +299,7 @@ def _frame_for(cand: HemisystemCandidate) -> HermitianFrame:
 
 def _chunk_counts(frame: HermitianFrame, keys) -> np.ndarray:
     """Incidences of every surface point, by pg3.surface_index, on key rows."""
-    a = pg3.unpack_batch(frame.ctx, keys[:, 0])
-    b = pg3.unpack_batch(frame.ctx, keys[:, 1])
-    pts = pg3.line_points_batch(frame.ctx, np.stack(a, axis=1), np.stack(b, axis=1))
+    pts = pg3.line_points_table(frame.ctx, keys)
     return np.bincount(pg3.surface_index(frame, pts.reshape(-1)),
                        minlength=frame.num_points)
 
@@ -480,6 +478,10 @@ def import_candidate(path: str) -> HemisystemCandidate:
             raise ParseError(f"line {5 + i}: key points out of order")
         rows.append((a, b))
     arr = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    a, b = (np.stack(pg3.unpack_batch(ctx, arr[:, k]), axis=1) for k in (0, 1))
+    off = np.flatnonzero((pg3.line_keys_batch(ctx, a, b) != arr).any(axis=1))
+    if len(off):
+        raise ParseError(f"line {5 + int(off[0])}: key is not the line's two smallest points")
     prev = None
     for row in rows:
         if prev is not None and row <= prev:

@@ -5,8 +5,14 @@ nonzero coordinate is 1.  Normalized points are packed into a single
 int64 whose numeric order is digit-lex order on the coordinate digits,
 so minima over packed arrays pick canonical representatives.  A line is
 identified by its canonical key: the ordered pair of the two smallest
-packed points on it.  Surface points also have a dense index
-0 .. num_points-1 (surface_index, and its inverse surface_point).
+packed points on it.  It is read off the reduced row-echelon form (RREF)
+[R1; R2] of any two of its points, leading 1s at i < j and R1[j] = 0;
+every other point is R1 + lam R2.  Since rank(0) = 0 and each point's
+first nonzero coordinate is 1, R2 (0 at i) is below every R1 + lam R2
+(1 at i), and these agree with R1 before j and hold lam at j, so lam = 0
+is the least: the key is (R2, R1), and no point is enumerated to find
+it.  Surface points also have a dense index 0 .. num_points-1
+(surface_index, and its inverse surface_point).
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -36,6 +42,10 @@ class NotOnSurface(ValueError):
 
 class TooLarge(ValueError):
     pass
+
+
+class GeneratorCountMismatch(RuntimeError):
+    """A generator count broke its invariant: a bug, not input."""
 
 
 class HermitianFrame:
@@ -282,25 +292,51 @@ def mat_transpose(M):
 # ---------------------------------------------------------------------------
 # lines
 
+def _rref(ctx: FieldCtx, A, B):
+    """Reduced row-echelon form [R1; R2] of each [A; B]: leading 1s at i < j,
+    R1[j] = 0.  A row whose A and B are proportional raises EqualPoints."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    rows = np.arange(len(A))
+    swap = ((B != 0).argmax(axis=1) < (A != 0).argmax(axis=1))[:, None]
+    P, Q = np.where(swap, B, A), np.where(swap, A, B)
+    i = (P != 0).argmax(axis=1)
+    P = vec_mul(ctx, P, ctx.inv_np[P[rows, i]][:, None])
+    Q = vec_add(ctx, Q, vec_mul(ctx, ctx.neg_np[Q[rows, i]][:, None], P))
+    j = (Q != 0).argmax(axis=1)
+    R2 = vec_mul(ctx, Q, ctx.inv_np[Q[rows, j]][:, None])
+    R1 = vec_add(ctx, P, vec_mul(ctx, ctx.neg_np[P[rows, j]][:, None], R2))
+    if not ((R1[rows, i] == 1) & (R2[rows, j] == 1)).all():
+        raise EqualPoints("line through equal points")
+    return R1, R2
+
+
+def _pack_rows(ctx: FieldCtx, R):
+    """Packed ints of (n, 4) rows that are already normalized."""
+    return ctx.rank_np[R] @ ctx.order ** np.arange(3, -1, -1)
+
+
 def line_points_batch(ctx: FieldCtx, A, B):
-    """Packed point lists of the lines through row pairs of A, B; (n, q^2+1)."""
-    n = ctx.order
-    lam = np.arange(n, dtype=np.int64)
-    cols = []
-    for j in range(4):
-        lb = vec_mul(ctx, lam[None, :], B[:, j][:, None])
-        cols.append(vec_add(ctx, A[:, j][:, None], lb))
-    for j in range(4):
-        cols[j] = np.concatenate([cols[j], B[:, j][:, None]], axis=1)
-    return norm_pack_batch(ctx, cols[0], cols[1], cols[2], cols[3])
+    """Packed points R1 + lam R2 (lam = 0 .. order-1), then R2, of each line
+    through rows of A, B, [R1; R2] its RREF; all normalized as they stand."""
+    R1, R2 = _rref(ctx, A, B)
+    lam = np.arange(ctx.order, dtype=np.int64)
+    out = ctx.rank_np[R1[:, :1]]              # column 0: R2 is 0 there, as j > i >= 0
+    for k in range(1, 4):
+        col = vec_add(ctx, R1[:, k, None], vec_mul(ctx, lam, R2[:, k, None]))
+        out = out * ctx.order + ctx.rank_np[col]
+    return np.concatenate([out, _pack_rows(ctx, R2)[:, None]], axis=1)
 
 
 def line_keys_batch(ctx: FieldCtx, A, B):
-    """Canonical keys (two smallest packed points, ordered) for line batches."""
-    pts = line_points_batch(ctx, A, B)
-    two = np.partition(pts, 1, axis=1)[:, :2]
-    two.sort(axis=1)
-    return two
+    """Canonical keys (two smallest packed points, ordered) for line batches.
+
+    They are (R2, R1) of the RREF: rank(0) = 0 and each point's first nonzero
+    coordinate is 1, so R2 (0 at i) is below every R1 + lam R2 (1 at i), and
+    of those lam = 0, rank 0 at j, is the least.
+    """
+    R1, R2 = _rref(ctx, A, B)
+    return np.stack([_pack_rows(ctx, R2), _pack_rows(ctx, R1)], axis=1)
 
 
 def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
@@ -316,17 +352,11 @@ def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
 
 
 def line_points(ctx: FieldCtx, A, B) -> np.ndarray:
-    A = np.asarray([A], dtype=np.int64)
-    B = np.asarray([B], dtype=np.int64)
-    return np.sort(line_points_batch(ctx, A, B)[0])
+    return np.sort(line_points_batch(ctx, [A], [B])[0])
 
 
 def line_key(ctx: FieldCtx, A, B) -> tuple:
-    if normalize(ctx, A) == normalize(ctx, B):
-        raise EqualPoints("line through equal points")
-    k = line_keys_batch(ctx,
-                        np.asarray([A], dtype=np.int64),
-                        np.asarray([B], dtype=np.int64))
+    k = line_keys_batch(ctx, [A], [B])
     return (int(k[0, 0]), int(k[0, 1]))
 
 
@@ -377,11 +407,10 @@ def generators_through(frame: HermitianFrame, P) -> list:
     ctx = frame.ctx
     P = normalize(ctx, P)
     partners = _generator_partners(frame, P)
-    A = np.asarray([P] * len(partners), dtype=np.int64)
-    B = np.asarray(partners, dtype=np.int64)
-    keys = line_keys_batch(ctx, A, B)
+    keys = line_keys_batch(ctx, [P] * len(partners), partners)
     out = sorted({(int(a), int(b)) for a, b in keys})
-    assert len(out) == frame.q + 1, f"expected {frame.q + 1} generators, got {len(out)}"
+    if len(out) != frame.q + 1:
+        raise GeneratorCountMismatch(f"{len(out)} generators through {P}, not {frame.q + 1}")
     return out
 
 
@@ -392,8 +421,7 @@ def _generator_partners(frame: HermitianFrame, P):
     piv = next(i for i in range(4) if coeffs[i])
     i0 = next(i for i in range(4) if i != piv and P[i])
     u, v = [b for b in plane_kernel_basis(ctx, coeffs) if b[i0] == 0]
-    pts = line_points_batch(ctx, np.asarray([u], dtype=np.int64),
-                            np.asarray([v], dtype=np.int64))[0]
+    pts = line_points_batch(ctx, [u], [v])[0]
     hits = pts[on_surface_batch(frame, *unpack_batch(ctx, pts))]
     return [unpack(ctx, int(x)) for x in hits]
 
@@ -464,12 +492,8 @@ def enumerate_generators(frame: HermitianFrame, force: bool = False) -> list:
         for R in _generator_partners(frame, P):
             pairs_a.append(P)
             pairs_b.append(R)
-    A = np.asarray(pairs_a, dtype=np.int64)
-    B = np.asarray(pairs_b, dtype=np.int64)
-    keys = set()
-    for lo in range(0, len(A), 4096):
-        kb = line_keys_batch(ctx, A[lo:lo + 4096], B[lo:lo + 4096])
-        keys.update((int(a), int(b)) for a, b in kb)
-    out = sorted(keys)
-    assert len(out) == frame.num_generators, (len(out), frame.num_generators)
+    keys = line_keys_batch(ctx, pairs_a, pairs_b)
+    out = sorted({(int(a), int(b)) for a, b in keys})
+    if len(out) != frame.num_generators:
+        raise GeneratorCountMismatch(f"{len(out)} generators, expected {frame.num_generators}")
     return out

@@ -32,6 +32,9 @@ def test_make_field_errors():
         gf.make_field(2, 4)
     with pytest.raises(gf.FieldTooLarge):
         gf.make_field(101, 5)
+    for d in (0, -1):
+        with pytest.raises(gf.BadExponent):
+            gf.make_field(3, d)
 
 
 def test_make_field_refuses_by_table_bytes_before_allocating(monkeypatch):

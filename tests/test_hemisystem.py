@@ -383,6 +383,27 @@ def test_import_parse_errors(cp3_build, tmp_path):
         hemisystem.import_candidate(str(bad))
 
 
+def test_import_rejects_a_non_canonical_key(cp3_build, tmp_path):
+    # the last body line's key becomes two other points of its own line, still
+    # normalized, increasing and sorted, with the checksum recomputed
+    cand, _ = cp3_build
+    ctx = cand.ctx2()
+    path = tmp_path / "h3.hs"
+    hemisystem.export(cand, str(path))
+    lines = path.read_text().split("\n")
+    last = max(i for i, ln in enumerate(lines) if ln)
+    key = (int(cand.lines[-1][0]), int(cand.lines[-1][1]))
+    pts = sorted(int(x) for x in pg3.line_points(ctx, *pg3.key_points(ctx, key)))
+    assert (pts[0], pts[1]) == key
+    lines[last] = f"{hemisystem._point_str(ctx, pts[0])};{hemisystem._point_str(ctx, pts[2])}"
+    body = "\n".join(lines[4:])
+    lines[3] = f"count={len(cand.lines)} sha256={hashlib.sha256(body.encode()).hexdigest()}"
+    bad = tmp_path / "bad.hs"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(hemisystem.ParseError, match=f"line {last + 1}: key is not"):
+        hemisystem.import_candidate(str(bad))
+
+
 def test_export_is_sorted_and_deterministic(cp3_build, tmp_path):
     cand, _ = cp3_build
     p1, p2 = tmp_path / "a.hs", tmp_path / "b.hs"

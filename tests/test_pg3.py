@@ -81,6 +81,63 @@ def test_line_key_points_are_smallest_on_line(F9):
     assert (int(pts[0]), int(pts[1])) == key
 
 
+def _oracle_points(F, A, B) -> list:
+    """Sorted packed points of the line AB by scalar arithmetic: A + lam B, and B."""
+    pts = {pg3.pack_point(F, [F.add(a, F.mul(lam, b)) for a, b in zip(A, B)])
+           for lam in range(F.order)}
+    return sorted(pts | {pg3.pack_point(F, B)})
+
+
+def _random_lines(F, rng, n):
+    """n random point pairs spanning lines; many rows start with zero pivots."""
+    out = []
+    while len(out) < n:
+        A = [rng.randrange(F.order) for _ in range(4)]
+        B = [rng.randrange(F.order) for _ in range(4)]
+        for row in (A, B):
+            for k in range(rng.randrange(4)):
+                row[k] = 0
+        if any(A) and any(B) and pg3.normalize(F, A) != pg3.normalize(F, B):
+            out.append((A, B))
+    return out
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 4), (13, 2)])
+def test_line_keys_and_points_match_the_scalar_oracle(p, d):
+    F = gf.make_field(p, d)
+    lines = _random_lines(F, random.Random(p * 10 + d), 60)
+    A = np.asarray([a for a, _ in lines], dtype=np.int64)
+    B = np.asarray([b for _, b in lines], dtype=np.int64)
+    keys = pg3.line_keys_batch(F, A, B)
+    rows = pg3.line_points_batch(F, A, B)
+    assert rows.shape == (len(lines), F.order + 1)
+    for (a, b), key, row in zip(lines, keys, rows):
+        oracle = _oracle_points(F, a, b)
+        assert len(oracle) == F.order + 1
+        assert (int(key[0]), int(key[1])) == tuple(oracle[:2])
+        assert sorted(int(x) for x in row) == oracle
+
+
+def test_line_keys_batch_raises_on_a_proportional_pair(F9):
+    A = np.asarray([[1, 0, 2, 1], [0, 1, 1, 2], [0, 0, 1, 5]], dtype=np.int64)
+    # row 2 of B is a multiple of row 2 of A
+    B = np.asarray([[0, 1, 1, 2], [1, 0, 0, 0], [F9.mul(3, int(x)) for x in A[2]]],
+                   dtype=np.int64)
+    with pytest.raises(pg3.EqualPoints):
+        pg3.line_keys_batch(F9, A, B)
+    with pytest.raises(pg3.EqualPoints):
+        pg3.line_points_batch(F9, A, B)
+    assert len(pg3.line_keys_batch(F9, A[:2], B[:2])) == 2
+
+
+def test_generators_through_raises_when_a_partner_is_dropped(cp3, monkeypatch):
+    partners = pg3._generator_partners
+    monkeypatch.setattr(pg3, "_generator_partners",
+                        lambda frame, P: partners(frame, P)[:-1])
+    with pytest.raises(pg3.GeneratorCountMismatch):
+        pg3.generators_through(cp3, (0, 0, 0, 1))
+
+
 def test_is_generator_ft_example(ft17f, F289):
     # the line from the origin to (1, sqrt(-2) b, b, 0)
     b = F289.sqrt(3)
