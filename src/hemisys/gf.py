@@ -271,13 +271,6 @@ class FieldCtx:
 
     # -- construction ------------------------------------------------------
 
-    def digits(self, x: int) -> tuple:
-        out = []
-        for _ in range(self.d):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
-
     def from_digits(self, dg) -> int:
         return sum(int(c) % self.p * pp for c, pp in zip(dg, self._pp))
 

@@ -9,18 +9,25 @@ surface points.  Each worker thread bincounts the pg3.surface_index of
 the points on its share of 2048-line chunks into its own array of one
 int64 per surface point, so memory grows with the points, not with the
 incidences.
+
+Candidate files are written and read by array code.  export looks up the
+8 ranks of each key in one table of coordinate strings; import_candidate
+matches the body's separators against the fixed per-line pattern, decodes
+the digit runs and runs each check on blocks of BLOCK_LINES lines, and a
+fault names its first offending file line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import EvenCharacteristic, FieldCtx, make_field, embed_subfield
+from .gf import EvenCharacteristic, FieldCtx, is_prime, make_field, embed_subfield
 from . import pg3, curves, groups
 from .curves import FTFrame
 from .pg3 import HermitianFrame
@@ -89,13 +96,6 @@ class VerificationReport:
     expected_lines: int
     expected_points: int
     expected_incidence: int
-
-    def summary(self) -> str:
-        hist = " ".join(f"{k}:{v}" for k, v in sorted(self.histogram.items()))
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} lines={self.line_count}/{self.expected_lines} "
-                f"points={self.point_count}/{self.expected_points} "
-                f"histogram={{{hist}}} wall={self.wall_time:.2f}s")
 
 
 def _sorted_lines(keys) -> np.ndarray:
@@ -379,113 +379,124 @@ def condition_checks(fr: FTFrame, m_keys, P,
 # candidate files
 
 MAGIC = "#hemis v1"
-
-
-def _coord_str(ctx: FieldCtx, x: int) -> str:
-    return ":".join(str(d) for d in ctx.digits(x))
-
-
-def _point_str(ctx: FieldCtx, packed: int) -> str:
-    return ",".join(_coord_str(ctx, c) for c in pg3.unpack(ctx, packed))
-
-
-def _body_lines(cand: HemisystemCandidate, ctx: FieldCtx):
-    for a, b in cand.lines:
-        yield f"{_point_str(ctx, int(a))};{_point_str(ctx, int(b))}"
+SIGNS = {"na": None, "+1": 1, "-1": -1}       # eps/chi header tokens
+BLOCK_LINES = 4096                             # body lines parsed per block
+MALFORMED = ("malformed: want 2 points joined by ';', each 4 coordinates joined by "
+             "',', each {d} digits joined by ':', then a newline")
 
 
 def export(cand: HemisystemCandidate, path: str) -> None:
     ctx = cand.ctx2()
-    body = "\n".join(_body_lines(cand, ctx))
-    if body:
-        body += "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    eps = "na" if cand.eps is None else ("+1" if cand.eps > 0 else "-1")
-    chi = "na" if cand.chi is None else ("+1" if cand.chi > 0 else "-1")
-    head = [MAGIC,
-            f"family={cand.family} p={cand.p} h={cand.h} eps={eps} chi={chi}",
+    n, p = ctx.order, ctx.p
+    # a rank's base-p digits, most significant first, are the element's digits
+    digs = np.arange(n)[:, None] // p ** np.arange(ctx.d - 1, -1, -1) % p
+    table = np.array([[":".join(map(str, row)) + sep for sep in ",,,;,,,\n"]
+                      for row in digs.tolist()], dtype=object)
+    keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2, 1)
+    blocks = (table[(blk // n ** np.arange(3, -1, -1) % n).reshape(-1, 8), np.arange(8)]
+              for blk in np.split(keys, range(BLOCK_LINES, len(keys), BLOCK_LINES)))
+    body = b"".join("".join(blk.ravel().tolist()).encode() for blk in blocks)
+    token = {v: k for k, v in SIGNS.items()}
+    head = [MAGIC, f"family={cand.family} p={cand.p} h={cand.h} "
+                   f"eps={token[cand.eps]} chi={token[cand.chi]}",
             "poly2=" + ",".join(str(c) for c in ctx.poly),
-            f"count={len(cand.lines)} sha256={digest}"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
-        fh.write(body)
+            f"count={len(keys)} sha256={hashlib.sha256(body).hexdigest()}"]
+    with open(path, "wb") as fh:
+        fh.writelines([("\n".join(head) + "\n").encode(), body])
 
 
-def _parse_point(ctx: FieldCtx, text: str, lineno: int) -> int:
-    coords = text.split(",")
-    if len(coords) != 4:
-        raise ParseError(f"line {lineno}: expected 4 coordinates")
-    out = []
-    for c in coords:
-        digs = c.split(":")
-        if len(digs) != ctx.d:
-            raise ParseError(f"line {lineno}: expected {ctx.d} digits per coordinate")
-        try:
-            vals = [int(x) for x in digs]
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad digit")
-        if any(v < 0 or v >= ctx.p for v in vals):
-            raise ParseError(f"line {lineno}: digit out of range")
-        out.append(ctx.from_digits(vals))
-    coordst = tuple(out)
-    if pg3.normalize(ctx, coordst) != coordst:
-        raise ParseError(f"line {lineno}: point is not normalized")
-    return pg3.pack(ctx, coordst)
+def _block_digits(blk: np.ndarray, pat: np.ndarray, width: int) -> tuple:
+    """Digits (rows, 8d) of a body block's complete lines before its first byte
+    off the line pattern pat or off 1 to width digits with no leading 0, and
+    that byte's offset (None if there is none)."""
+    sep = np.flatnonzero((blk < 48) | (blk > 57))           # every non-digit byte
+    start = np.concatenate(([0], sep + 1))[:-1]             # run i is blk[start[i]:sep[i]]
+    size = sep - start
+    off = np.concatenate([sep[blk[sep] != np.resize(pat, len(sep))][:1],
+                          sep[size == 0][:1],
+                          start[(size > width) | ((size > 1) & (blk[start] == 48))][:1],
+                          [len(blk) - 1] if len(blk) and blk[-1] != 10 else []])
+    bad = int(off.min()) if len(off) else None
+    rows = len(sep) // len(pat) if bad is None else np.count_nonzero(blk[:bad] == 10)
+    st, size = start[:rows * len(pat)], size[:rows * len(pat)]
+    val = np.zeros(len(st), dtype=np.int64)
+    for k in range(width):
+        more = size > k
+        val[more] = val[more] * 10 + (blk[st[more] + k] - 48)
+    return val.reshape(rows, len(pat)), bad
+
+
+def _block_keys(ctx: FieldCtx, dig: np.ndarray, prev: np.ndarray) -> tuple:
+    """Keys of digit rows (rows, 2, 4, d) before the first that fails a check
+    (prev: the key before the block), that row and its message, or (len, None)."""
+    rank = dig @ ctx.p ** np.arange(ctx.d - 1, -1, -1)               # (rows, 2, 4)
+    keys = rank @ ctx.order ** np.arange(3, -1, -1)                  # (rows, 2)
+    lead = np.take_along_axis(rank, (rank != 0).argmax(axis=2)[..., None], axis=2)
+    before = np.concatenate([prev[None], keys[:-1]])
+    checks = [((dig < ctx.p).all(axis=(1, 2, 3)), "digit out of range"),
+              ((rank != 0).any(axis=2).all(axis=1), "point is zero"),
+              ((lead == ctx.rank_np[1]).all(axis=(1, 2)), "point is not normalized"),
+              (keys[:, 0] < keys[:, 1], "key points out of order"),
+              # (a, b) > (a', b') lexicographically iff 2 sgn(a - a') + sgn(b - b') > 0
+              (np.sign(keys - before) @ [2, 1] > 0, "key is not above the previous line's")]
+    row, why = len(dig), None
+    for ok, msg in checks:
+        bad = np.flatnonzero(~ok[:row])
+        if len(bad):
+            row, why = int(bad[0]), msg
+    elem = dig[:row] @ ctx.p ** np.arange(ctx.d)
+    bad = np.flatnonzero((pg3.line_keys_batch(ctx, elem[:, 0], elem[:, 1])
+                          != keys[:row]).any(axis=1))
+    if len(bad):
+        row, why = int(bad[0]), "key is not the line's two smallest points"
+    return keys[:row], row, why
 
 
 def import_candidate(path: str) -> HemisystemCandidate:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if len(lines) < 4 or lines[0] != MAGIC:
+    """Read a candidate file, rejecting any fault with a ParseError that names
+    its first offending file line (ChecksumMismatch for the body's sha256)."""
+    with open(path, "rb") as fh:
+        parts = fh.read().split(b"\n", 4)
+    head = [x.decode("utf-8", "replace") for x in parts[:4]]
+    body = np.frombuffer(parts[4] if len(parts) > 4 else b"", dtype=np.uint8)
+    if len(head) < 4 or head[0] != MAGIC:
         raise ParseError("line 1: bad magic")
     try:
-        kv = dict(part.split("=", 1) for part in lines[1].split())
-        family = kv["family"]
-        p, h = int(kv["p"]), int(kv["h"])
-        eps = None if kv["eps"] == "na" else int(kv["eps"])
-        chi = None if kv["chi"] == "na" else int(kv["chi"])
+        kv = dict(part.split("=", 1) for part in head[1].split())
+        family, p, h = kv["family"], int(kv["p"]), int(kv["h"])
+        eps, chi = SIGNS[kv["eps"]], SIGNS[kv["chi"]]
     except (KeyError, ValueError):
         raise ParseError("line 2: bad header")
-    if family not in ("cp", "ft"):
-        raise ParseError("line 2: unknown family")
-    if not lines[2].startswith("poly2="):
-        raise ParseError("line 3: missing poly2")
-    poly2 = tuple(int(c) for c in lines[2][len("poly2="):].split(","))
-    try:
-        kv4 = dict(part.split("=", 1) for part in lines[3].split())
-        count = int(kv4["count"])
-        digest = kv4["sha256"]
-    except (KeyError, ValueError):
+    # packed points must fit an int64: p^(8h) < 2^63, so h < 8 as p >= 3
+    if (family not in ("cp", "ft") or p == 2 or not is_prime(p) or not 1 <= h < 8
+            or p ** (8 * h) >= 2 ** 63):
+        raise ParseError(f"line 2: family={family} p={p} h={h}: want cp or ft over an "
+                         "odd prime power with 64-bit packed points")
+    if not re.fullmatch("poly2=[0-9]+(,[0-9]+)*", head[2]):
+        raise ParseError("line 3: bad poly2")
+    poly2 = tuple(int(c) for c in head[2][len("poly2="):].split(","))
+    line4 = re.fullmatch("count=([0-9]+) sha256=([0-9a-f]+)", head[3])
+    if not line4:
         raise ParseError("line 4: bad count/checksum header")
-    body = "\n".join(lines[4:])
-    if hashlib.sha256(body.encode()).hexdigest() != digest:
+    count, digest = int(line4[1]), line4[2]
+    if hashlib.sha256(body).hexdigest() != digest:
         raise ChecksumMismatch("body checksum does not match header")
     ctx = make_field(p, 2 * h)
     if ctx.poly != poly2:
         raise ParseError(f"line 3: non-canonical polynomial {poly2}")
-    rows = []
-    body_lines = [ln for ln in lines[4:] if ln]
-    if len(body_lines) != count:
-        raise ParseError(f"line 4: count={count} but body has {len(body_lines)} lines")
-    for i, ln in enumerate(body_lines):
-        parts = ln.split(";")
-        if len(parts) != 2:
-            raise ParseError(f"line {5 + i}: expected two points")
-        a = _parse_point(ctx, parts[0], 5 + i)
-        b = _parse_point(ctx, parts[1], 5 + i)
-        if a >= b:
-            raise ParseError(f"line {5 + i}: key points out of order")
-        rows.append((a, b))
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    a, b = (np.stack(pg3.unpack_batch(ctx, arr[:, k]), axis=1) for k in (0, 1))
-    off = np.flatnonzero((pg3.line_keys_batch(ctx, a, b) != arr).any(axis=1))
-    if len(off):
-        raise ParseError(f"line {5 + int(off[0])}: key is not the line's two smallest points")
-    prev = None
-    for row in rows:
-        if prev is not None and row <= prev:
-            raise ParseError("body lines are not sorted by key")
-        prev = row
+    pat = np.frombuffer("".join(":" * (ctx.d - 1) + s for s in ",,,;,,,\n").encode(), np.uint8)
+    newlines = np.flatnonzero(body == 10)
+    cuts = sorted({0, *(newlines[BLOCK_LINES - 1::BLOCK_LINES] + 1).tolist(), len(body)})
+    lines = np.empty((len(newlines), 2), dtype=np.int64)
+    for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        first = min(b * BLOCK_LINES, len(newlines))
+        dig, bad = _block_digits(body[lo:hi], pat, len(str(p - 1)))
+        prev = lines[first - 1] if first else np.array([-1, -1])
+        keys, row, why = _block_keys(ctx, dig.reshape(-1, 2, 4, ctx.d), prev)
+        lines[first:first + row] = keys
+        if why or bad is not None:
+            raise ParseError(f"line {5 + first + row}: {why or MALFORMED.format(d=ctx.d)}")
+    if len(lines) != count:
+        raise ParseError(f"line 4: count={count} but body has {len(lines)} lines")
     return HemisystemCandidate(family=family, p=p, h=h, eps=eps, chi=chi,
-                               lines=arr, provenance={"imported_from": path})
+                               lines=lines, provenance={"imported_from": path})

@@ -370,11 +370,6 @@ def is_generator(frame: HermitianFrame, A, B) -> bool:
             and herm_form(frame, A, B) == 0)
 
 
-def is_generator_key(frame: HermitianFrame, key) -> bool:
-    A, B = key_points(frame.ctx, key)
-    return is_generator(frame, A, B)
-
-
 def check_generators_batch(frame: HermitianFrame, keys):
     """Indices of key rows that fail the generator criterion."""
     a = unpack_batch(frame.ctx, keys[:, 0])

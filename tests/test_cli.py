@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from hemisys import cli, hemisystem, pg3
 
@@ -100,6 +103,44 @@ def test_tampered_file_exit_code(capsys, tmp_path):
     open(path, "wb").write(raw[:pos] + flip + raw[pos + 1:])
     code, _, err = run(capsys, "verify", path)
     assert code == 1 and "checksum" in err
+
+
+@pytest.mark.parametrize("line, old, new", [
+    (2, "h=1", "h=0"), (2, "h=1", "h=-1"), (2, "p=3", "p=4"), (2, "p=3", "p=2"),
+    (2, "eps=na", "eps=2"), (2, "chi=na", "chi=5"),
+    (3, None, "poly2=a,b"), (3, None, "poly2=")])
+def test_bad_file_header_exit_code(capsys, tmp_path, line, old, new):
+    # the sha256 covers only the body, so the edited header still passes it
+    path = tmp_path / "h3.hs"
+    run(capsys, "construct", "--family", "cp", "--p", "3", "--out", str(path))
+    lines = path.read_text().split("\n")
+    assert old is None or old in lines[line - 1]
+    lines[line - 1] = new if old is None else lines[line - 1].replace(old, new)
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"error: line {line}: " in err
+
+
+@pytest.mark.parametrize("fault", ["zero point", "invalid utf-8", "blank line"])
+def test_bad_file_body_exit_code(capsys, tmp_path, fault):
+    # the fault goes on file line 30 and the checksum is recomputed
+    path = tmp_path / "h3.hs"
+    run(capsys, "construct", "--family", "cp", "--p", "3", "--out", str(path))
+    raw = path.read_bytes().split(b"\n")
+    head, body = raw[:4], raw[4:-1]
+    if fault == "zero point":
+        body[25] = b"0:0,0:0,0:0,0:0;" + body[25].split(b";")[1]
+    elif fault == "invalid utf-8":
+        body[25] = b"\xff" + body[25][1:]
+    else:
+        body.insert(25, b"")
+    text = b"".join(ln + b"\n" for ln in body)
+    head[3] = f"count=56 sha256={hashlib.sha256(text).hexdigest()}".encode()
+    path.write_bytes(b"\n".join(head) + b"\n" + text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "error: line 30: " in err
 
 
 def test_usage_error_exit_code(capsys):

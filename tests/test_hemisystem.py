@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,114 @@ def test_condition_checks_curve_point(ft17, ft17_sets, ft17_build, ft17_chords):
 # ---------------------------------------------------------------------------
 # files
 
+def _coords_text(ctx, coords) -> str:
+    """Four coordinates as a file writes them: base-p digits, constant term
+    first, joined by ':', the coordinates joined by ','."""
+    return ",".join(":".join(str(c // ctx.p ** i % ctx.p) for i in range(ctx.d))
+                    for c in coords)
+
+
+def _point_text(ctx, packed: int) -> str:
+    return _coords_text(ctx, pg3.unpack(ctx, packed))
+
+
+def _write_body(src, dst, text: bytes, count=None):
+    """dst: src's header with count (default: src's own) and the sha256 of
+    the body text given."""
+    head = src.read_bytes().split(b"\n")[:4]
+    if count is None:
+        count = int(head[3].split()[0].split(b"=")[1])
+    head[3] = f"count={count} sha256={hashlib.sha256(text).hexdigest()}".encode()
+    dst.write_bytes(b"\n".join(head) + b"\n" + text)
+
+
+@pytest.fixture(scope="module")
+def cp_built():
+    """cp candidates by (p, h), built once per module."""
+    cache = {}
+
+    def get(p, h=1):
+        if (p, h) not in cache:
+            cache[p, h] = hemisystem.build_cp(p, h, force=True)
+        return cache[p, h]
+    return get
+
+
+@pytest.mark.parametrize("p, h", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_export_import_roundtrip_cp(cp_built, p, h, tmp_path):
+    # q = 9 has four digits per coordinate; p = 11 and 13 have two-character digits
+    cand = cp_built(p, h)
+    path = tmp_path / "c.hs"
+    hemisystem.export(cand, str(path))
+    back = hemisystem.import_candidate(str(path))
+    assert back.lines.dtype == np.int64 and np.array_equal(back.lines, cand.lines)
+    assert (back.family, back.p, back.h, back.eps, back.chi) == ("cp", p, h, None, None)
+
+
+def _mutants(cand, body: list, k: int) -> dict:
+    """One faulty body per rejection branch, each fault on body line k:
+    kind -> (body lines, header count, file line to report, message start)."""
+    ctx = cand.ctx2()
+    a, b = (int(x) for x in cand.lines[k])
+    line = body[k].decode()
+    first, second = line.split(";")
+    pts = sorted(int(x) for x in pg3.line_points(ctx, *pg3.key_points(ctx, (a, b))))
+    zero = ",".join([":".join("0" * ctx.d)] * 4)
+    doubled = _coords_text(ctx, [ctx.mul(2, c) for c in pg3.unpack(ctx, a)])
+
+    def at(text):
+        return body[:k] + [text if isinstance(text, bytes) else text.encode()] + body[k + 1:]
+
+    n, row = len(body), k + 5
+    return {
+        "separator count": (at(line.replace(":", "", 1)), n, row, "malformed"),
+        "empty digit run": (at(line[1:]), n, row, "malformed"),
+        "non-digit byte": (at("x" + line[1:]), n, row, "malformed"),
+        "invalid utf-8": (at(b"\xff" + body[k][1:]), n, row, "malformed"),
+        "leading zero": (at("0" + line), n, row, "malformed"),
+        "blank line": (body[:k] + [b""] + body[k:], n, row, "malformed"),
+        "digit >= p": (at(str(ctx.p) + line[line.index(":"):]), n, row,
+                       "digit out of range"),
+        "zero point": (at(f"{zero};{second}"), n, row, "point is zero"),
+        "not normalized": (at(f"{doubled};{second}"), n, row, "point is not normalized"),
+        "a >= b": (at(f"{second};{first}"), n, row, "key points out of order"),
+        "unsorted": (body[:k - 1] + [body[k], body[k - 1]] + body[k + 1:], n, row,
+                     "key is not above the previous line's"),
+        "non-canonical": (at(f"{first};{_point_text(ctx, pts[2])}"), n, row,
+                          "key is not the line's two smallest points"),
+        "count": (body, n - 1, 4, f"count={n - 1} but body has {n} lines"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["separator count", "empty digit run", "non-digit byte",
+                                  "invalid utf-8", "leading zero", "blank line", "digit >= p",
+                                  "zero point", "not normalized", "a >= b", "unsorted",
+                                  "non-canonical", "count"])
+@pytest.mark.parametrize("p, h, k", [(13, 1, 55), (3, 2, 55),
+                                     (13, 1, hemisystem.BLOCK_LINES)])
+def test_import_names_the_first_offending_line(cp_built, p, h, k, kind, tmp_path):
+    # k = BLOCK_LINES is the first line of the second block of lines
+    cand = cp_built(p, h)
+    path, bad = tmp_path / "c.hs", tmp_path / "bad.hs"
+    hemisystem.export(cand, str(path))
+    body = path.read_bytes().split(b"\n")[4:-1]
+    lines, count, row, msg = _mutants(cand, body, k)[kind]
+    _write_body(path, bad, b"".join(ln + b"\n" for ln in lines), count)
+    with pytest.raises(hemisystem.ParseError, match=f"^line {row}: {re.escape(msg)}"):
+        hemisystem.import_candidate(str(bad))
+
+
+@pytest.mark.parametrize("cut, tail, row", [(1, b"", 60), (0, b"1", 61), (0, b"\n", 61)])
+def test_import_rejects_an_unterminated_or_extra_last_line(cp3_build, tmp_path, cut, tail, row):
+    # the cp q=3 body has 56 lines, file lines 5 to 60
+    path, bad = tmp_path / "c.hs", tmp_path / "bad.hs"
+    hemisystem.export(cp3_build[0], str(path))
+    body = path.read_bytes().split(b"\n", 4)[4]
+    _write_body(path, bad, body[:len(body) - cut] + tail)
+    with pytest.raises(hemisystem.ParseError, match=f"^line {row}: malformed"):
+        hemisystem.import_candidate(str(bad))
+
+
 def test_export_import_roundtrip_q3(cp3_build, tmp_path):
     cand, _ = cp3_build
     path = tmp_path / "h3.hs"
@@ -395,7 +504,7 @@ def test_import_rejects_a_non_canonical_key(cp3_build, tmp_path):
     key = (int(cand.lines[-1][0]), int(cand.lines[-1][1]))
     pts = sorted(int(x) for x in pg3.line_points(ctx, *pg3.key_points(ctx, key)))
     assert (pts[0], pts[1]) == key
-    lines[last] = f"{hemisystem._point_str(ctx, pts[0])};{hemisystem._point_str(ctx, pts[2])}"
+    lines[last] = f"{_point_text(ctx, pts[0])};{_point_text(ctx, pts[2])}"
     body = "\n".join(lines[4:])
     lines[3] = f"count={len(cand.lines)} sha256={hashlib.sha256(body.encode()).hexdigest()}"
     bad = tmp_path / "bad.hs"
@@ -440,3 +549,26 @@ def test_export_sha256_pinned_ft17(ft17_build, tmp_path):
     hemisystem.export(ft17_build[0], str(path))
     assert _file_sha256(path) == (
         "3d635b144e90f573dacdba2b8facdf063d7bd6e491a26cb09cad42faf1ab7d43")
+
+
+def test_export_sha256_pinned_ft17_eps_minus(tmp_path):
+    path = tmp_path / "h17m.hs"
+    hemisystem.export(hemisystem.build_ft(17, 1, -1), str(path))
+    assert _file_sha256(path) == (
+        "8693e8fdcc55002de0a85c5dc3951b5b834ff140bf626947008625da8480b515")
+
+
+def test_import_peak_memory_q17(ft17_build, tmp_path):
+    # the file's bytes (1.9 MB), its newline offsets and the keys (0.7 MB)
+    # span the body; everything else is the size of one block of lines
+    cand, _ = ft17_build
+    path = tmp_path / "h17.hs"
+    hemisystem.export(cand, str(path))
+    tracemalloc.start()
+    try:
+        back = hemisystem.import_candidate(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.lines, cand.lines)
+    assert peak < 20e6, peak

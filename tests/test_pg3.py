@@ -334,5 +334,5 @@ def test_packed_order_is_digit_lex(F289):
     pts = [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 2)]
     packed = [pg3.pack(F289, p) for p in pts]
     assert packed == sorted(packed)
-    digit_seqs = [sum((F289.digits(c) for c in p), ()) for p in pts]
+    digit_seqs = [tuple(c // 17 ** i % 17 for c in p for i in range(2)) for p in pts]
     assert digit_seqs == sorted(digit_seqs)
