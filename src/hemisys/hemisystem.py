@@ -5,10 +5,12 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.  Each worker thread bincounts the pg3.surface_index of
-the points on its share of 2048-line chunks into its own array of one
-int64 per surface point, so memory grows with the points, not with the
-incidences.
+surface points.  Each worker thread bincounts the pg3.line_surface_index
+of its share of 2048-line chunks (the points R1 + g^t R2 of each line read
+off the frame's table shift[a w + s] = rank(a + g^s), built once per frame)
+into its own array of one int64 per surface point, so memory grows with
+the points, not with the incidences; a size whose arrays and tables would
+exceed physical memory is refused with pg3.TooLarge before any is allocated.
 
 Candidate files are written and read by array code.  export looks up the
 8 ranks of each key in one table of coordinate strings; import_candidate
@@ -20,6 +22,7 @@ fault names its first offending file line.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +54,10 @@ class NotGeneratorInSet(ValueError):
 
 class IncidenceSumMismatch(RuntimeError):
     pass
+
+
+class BuildInvariantFailed(RuntimeError):
+    """An orbit, half-orbit or candidate has the wrong size: a bug, not input."""
 
 
 class ParseError(ValueError):
@@ -188,6 +195,12 @@ def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
 # ---------------------------------------------------------------------------
 # builders
 
+def _check(ok: bool, what: str) -> None:
+    """Raise BuildInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
+    if not ok:
+        raise BuildInvariantFailed(what)
+
+
 def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
              force: bool = False) -> HemisystemCandidate:
     """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords."""
@@ -204,22 +217,22 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     gcp = set()
     for packed in curve:
         gcp.update(pg3.generators_through(frame, pg3.unpack(ctx2, int(packed))))
-    assert len(gcp) == (q + 1) * (q * q + 1)
+    _check(len(gcp) == (q + 1) * (q * q + 1), f"{len(gcp)} generators meet the curve")
     G, H = groups.cp_group_gens(ctx2)
     seed = min(pg3.generators_through(frame, (0, 0, 0, 1)))
     M = set(groups.orbit(ctx2, H.gens, seed))
-    assert 2 * len(M) == len(gcp), "index-2 split failed"
-    other = set(groups.orbit(ctx2, H.gens, min(gcp - M)))
-    assert other == gcp - M, "complementary orbit mismatch"
+    _check(2 * len(M) == len(gcp), "index-2 split failed")
+    _check(set(groups.orbit(ctx2, H.gens, min(gcp - M))) == gcp - M,
+           "complementary orbit mismatch")
     if seed_orbit == "minus":
-        M, other = other, M
+        M = gcp - M
     chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv_emb)
     lines = _sorted_lines(list(M) + [tuple(r) for r in chords])
     cand = HemisystemCandidate(
         family="cp", p=p, h=h, eps=None, chi=None, lines=lines,
         provenance={"seed": list(seed), "seed_orbit": seed_orbit,
                     "orbit_size": len(M), "chords": int(len(chords))})
-    assert len(lines) == cand.expected_size()
+    _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
     return cand
 
 
@@ -227,6 +240,11 @@ def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False,
              fr: FTFrame | None = None,
              chords: np.ndarray | None = None) -> HemisystemCandidate:
     """Fuhrmann-Torres hemisystem candidate (orbit rule, no verification)."""
+    return _build_ft(p, h, eps, force, fr, chords)[0]
+
+
+def _build_ft(p, h, eps, force, fr, chords) -> tuple:
+    """build_ft's candidate, the index-2 subgroup H and the candidate's M2 half-orbit."""
     from . import numbers
     q = p ** h
     if not force and not numbers.condition_B_holds(q):
@@ -237,26 +255,27 @@ def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False,
     G, H, w = groups.ft_group_gens(fr)
     key0, quad0, seed_prov = seed_generator_g0(fr)
     m1 = groups.orbit(fr.ctx2, H.gens, key0)
-    assert 4 * len(m1) == (q ** 3 - q) * (q + 1), "half-orbit size mismatch"
+    _check(4 * len(m1) == (q ** 3 - q) * (q + 1), "half-orbit size mismatch")
     r, rp = count_r_rprime(fr, np.asarray(m1, dtype=np.int64), "plus")
     if r == rp:
         raise TieRR(f"r = r' = {r}")
     pick_eps = 1 if r < rp else -1
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, pick_eps))
-    assert 2 * len(m2) == (q + 1) ** 2
+    _check(2 * len(m2) == (q + 1) ** 2, f"{len(m2)} lines in the M2 half-orbit")
     if chords is None:
         chords = curves.ft_imaginary_chords(fr.ctx2, fr.ctx4, fr.emb, fr.inv_emb)
     lines = _sorted_lines(list(m1) + list(m2) + [tuple(rw) for rw in chords])
     n_rational = (q ** 3 + q + 2) // 2
-    assert len(m1) + len(m2) == (q + 1) * n_rational // 2
+    _check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
+           f"{len(m1)} + {len(m2)} curve-meeting lines")
     cand = HemisystemCandidate(
         family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines,
         provenance={"seed": list(key0), "r": r, "r_prime": rp,
                     "m1_size": len(m1), "m2_size": len(m2),
                     "m2_point": "plus" if pick_eps == 1 else "minus",
                     "chords": int(len(chords)), **seed_prov})
-    assert len(lines) == cand.expected_size()
-    return cand
+    _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
+    return cand, H, m2
 
 
 def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
@@ -268,17 +287,14 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     """
     fr = curves.ft_frame_setup(p, h, eps)
     chords = curves.ft_imaginary_chords(fr.ctx2, fr.ctx4, fr.emb, fr.inv_emb)
-    cand = build_ft(p, h, eps, force=force, fr=fr, chords=chords)
+    cand, H, m2_old = _build_ft(p, h, eps, force, fr, chords)
     report = verify(cand, threads=threads, frame=fr.frame)
     if report.passed:
         cand.provenance["m2_choice"] = "rule"
         return cand, report
     flipped = "minus" if cand.provenance["m2_point"] == "plus" else "plus"
-    H = groups.ft_group_gens(fr)[1]
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, 1 if flipped == "plus" else -1))
-    m2_old = set(groups.orbit(fr.ctx2, H.gens,
-                              ell_line(fr, 1 if cand.provenance["m2_point"] == "plus" else -1)))
-    lines = _sorted_lines([k for k in cand.key_set() if k not in m2_old] + list(m2))
+    lines = _sorted_lines(list(cand.key_set() - set(m2_old)) + list(m2))
     cand2 = HemisystemCandidate(
         family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines,
         provenance={**cand.provenance, "m2_point": flipped, "m2_choice": "fallback"})
@@ -298,10 +314,15 @@ def _frame_for(cand: HemisystemCandidate) -> HermitianFrame:
 
 
 def _chunk_counts(frame: HermitianFrame, keys) -> np.ndarray:
-    """Incidences of every surface point, by pg3.surface_index, on key rows."""
-    pts = pg3.line_points_table(frame.ctx, keys)
-    return np.bincount(pg3.surface_index(frame, pts.reshape(-1)),
+    """Incidences of every surface point, by pg3.line_surface_index, on key rows."""
+    return np.bincount(pg3.line_surface_index(frame, keys).reshape(-1),
                        minlength=frame.num_points)
+
+
+def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
+    """Bytes of each worker's counts and one chunk's bincount, then index_tables and shift."""
+    n = frame.ctx.order
+    return 8 * (2 * workers * frame.num_points + n * n + (frame.q + 3) * n + 3 * n * (n - 1))
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
@@ -312,11 +333,17 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         frame = _frame_for(cand)
     ctx = frame.ctx
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2)
+    chunks = [keys[lo:lo + 2048] for lo in range(0, len(keys), 2048)]
+    workers = max(1, min(threads, len(chunks)))
+    need = _verify_bytes(frame, workers)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise pg3.TooLarge(f"verify at q={frame.q} needs {need} bytes of counts and "
+                           f"tables, over the {have} bytes of physical memory")
     bad = pg3.check_generators_batch(frame, keys)
     if len(bad):
         k = keys[int(bad[0])]
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
-    chunks = [keys[lo:lo + 2048] for lo in range(0, len(keys), 2048)]
 
     def count(share):
         counts = np.zeros(frame.num_points, dtype=np.int64)
@@ -324,7 +351,6 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
             counts += _chunk_counts(frame, chunk)
         return counts
 
-    workers = max(1, min(threads, len(chunks)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
         counts = sum(ex.map(count, [chunks[i::workers] for i in range(workers)]))
     total = int(counts.sum())

@@ -14,6 +14,15 @@ is the least: the key is (R2, R1), and no point is enumerated to find
 it.  Surface points also have a dense index 0 .. num_points-1
 (surface_index, and its inverse surface_point).
 
+line_surface_index indexes the points of many lines without packing any:
+with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
+has rank shift[R1[k] w + log R2[k] + t], shift[a w + s] = rank(a + exp[s]),
+w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
+logarithms; Lidl and Niederreiter, Finite Fields).  Its order w int64
+entries (2.0 MB at q = 17, 68 MB at q = 41) are built on first use on the
+frame, like index_tables (order^2), not in the field: one-line callers
+(line_points_batch) never build an O(q^4) table.
+
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
 
@@ -48,25 +57,27 @@ class GeneratorCountMismatch(RuntimeError):
     """A generator count broke its invariant: a bug, not input."""
 
 
+class FrameInvariantFailed(RuntimeError):
+    """A Hermitian frame broke an invariant of its field or Gram matrix: a bug."""
+
+
 class HermitianFrame:
     """Hermitian surface frame: field, Gram matrix and derived counts."""
 
     def __init__(self, tag: str, ctx: FieldCtx, gram):
-        assert ctx.d % 2 == 0
+        if ctx.d % 2:
+            raise FrameInvariantFailed(f"GF({ctx.p}^{ctx.d}) is not a field of order q^2")
         self.tag = tag
         self.ctx = ctx
         self.q = ctx.p ** (ctx.d // 2)
         self.gram = tuple(tuple(int(x) for x in row) for row in gram)
         self.sparse = [(i, j, self.gram[i][j])
                        for i in range(4) for j in range(4) if self.gram[i][j]]
-        q2 = ctx.order
-        for i in range(4):
-            for j in range(4):
-                gij = self.gram[i][j]
-                assert ctx.pow(gij, self.q) == self.gram[j][i], "Gram not Hermitian"
+        if any(ctx.pow(self.gram[i][j], self.q) != self.gram[j][i]
+               for i in range(4) for j in range(4)):
+            raise FrameInvariantFailed("Gram not Hermitian")
         self.num_points = (self.q ** 3 + 1) * (self.q ** 2 + 1)
         self.num_generators = (self.q ** 3 + 1) * (self.q + 1)
-        assert q2 == self.q ** 2
 
     def __repr__(self):
         return f"HermitianFrame({self.tag}, q={self.q})"
@@ -75,10 +86,10 @@ class HermitianFrame:
     def index_tables(self) -> tuple:
         """Tables of surface_index/surface_point, indexed by field rank.
 
-        (rank of 1, trace x + x^q, place of x in its trace fibre,
-        N(x1) + e N(x2) by rank x1 * order + rank x2, the (order, q)
-        fibre rows by trace value, x2's place among the solutions of
-        1 + e N(x2) = 0 or -1).
+        (rank of 1; the flat fibre table, q ranks per trace value x + x^q;
+        each rank's slot in it, q * trace + its place in the fibre; the
+        first slot of the fibre of N(x1) + e N(x2), by rank x1 * order +
+        rank x2; x2's place among the solutions of 1 + e N(x2) = 0 or -1).
         """
         ctx, q, n = self.ctx, self.q, self.ctx.order
         xs = ctx.unrank_np
@@ -87,15 +98,22 @@ class HermitianFrame:
         norm = vec_mul(ctx, xs, xq)
         e_norm = vec_mul(ctx, self.gram[2][2], norm)
         rhs = vec_add(ctx, norm[:, None], e_norm[None, :]).reshape(-1)
-        order = np.argsort(trace, kind="stable")          # q fibres of q ranks
-        fibre = np.zeros((n, q), dtype=np.int64)
-        fibre[trace[order[::q]]] = order.reshape(q, q)
         pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.tile(np.arange(q), q)
+        pos[np.argsort(trace, kind="stable")] = np.tile(np.arange(q), q)   # q fibres of q ranks
+        slot = trace * q + pos
+        fibre = np.zeros(n * q, dtype=np.int64)
+        fibre[slot] = np.arange(n)
         sol_at = np.full(n, -1, dtype=np.int64)
         sols = np.flatnonzero(e_norm == ctx.neg_np[1])
         sol_at[sols] = np.arange(len(sols))
-        return int(ctx.rank_np[1]), trace, pos, rhs, fibre, sol_at
+        return int(ctx.rank_np[1]), fibre, slot, rhs * q, sol_at
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """shift[a * w + s] = rank(a + exp[s]), w = 3(order - 1) (see the module docstring)."""
+        ctx = self.ctx
+        a = np.arange(ctx.order, dtype=np.int64)[:, None]
+        return ctx.rank_np[vec_add(ctx, a, ctx.exp_np[:3 * (ctx.order - 1)])].reshape(-1)
 
 
 def cp_frame(ctx: FieldCtx) -> HermitianFrame:
@@ -436,14 +454,20 @@ def surface_index(frame: HermitianFrame, packed):
     among the q+1 solutions and the rank of x3.  Any other point raises
     NotOnSurface.
     """
-    one, trace, pos, rhs, _, sol_at = frame.index_tables
+    return _rank_index(frame, *np.divmod(np.asarray(packed, dtype=np.int64), frame.ctx.order))
+
+
+def _rank_index(frame: HermitianFrame, hi, r3):
+    """surface_index of the points of ranks hi = (r0 * order + r1) * order + r2 and r3."""
+    one, _, slot, start, sol_at = frame.index_tables
     n, q = frame.ctx.order, frame.q
-    hi, r3 = np.divmod(np.asarray(packed, dtype=np.int64), n)
     a = hi - one * n * n                      # rank x1 * n + rank x2 if X0 = 1
     tail = np.flatnonzero(a < 0)
     a.flat[tail] = 0
-    idx = a * q + pos[r3]
-    ok = trace[r3] == rhs[a]
+    d = slot.take(r3) - start.take(a)         # x3's place in its fibre if 0 <= d < q
+    ok = d.view(np.uint64) < q                # 0 <= d < q as one unsigned compare
+    idx = np.multiply(a, q, out=a)
+    idx += d
     if len(tail):
         r1, r2 = np.divmod(hi.flat[tail], n)
         x3 = r3.flat[tail]
@@ -451,18 +475,35 @@ def surface_index(frame: HermitianFrame, packed):
         idx.flat[tail] = np.where(r1 == one, q ** 5 + 1 + j * n + x3, q ** 5)
         ok.flat[tail] = np.where(r1 == one, j >= 0, (r1 == 0) & (r2 == 0) & (x3 == one))
     if not ok.all():
-        bad = int(np.ravel(packed)[np.argmin(ok)])
-        raise NotOnSurface(f"{unpack(frame.ctx, bad)} is not on the surface")
+        bad = np.argmin(ok)
+        packed = int(hi.flat[bad]) * n + int(r3.flat[bad])
+        raise NotOnSurface(f"{unpack(frame.ctx, packed)} is not on the surface")
     return idx
+
+
+def line_surface_index(frame: HermitianFrame, keys):
+    """(n, q^2+1) surface_index of the points of the lines given by key rows
+    (R2, R1): R1 + g^t R2 for t = 0 .. order-2, whose X0 is R1's as R2[0] = 0,
+    then R2 and R1."""
+    ctx, n = frame.ctx, frame.ctx.order
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    R1, R2 = _rref(ctx, *(np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1)))
+    base = R1 * (3 * (n - 1)) + ctx.log_np[R2]
+    rows = np.lib.stride_tricks.sliding_window_view(frame.shift, n - 1)
+    hi = rows[base[:, 1]] * n
+    hi += rows[base[:, 2]]
+    hi += ctx.rank_np[R1[:, :1]] * n * n
+    return np.concatenate([_rank_index(frame, hi, rows[base[:, 3]]),
+                           _rank_index(frame, *np.divmod(keys, n))], axis=1)
 
 
 def surface_point(frame: HermitianFrame, index):
     """Packed surface point of each index (the inverse of surface_index)."""
-    one, _, _, rhs, fibre, sol_at = frame.index_tables
+    one, fibre, _, start, sol_at = frame.index_tables
     n, q5 = frame.ctx.order, frame.q ** 5
     i = np.asarray(index, dtype=np.int64)
     a, k = np.divmod(np.minimum(i, q5 - 1), frame.q)
-    affine = (one * n * n + a) * n + fibre[rhs[a], k]
+    affine = (one * n * n + a) * n + fibre[start[a] + k]
     j, r3 = np.divmod(np.maximum(i - q5 - 1, 0), n)
     sols = np.flatnonzero(sol_at >= 0)
     tail = np.where(i == q5, one, (one * n + sols[j]) * n + r3)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hemisys import cli, hemisystem, pg3
+from hemisys import cli, gf, hemisystem, pg3
 
 
 def run(capsys, *argv):
@@ -156,6 +156,22 @@ def test_bad_user_input_exit_code(capsys):
                  ["diagnose", "--p", "17", "--h", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, argv
+
+
+def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
+    # a file that passes every format check; its counts alone would take TiBs
+    ctx = gf.make_field(233, 2)
+    path = tmp_path / "q233.hs"
+    path.write_text("#hemis v1\nfamily=cp p=233 h=1 eps=na chi=na\n"
+                    f"poly2={','.join(map(str, ctx.poly))}\n"
+                    f"count=0 sha256={hashlib.sha256(b'').hexdigest()}\n")
+    need = hemisystem._verify_bytes(pg3.cp_frame(ctx), 1)
+    assert need > 5 * 2 ** 40
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: verify at q=233 needs {need} bytes")
+    # ft q=41 --force at 2 threads (two 0.93 GB arrays per worker) fits a 7 GB box
+    assert 3.7e9 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 7e9
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

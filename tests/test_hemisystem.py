@@ -1,7 +1,11 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,13 +159,37 @@ def test_build_ft_condition_b_gate():
         hemisystem.build_ft(3, 2)
 
 
-def test_build_ft_forced_falsification_q9():
+def test_build_ft_forced_falsification_q9(monkeypatch):
     # condition B fails at q=9; the forced build assembles a candidate of the
-    # right size and exhaustive verification rejects it, both half-choices
+    # right size and exhaustive verification rejects it, both half-choices,
+    # building M1 and each M2 half-orbit once
+    orbit, calls = groups.orbit, []
+    monkeypatch.setattr(groups, "orbit", lambda *a, **k: calls.append(a[2]) or orbit(*a, **k))
     cand, report = hemisystem.build_ft_verified(3, 2, eps=1, force=True)
     assert len(cand.lines) == (9 ** 3 + 1) * 10 // 2
     assert not report.passed
     assert cand.provenance["m2_choice"] == "both_failed"
+    assert len(calls) == len(set(calls)) == 3
+
+
+BUILD_CP_DROPPING_AN_ORBIT_LINE = """
+from hemisys import groups, hemisystem
+orbit = groups.orbit
+groups.orbit = lambda *args, **kwargs: orbit(*args, **kwargs)[1:]
+try:
+    hemisystem.build_cp(3)
+except hemisystem.BuildInvariantFailed as e:
+    print(__debug__, e)
+"""
+
+
+def test_build_checks_hold_under_python_O():
+    # the orbit-size checks are raises, not asserts that -O strips
+    src = str(Path(hemisystem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", BUILD_CP_DROPPING_AN_ORBIT_LINE],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False index-2 split failed\n"
 
 
 def test_build_ft_eps_minus_verifies():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hemisys import gf, pg3
+from hemisys import gf, hemisystem, pg3
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +236,50 @@ def test_surface_index_raises_exactly_off_the_surface(family, F9):
     surf = pg3.enumerate_surface(frame)
     with pytest.raises(pg3.NotOnSurface):
         pg3.surface_index(frame, np.append(surf, pg3.pack(F9, (0, 0, 1, 0))))
+
+
+@pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 3, 2),
+                                        ("ft", 3, 2), ("ft", 17, 1)])
+def test_line_surface_index_matches_the_packed_path(family, p, h, request):
+    # the packed points of line_points_table are the reference; the kernel
+    # must give the same multiset of indices on every line
+    if (family, p) == ("ft", 17):
+        cand = request.getfixturevalue("ft17_build")[0]
+    elif family == "cp":
+        cand = hemisystem.build_cp(p, h, force=True)
+    else:
+        cand = hemisystem.build_ft(p, h, force=True)
+    ctx = cand.ctx2()
+    frame = pg3.cp_frame(ctx) if family == "cp" else pg3.ft_frame(ctx)
+    q = frame.q
+    rng = random.Random(p * h)
+    pts = pg3.surface_point(frame, [rng.randrange(frame.num_points) for _ in range(60)])
+    extra = [rng.choice(pg3.generators_through(frame, pg3.unpack(ctx, int(x)))) for x in pts]
+    keys = np.vstack([cand.lines, np.asarray(extra, dtype=np.int64)])
+    in_plane = 0
+    for lo in range(0, len(keys), 4096):
+        chunk = keys[lo:lo + 4096]
+        got = pg3.line_surface_index(frame, chunk)
+        want = pg3.surface_index(frame, pg3.line_points_table(ctx, chunk))
+        assert got.shape == want.shape == (len(chunk), q * q + 1)
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        in_plane += int((got[:max(0, len(cand.lines) - lo)] >= q ** 5).all(axis=1).sum())
+    # the candidate's lines in the X0 = 0 tangent plane take the tail branch
+    assert in_plane == (q + 1) // 2
+
+
+@pytest.mark.parametrize("family", ["cp", "ft"])
+def test_line_surface_index_raises_off_the_surface(family, F9):
+    # (0,0,0,1) and (1,0,0,0) lie on the surface and are the key of their
+    # line, but (1,0,0,lam) with lam + lam^q != 0 do not: the kernel's own
+    # check must fire, not only check_generators_batch
+    frame = pg3.cp_frame(F9) if family == "cp" else pg3.ft_frame(F9)
+    key = pg3.line_key(F9, (1, 0, 0, 0), (0, 0, 0, 1))
+    assert key == (pg3.pack(F9, (0, 0, 0, 1)), pg3.pack(F9, (1, 0, 0, 0)))
+    assert len(pg3.surface_index(frame, key)) == 2
+    assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
+    with pytest.raises(pg3.NotOnSurface):
+        pg3.line_surface_index(frame, [key])
 
 
 def test_enumerate_generators_counts(cp3, F25):
