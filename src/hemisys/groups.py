@@ -35,6 +35,16 @@ class OrbitBudgetExceeded(RuntimeError):
     pass
 
 
+class GroupInvariantFailed(RuntimeError):
+    """A group generator broke an invariant: a bug, not input."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """Raise GroupInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
+    if not ok:
+        raise GroupInvariantFailed(what)
+
+
 class Collineation:
     """Projective 4x4 matrix, normalized so the first nonzero entry is 1."""
 
@@ -180,7 +190,7 @@ def cp_group_gens(ctx: FieldCtx) -> tuple:
     H = GroupSpec("cp_psl", [shift, cp_lift(ctx, (ctx.mul(g, g), 0, 0, 1)), invmap])
     frame = pg3.cp_frame(ctx)
     for col in G.gens + H.gens:
-        assert preserves_form(frame, col) is not None
+        _check(preserves_form(frame, col) is not None, "a cp generator breaks the form")
     return G, H
 
 
@@ -268,8 +278,8 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     rho0 = ctx.mul(eta, eta)
     sigma0 = ctx.pow(ctx.gen, q - 1)            # sigma0^((q+1)/2) = -1
     lam0 = ctx.pow(ctx.gen, 2 * (q - 1))        # order (q+1)/2
-    assert ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1)
-    assert ctx.pow(lam0, (q + 1) // 2) == 1
+    _check(ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1), "sigma0^((q+1)/2) is not -1")
+    _check(ctx.pow(lam0, (q + 1) // 2) == 1, "lam0^((q+1)/2) is not 1")
     h_pairs = [
         ("T", 1, mat_T(ctx, 1), quad_T(ctx, 1)),
         ("T", eta, mat_T(ctx, eta), quad_T(ctx, eta)),
@@ -279,15 +289,14 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     ]
     g_pairs = h_pairs + [("R", eta, mat_R(ctx, eta), quad_R(ctx, eta))]
     for _, _, col, _ in g_pairs:
-        assert preserves_form(fr.frame, col) is not None
+        _check(preserves_form(fr.frame, col) is not None, "an ft generator breaks the form")
     H = GroupSpec("ft_h", [c for _, _, c, _ in h_pairs])
     G = GroupSpec("ft_g", [c for _, _, c, _ in g_pairs])
     w = mat_W(ctx)
-    assert preserves_form(fr.frame, w) is not None
-    assert w.compose(ctx, w).mat == Collineation(
-        ctx, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).mat
+    _check(preserves_form(fr.frame, w) is not None, "w breaks the form")
+    _check(w.compose(ctx, w) == Collineation(ctx, np.eye(4, dtype=np.int64)), "w^2 is not 1")
     for col in G.gens:
-        assert w.compose(ctx, col) == col.compose(ctx, w), "w must commute"
+        _check(w.compose(ctx, col) == col.compose(ctx, w), "w does not commute")
     return G, H, w
 
 

@@ -5,12 +5,12 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.  Each worker thread bincounts the pg3.line_surface_index
-of its share of 2048-line chunks (the points R1 + g^t R2 of each line read
-off the frame's table shift[a w + s] = rank(a + g^s), built once per frame)
-into its own array of one int64 per surface point, so memory grows with
-the points, not with the incidences; a size whose arrays and tables would
-exceed physical memory is refused with pg3.TooLarge before any is allocated.
+surface points.  Each worker thread adds the pg3.line_surface_index of its
+share of 2048-line chunks in place into its own array of one uint16 per
+surface point (np.add.at), so memory grows with the points, not with the
+incidences.  A wrapped counter would make the int64 incidence total fall
+short.  A size whose arrays and tables would exceed physical memory is
+refused with pg3.TooLarge before any is allocated.
 
 Candidate files are written and read by array code.  export looks up the
 8 ranks of each key in one table of coordinate strings; import_candidate
@@ -77,13 +77,14 @@ class HemisystemCandidate:
     chi: int | None
     lines: np.ndarray                 # (n, 2) int64, sorted rows
     provenance: dict = field(default_factory=dict)
+    ctx: FieldCtx | None = field(default=None, repr=False, compare=False)   # GF(q^2), if built
 
     @property
     def q(self) -> int:
         return self.p ** self.h
 
     def ctx2(self) -> FieldCtx:
-        return make_field(self.p, 2 * self.h)
+        return make_field(self.p, 2 * self.h) if self.ctx is None else self.ctx
 
     def expected_size(self) -> int:
         q = self.q
@@ -229,7 +230,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv_emb)
     lines = _sorted_lines(list(M) + [tuple(r) for r in chords])
     cand = HemisystemCandidate(
-        family="cp", p=p, h=h, eps=None, chi=None, lines=lines,
+        family="cp", p=p, h=h, eps=None, chi=None, lines=lines, ctx=ctx2,
         provenance={"seed": list(seed), "seed_orbit": seed_orbit,
                     "orbit_size": len(M), "chords": int(len(chords))})
     _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
@@ -269,7 +270,7 @@ def _build_ft(p, h, eps, force, fr, chords) -> tuple:
     _check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
            f"{len(m1)} + {len(m2)} curve-meeting lines")
     cand = HemisystemCandidate(
-        family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines,
+        family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
         provenance={"seed": list(key0), "r": r, "r_prime": rp,
                     "m1_size": len(m1), "m2_size": len(m2),
                     "m2_point": "plus" if pick_eps == 1 else "minus",
@@ -296,7 +297,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, 1 if flipped == "plus" else -1))
     lines = _sorted_lines(list(cand.key_set() - set(m2_old)) + list(m2))
     cand2 = HemisystemCandidate(
-        family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines,
+        family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
         provenance={**cand.provenance, "m2_point": flipped, "m2_choice": "fallback"})
     report2 = verify(cand2, threads=threads, frame=fr.frame)
     if report2.passed:
@@ -308,21 +309,20 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
 # ---------------------------------------------------------------------------
 # exact verification
 
-def _frame_for(cand: HemisystemCandidate) -> HermitianFrame:
-    ctx2 = cand.ctx2()
-    return pg3.cp_frame(ctx2) if cand.family == "cp" else pg3.ft_frame(ctx2)
+CHUNK_LINES = 2048                             # key rows per count step
 
 
-def _chunk_counts(frame: HermitianFrame, keys) -> np.ndarray:
-    """Incidences of every surface point, by pg3.line_surface_index, on key rows."""
-    return np.bincount(pg3.line_surface_index(frame, keys).reshape(-1),
-                       minlength=frame.num_points)
+def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
+    """Add the incidences of key rows, by pg3.line_surface_index, into counts in place."""
+    for idx in pg3.line_surface_index(frame, keys):
+        np.add.at(counts, idx.reshape(-1), np.uint16(1))
 
 
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
-    """Bytes of each worker's counts and one chunk's bincount, then index_tables and shift."""
+    """Bytes of each worker's uint16 counts and three int64 arrays of a chunk, then the tables."""
     n = frame.ctx.order
-    return 8 * (2 * workers * frame.num_points + n * n + (frame.q + 3) * n + 3 * n * (n - 1))
+    return (2 * workers * frame.num_points + 8 * 3 * workers * CHUNK_LINES * (n + 1)
+            + 8 * (n * n + (frame.q + 3) * n + 3 * n * (n - 1)))
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
@@ -330,10 +330,9 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     """Exact incidence verification of a candidate line set."""
     t0 = time.time()
     if frame is None:
-        frame = _frame_for(cand)
-    ctx = frame.ctx
+        frame = (pg3.cp_frame if cand.family == "cp" else pg3.ft_frame)(cand.ctx2())
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2)
-    chunks = [keys[lo:lo + 2048] for lo in range(0, len(keys), 2048)]
+    chunks = [keys[lo:lo + CHUNK_LINES] for lo in range(0, len(keys), CHUNK_LINES)]
     workers = max(1, min(threads, len(chunks)))
     need = _verify_bytes(frame, workers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -346,26 +345,30 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
 
     def count(share):
-        counts = np.zeros(frame.num_points, dtype=np.int64)
+        counts = np.zeros(frame.num_points, dtype=np.uint16)
         for chunk in share:
-            counts += _chunk_counts(frame, chunk)
+            _count_chunk(frame, chunk, counts)
         return counts
 
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        counts = sum(ex.map(count, [chunks[i::workers] for i in range(workers)]))
-    total = int(counts.sum())
-    if total != len(keys) * (ctx.order + 1):
+        counts, *rest = ex.map(count, [chunks[i::workers] for i in range(workers)])
+    for more in rest:
+        counts += more
+    # a wrapped counter (over 65535 incidences) can only make the total fall short
+    total = int(counts.sum(dtype=np.int64))
+    if total != len(keys) * (frame.ctx.order + 1):
         raise IncidenceSumMismatch(
             f"{total} incidences counted for {len(keys)} lines of "
-            f"{ctx.order + 1} points")
+            f"{frame.ctx.order + 1} points")
     point_count = int(np.count_nonzero(counts))
-    hist = np.bincount(counts)
-    histogram = {v: int(c) for v, c in enumerate(hist) if v and c}
+    # bincount casts its input to int64: blocks keep that copy small
+    hist = sum(np.bincount(counts[lo:lo + 2 ** 20], minlength=2 ** 16)
+               for lo in range(0, len(counts), 2 ** 20))
+    histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist[1:]) + 1}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
     expected_inc = (frame.q + 1) // 2
-    passed = (len(keys) == expected_lines
-              and point_count == frame.num_points
-              and histogram == {expected_inc: frame.num_points})
+    # the histogram leaves out count 0, so it also says every point is covered
+    passed = len(keys) == expected_lines and histogram == {expected_inc: frame.num_points}
     return VerificationReport(
         passed=passed, line_count=len(keys), point_count=point_count,
         histogram=histogram, wall_time=time.time() - t0,
@@ -524,5 +527,5 @@ def import_candidate(path: str) -> HemisystemCandidate:
             raise ParseError(f"line {5 + first + row}: {why or MALFORMED.format(d=ctx.d)}")
     if len(lines) != count:
         raise ParseError(f"line 4: count={count} but body has {len(lines)} lines")
-    return HemisystemCandidate(family=family, p=p, h=h, eps=eps, chi=chi,
-                               lines=lines, provenance={"imported_from": path})
+    return HemisystemCandidate(family=family, p=p, h=h, eps=eps, chi=chi, lines=lines,
+                               provenance={"imported_from": path}, ctx=ctx)

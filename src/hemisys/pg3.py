@@ -18,10 +18,11 @@ line_surface_index indexes the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
 has rank shift[R1[k] w + log R2[k] + t], shift[a w + s] = rank(a + exp[s]),
 w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
-logarithms; Lidl and Niederreiter, Finite Fields).  Its order w int64
-entries (2.0 MB at q = 17, 68 MB at q = 41) are built on first use on the
-frame, like index_tables (order^2), not in the field: one-line callers
-(line_points_batch) never build an O(q^4) table.
+logarithms; Lidl and Niederreiter, Finite Fields).  Each such point has
+X0 = R1[0], as R2[0] = 0, so only the lines in the plane X0 = 0 take
+surface_index's X0 = 0 rule.  shift (order w int64: 2.0 MB at q = 17,
+68 MB at q = 41) is built on first use on the frame, like index_tables
+(order^2): one-line callers (line_points_batch) never build it.
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -481,20 +482,30 @@ def _rank_index(frame: HermitianFrame, hi, r3):
     return idx
 
 
-def line_surface_index(frame: HermitianFrame, keys):
-    """(n, q^2+1) surface_index of the points of the lines given by key rows
-    (R2, R1): R1 + g^t R2 for t = 0 .. order-2, whose X0 is R1's as R2[0] = 0,
-    then R2 and R1."""
-    ctx, n = frame.ctx, frame.ctx.order
+def line_surface_index(frame: HermitianFrame, keys) -> tuple:
+    """surface_index of the points R1 + g^t R2 (t = 0 .. order-2), (n, order-1),
+    and of the key rows (R2, R1), (n, 2), of the lines given by key rows."""
+    ctx, n, q = frame.ctx, frame.ctx.order, frame.q
+    one, _, slot, start, _ = frame.index_tables
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     R1, R2 = _rref(ctx, *(np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1)))
     base = R1 * (3 * (n - 1)) + ctx.log_np[R2]
     rows = np.lib.stride_tricks.sliding_window_view(frame.shift, n - 1)
-    hi = rows[base[:, 1]] * n
-    hi += rows[base[:, 2]]
-    hi += ctx.rank_np[R1[:, :1]] * n * n
-    return np.concatenate([_rank_index(frame, hi, rows[base[:, 3]]),
-                           _rank_index(frame, *np.divmod(keys, n))], axis=1)
+    a = rows[base[:, 1]] * n                  # rank x1 * order + rank x2
+    a += rows[base[:, 2]]
+    tail = np.flatnonzero(R1[:, 0] == 0)      # lines in the plane X0 = 0
+    in_plane = _rank_index(frame, a[tail], rows[base[tail, 3]])
+    d = slot.take(rows[base[:, 3]])
+    d -= start.take(a)
+    d[tail] = 0
+    if (d.view(np.uint64) >= q).any():        # d < 0 or d >= q as one unsigned compare
+        r, t = np.argwhere(d.view(np.uint64) >= q)[0]
+        packed = (one * n * n + a[r, t]) * n + rows[base[r, 3], t]
+        raise NotOnSurface(f"{unpack(ctx, int(packed))} is not on the surface")
+    a *= q
+    a += d
+    a[tail] = in_plane
+    return a, surface_index(frame, keys)
 
 
 def surface_point(frame: HermitianFrame, index):

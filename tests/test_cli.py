@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hemisys import cli, gf, hemisystem, pg3
+from hemisys import cli, curves, gf, hemisystem, numbers, pg3
 
 
 def run(capsys, *argv):
@@ -159,19 +159,36 @@ def test_bad_user_input_exit_code(capsys):
 
 
 def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
-    # a file that passes every format check; its counts alone would take TiBs
+    # a file that passes every format check; its counts alone would take a TiB
     ctx = gf.make_field(233, 2)
     path = tmp_path / "q233.hs"
     path.write_text("#hemis v1\nfamily=cp p=233 h=1 eps=na chi=na\n"
                     f"poly2={','.join(map(str, ctx.poly))}\n"
                     f"count=0 sha256={hashlib.sha256(b'').hexdigest()}\n")
     need = hemisystem._verify_bytes(pg3.cp_frame(ctx), 1)
-    assert need > 5 * 2 ** 40
+    assert need > 2 ** 40
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: verify at q=233 needs {need} bytes")
-    # ft q=41 --force at 2 threads (two 0.93 GB arrays per worker) fits a 7 GB box
-    assert 3.7e9 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 7e9
+    # ft q=41 --force at 2 threads (one 0.23 GB uint16 array per worker) needs under 1 GB
+    assert 6e8 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 1e9
+
+
+def test_verify_builds_the_field_once(capsys, monkeypatch, tmp_path, cp3_build):
+    # import_candidate's GF(q^2) reaches verify; neither builds it again
+    path = tmp_path / "h3.hs"
+    hemisystem.export(cp3_build[0], str(path))
+    make_field, calls = gf.make_field, []
+
+    def counting(p, d):
+        calls.append((p, d))
+        return make_field(p, d)
+
+    for mod in (gf, hemisystem, curves, numbers):
+        monkeypatch.setattr(mod, "make_field", counting)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "passed = True" in out
+    assert calls == [(3, 2)]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,27 @@ def test_w_is_commuting_involution(ft17, ft17_gens):
     assert w.compose(ctx, w) == ident
     for col in G.gens:
         assert w.compose(ctx, col) == col.compose(ctx, w)
+
+
+BUILD_GROUPS_WITH_A_BROKEN_FORM = """
+from hemisys import curves, gf, groups
+groups.preserves_form = lambda frame, col: None
+for build in (lambda: groups.cp_group_gens(gf.make_field(3, 2)),
+              lambda: groups.ft_group_gens(curves.ft_frame_setup(3, 2, 1))):
+    try:
+        build()
+    except groups.GroupInvariantFailed as e:
+        print(__debug__, e)
+"""
+
+
+def test_group_checks_hold_under_python_O():
+    # the generator checks are raises, not asserts that -O strips
+    src = str(Path(groups.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", BUILD_GROUPS_WITH_A_BROKEN_FORM],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False a cp generator breaks the form\nFalse an ft generator breaks the form\n"
 
 
 def test_ft_gens_preserve_point_sets(ft17, ft17_sets, ft17_gens):

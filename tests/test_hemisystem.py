@@ -244,18 +244,27 @@ def test_verify_rejects_non_generator(ft17, ft17_build):
 
 def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):
     cand, _ = cp3_build
-    chunk_counts = hemisystem._chunk_counts
+    count_chunk = hemisystem._count_chunk
 
-    def drop_one(frame, keys):
-        counts = chunk_counts(frame, keys)
+    def drop_one(frame, keys, counts):
+        count_chunk(frame, keys, counts)
         counts[np.argmax(counts)] -= 1
-        return counts
 
-    monkeypatch.setattr(hemisystem, "_chunk_counts", drop_one)
+    monkeypatch.setattr(hemisystem, "_count_chunk", drop_one)
     with pytest.raises(hemisystem.IncidenceSumMismatch):
         hemisystem.verify(cand)
     # an internal fault, not a usage error the CLI would report as exit 2
     assert not issubclass(hemisystem.IncidenceSumMismatch, ValueError)
+
+
+def test_verify_raises_on_a_wrapped_counter(cp3_build):
+    # 65,537 copies of one generator wrap its points' 16-bit counters; the
+    # incidence total then falls short instead of passing as a small count
+    cand, _ = cp3_build
+    lines = np.vstack([cand.lines, np.repeat(cand.lines[:1], 2 ** 16, axis=0)])
+    mut = hemisystem.HemisystemCandidate("cp", 3, 1, None, None, lines)
+    with pytest.raises(hemisystem.IncidenceSumMismatch):
+        hemisystem.verify(mut)
 
 
 def test_complement_is_hemisystem_q17(ft17, ft17_gens, ft17_build, ft17_g1,

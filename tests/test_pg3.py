@@ -259,7 +259,7 @@ def test_line_surface_index_matches_the_packed_path(family, p, h, request):
     in_plane = 0
     for lo in range(0, len(keys), 4096):
         chunk = keys[lo:lo + 4096]
-        got = pg3.line_surface_index(frame, chunk)
+        got = np.hstack(pg3.line_surface_index(frame, chunk))
         want = pg3.surface_index(frame, pg3.line_points_table(ctx, chunk))
         assert got.shape == want.shape == (len(chunk), q * q + 1)
         assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
@@ -276,6 +276,20 @@ def test_line_surface_index_raises_off_the_surface(family, F9):
     frame = pg3.cp_frame(F9) if family == "cp" else pg3.ft_frame(F9)
     key = pg3.line_key(F9, (1, 0, 0, 0), (0, 0, 0, 1))
     assert key == (pg3.pack(F9, (0, 0, 0, 1)), pg3.pack(F9, (1, 0, 0, 0)))
+    assert len(pg3.surface_index(frame, key)) == 2
+    assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
+    with pytest.raises(pg3.NotOnSurface):
+        pg3.line_surface_index(frame, [key])
+
+
+@pytest.mark.parametrize("family", ["cp", "ft"])
+def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9):
+    # (0,1,x,0) and (0,1,x',0) with 1 + e N(x) = 0 lie on the surface, but the
+    # line they span is no generator: the points (0,1,lam,0) with 1 + e N(lam)
+    # != 0 must fail the X0 = 0 rule, as the key points pass it
+    frame = pg3.cp_frame(F9) if family == "cp" else pg3.ft_frame(F9)
+    x, y = [x for x in range(9) if pg3.on_surface(frame, (0, 1, x, 0))][:2]
+    key = sorted([pg3.pack(F9, (0, 1, x, 0)), pg3.pack(F9, (0, 1, y, 0))])
     assert len(pg3.surface_index(frame, key)) == 2
     assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
     with pytest.raises(pg3.NotOnSurface):
