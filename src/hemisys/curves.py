@@ -10,6 +10,17 @@ GF(q^2)-rational points split into Omega (the conic section in the plane
 X1 = 0) and Delta+/Delta-.  Imaginary chords join a GF(q^4)-point of the
 curve to its q^2-Frobenius conjugate; they are generators of the surface
 disjoint from the rational points and supply the H part of a hemisystem.
+
+GF(q^4) is never built.  Its elements are pairs t = a + b sqrt(nu) over
+GF(q^2), nu the digit-lex smallest non-square of GF(q^2), and with
+kappa = nu^((q-1)/2):
+
+* t^q = a^q + b^q kappa sqrt(nu) and t^(q^2) = a - b sqrt(nu);
+* a curve point A + sqrt(nu) B, A and B over GF(q^2), and its conjugate
+  A - sqrt(nu) B span the GF(q^2)-line <A, B>: that line is the chord.
+
+Broken internal identities raise CurveInvariantFailed, which python -O
+keeps, unlike assert.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldCtx, make_field, embed_subfield, vec_add, vec_mul, vec_neg
+from .gf import FieldCtx, make_field, vec_add, vec_mul, vec_neg
 from . import pg3
 from .pg3 import HermitianFrame
 
@@ -39,8 +50,14 @@ class ProjectionUndefined(ValueError):
     pass
 
 
-class TraceLeftSubfield(RuntimeError):
-    """A chord trace fell outside GF(q^2): a bug, not input."""
+class CurveInvariantFailed(RuntimeError):
+    """A curve, chord or frame identity failed: a bug, not input."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """Raise CurveInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
+    if not ok:
+        raise CurveInvariantFailed(what)
 
 
 G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
@@ -65,77 +82,73 @@ def cp_curve_points(ctx2: FieldCtx) -> np.ndarray:
     pts = pg3.norm_pack_batch(ctx2, ones, ts, tq, vec_mul(ctx2, ts, tq))
     inf = np.asarray([pg3.pack_point(ctx2, (0, 0, 0, 1))], dtype=np.int64)
     out = np.unique(np.concatenate([pts, inf]))
-    assert len(out) == ctx2.order + 1
+    _check(len(out) == ctx2.order + 1, f"{len(out)} points on the rational curve")
     return out
-
-
-def cp_curve_coords_q4(ctx2: FieldCtx, ctx4: FieldCtx, emb) -> tuple:
-    """Coordinate arrays over GF(q^4) of all A(t), t in GF(q^4), plus A(inf)."""
-    h = ctx2.d // 2
-    ts = np.arange(ctx4.order, dtype=np.int64)
-    tq = ctx4.frob_np(h)[ts]
-    c0 = np.ones_like(ts)
-    c3 = vec_mul(ctx4, ts, tq)
-    c0 = np.concatenate([c0, [0]])
-    c1 = np.concatenate([ts, [0]])
-    c2 = np.concatenate([tq, [0]])
-    c3 = np.concatenate([c3, [1]])
-    return c0, c1, c2, c3
 
 
 # ---------------------------------------------------------------------------
-# conjugate-pair chords: GF(q^4) point pairs -> GF(q^2) line keys
+# GF(q^4) = GF(q^2)[sqrt(nu)]: pairs of GF(q^2) arrays
 
-def conj_pair_line_keys(ctx2: FieldCtx, ctx4: FieldCtx, inv_emb, coords) -> np.ndarray:
-    """Canonical GF(q^2) line keys of lines P -- Phi(P) for GF(q^4) points P.
-
-    coords are four (n,) arrays over ctx4; each row must be a point off the
-    GF(q^2) subgeometry.  mu*P + (mu*P)^Frobenius is a rational point of the
-    chord for each mu, and mu = 1, gen lie in distinct cosets of GF(q^2)*,
-    so their two points span it.
-    """
-    frob2 = ctx4.frob_np(ctx4.d // 2)
-    spans = []
-    for mu in (1, ctx4.gen):
-        m = vec_mul(ctx4, mu, np.stack(coords, axis=1))
-        small = inv_emb[vec_add(ctx4, m, frob2[m])]
-        if (small < 0).any():
-            raise TraceLeftSubfield("trace left the GF(q^2) image")
-        spans.append(small)
-    return pg3.line_keys_batch(ctx2, *spans)
-
-
-def _dedupe_conjugate(ctx4: FieldCtx, coords) -> tuple:
-    """Keep one representative of each {P, Phi(P)} pair (rank-min rule)."""
-    h2 = ctx4.d // 2
-    frob2 = ctx4.frob_np(h2)
-    rank = ctx4.rank_np
-    # lexicographic compare of (c0..c3) ranks against the conjugate's
-    cmp = np.zeros(len(coords[0]), dtype=np.int8)
-    for c in coords:
-        rc = rank[c]
-        rfc = rank[frob2[c]]
-        upd = cmp == 0
-        cmp = np.where(upd & (rc < rfc), -1, cmp)
-        cmp = np.where(upd & (rc > rfc), 1, cmp)
-    assert not np.any(cmp == 0), "self-conjugate point in chord enumeration"
-    keep = cmp < 0
-    return tuple(c[keep] for c in coords)
-
-
-def cp_imaginary_chords(ctx2: FieldCtx, ctx4: FieldCtx, emb, inv_emb) -> np.ndarray:
-    """Chord keys of the rational curve: (q^2+q)(q^2-q)/2 generators."""
+def _tower(ctx2: FieldCtx) -> tuple:
+    """(q, y -> y^q table, nu the digit-lex smallest non-square, kappa = nu^((q-1)/2))."""
     q = ctx2.p ** (ctx2.d // 2)
-    h = ctx2.d // 2
-    ts = np.arange(ctx4.order, dtype=np.int64)
-    ts = ts[inv_emb[ts] < 0]          # t in GF(q^4) \ GF(q^2)
-    tq = ctx4.frob_np(h)[ts]
-    coords = (np.ones_like(ts), ts, tq, vec_mul(ctx4, ts, tq))
-    coords = _dedupe_conjugate(ctx4, coords)
-    keys = conj_pair_line_keys(ctx2, ctx4, inv_emb, coords)
-    out = np.unique(keys, axis=0)
-    assert len(out) == (q * q + q) * (q * q - q) // 2
+    nu = next(x for x in ctx2.elements_by_rank() if not ctx2.is_square(x))
+    return q, ctx2.frob_np(ctx2.d // 2), nu, ctx2.pow(nu, (q - 1) // 2)
+
+
+def _off_subfield(ctx2: FieldCtx) -> tuple:
+    """(a, b) over every a and one b of each pair +-b != 0.
+
+    a + b sqrt(nu) then runs over one element of each conjugate pair
+    {t, t^(q^2)} of GF(q^4) off GF(q^2).
+    """
+    bs = np.arange(1, ctx2.order, dtype=np.int64)
+    bs = bs[ctx2.rank_np[bs] < ctx2.rank_np[ctx2.neg_np[bs]]]
+    a, b = np.meshgrid(np.arange(ctx2.order, dtype=np.int64), bs, indexing="ij")
+    return a.ravel(), b.ravel()
+
+
+def _tower_mul(ctx2: FieldCtx, nu: int, x: tuple, y: tuple) -> tuple:
+    """(a + b sqrt(nu)) (c + d sqrt(nu)) = (ac + nu bd) + (ad + bc) sqrt(nu)."""
+    (a, b), (c, d) = x, y
+    return (vec_add(ctx2, vec_mul(ctx2, a, c), vec_mul(ctx2, nu, vec_mul(ctx2, b, d))),
+            vec_add(ctx2, vec_mul(ctx2, a, d), vec_mul(ctx2, b, c)))
+
+
+def _tower_pow(ctx2: FieldCtx, nu: int, x: tuple, n: int) -> tuple:
+    """x^n for n >= 1, by square-and-multiply from the top bit of n down."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = _tower_mul(ctx2, nu, out, out)
+        if bit == "1":
+            out = _tower_mul(ctx2, nu, out, x)
     return out
+
+
+def _chord_keys(ctx2: FieldCtx, A: list, B: list, expect: int) -> np.ndarray:
+    """Sorted distinct keys of the lines <A, B>, A and B lists of 4 coordinate arrays."""
+    keys = pg3.line_keys_batch(ctx2, np.stack(A, axis=1), np.stack(B, axis=1))
+    out = np.unique(keys, axis=0)
+    _check(len(out) == expect, f"{len(out)} imaginary chords, expected {expect}")
+    return out
+
+
+def cp_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
+    """Chord keys of the rational curve: (q^2+q)(q^2-q)/2 generators.
+
+    The point at t = a + b sqrt(nu) is A + sqrt(nu) B with
+    A = (1, a, a^q, a^(q+1) + nu kappa b^(q+1)) and
+    B = (0, b, kappa b^q, kappa a b^q + a^q b).
+    """
+    q, frob, nu, kappa = _tower(ctx2)
+    a, b = _off_subfield(ctx2)
+    aq, bq = frob[a], frob[b]
+    kbq = vec_mul(ctx2, kappa, bq)
+    A = [np.ones_like(a), a, aq,
+         vec_add(ctx2, vec_mul(ctx2, a, aq), vec_mul(ctx2, vec_mul(ctx2, nu, kappa),
+                                                     vec_mul(ctx2, b, bq)))]
+    B = [np.zeros_like(b), b, kbq, vec_add(ctx2, vec_mul(ctx2, a, kbq), vec_mul(ctx2, aq, b))]
+    return _chord_keys(ctx2, A, B, (q * q + q) * (q * q - q) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,7 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
         ctx2, np.ones_like(ys), np.zeros_like(ys), ys, vec_mul(ctx2, ys, ys))
     omega = np.unique(np.concatenate(
         [omega, [pg3.pack_point(ctx2, (0, 0, 0, 1))]]))
-    assert len(omega) == q + 1
+    _check(len(omega) == q + 1, f"{len(omega)} points in Omega")
 
     frob_h = ctx2.frob_np(h)
     uv_plus: dict = {}
@@ -193,13 +206,13 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
             continue
         c = ctx2.sub(int(frob_h[v]), v)           # v^q - v
         us = ctx2.power_residue_solutions(c, m)
-        assert len(us) == m, "missing (q+1)/2 solutions"
+        _check(len(us) == m, "u^((q+1)/2) = v^q - v has not (q+1)/2 solutions")
         v2 = ctx2.mul(v, v)
         for u in us:
             plus_rows.append((1, u, v, v2))
         cs = ctx2.neg(c)                          # t - t^q with t = v
         ss = ctx2.power_residue_solutions(cs, m)
-        assert len(ss) == m
+        _check(len(ss) == m, "s^((q+1)/2) = v - v^q has not (q+1)/2 solutions")
         for s in ss:
             minus_rows.append((1, s, v, v2))
     plus_arr = np.asarray(plus_rows, dtype=np.int64)
@@ -215,50 +228,52 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
     dp = np.unique(dp)
     dm = np.unique(dm)
     expect = (q ** 3 - q) // 2
-    assert len(dp) == expect and len(dm) == expect
+    _check(len(dp) == expect and len(dm) == expect,
+           f"{len(dp)} and {len(dm)} points in Delta+ and Delta-, expected {expect}")
     sets = CurvePointSets(omega, dp, dm, uv_plus, st_minus)
-    assert not (sets.omega_set & sets.plus_set)
-    assert not (sets.omega_set & sets.minus_set)
-    assert not (sets.plus_set & sets.minus_set)
+    _check(not (sets.omega_set & sets.plus_set or sets.omega_set & sets.minus_set
+                or sets.plus_set & sets.minus_set), "Omega, Delta+ and Delta- overlap")
     return sets
 
 
-def ft_imaginary_chords(ctx2: FieldCtx, ctx4: FieldCtx, emb, inv_emb) -> np.ndarray:
-    """Chord keys of X+ over GF(q^4): q(q+1)(q^2-1)/4 generators."""
-    h = ctx2.d // 2
-    q = ctx2.p ** h
-    m = (q + 1) // 2
-    n4 = ctx4.order
-    ys = np.arange(n4, dtype=np.int64)
-    zs = vec_add(ctx4, ctx4.frob_np(h)[ys], vec_neg(ctx4, ys))   # y^q - y
+def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
+    """Chord keys of X+ over GF(q^4): q(q+1)(q^2-1)/4 generators.
+
+    With x = xa + xb sqrt(nu), y = ya + yb sqrt(nu) and x^((q+1)/2) =
+    c0 + c1 sqrt(nu), the curve equation y^q - y = x^((q+1)/2) splits into
+    ya^q - ya = c0 (q solutions or none, read off a sorted table) and
+    kappa yb^q - yb = c1 (a bijection, as kappa^(q+1) = -1).  A point with
+    xb = 0 has yb = 0 and is rational, so x runs over _off_subfield: one
+    point of each conjugate pair.  Its chord is <A, B> with
+    A = (1, xa, ya, ya^2 + nu yb^2) and B = (0, xb, yb, 2 ya yb).
+    """
+    q, frob, nu, kappa = _tower(ctx2)
+    ys = np.arange(ctx2.order, dtype=np.int64)
+    zs = vec_add(ctx2, frob, vec_neg(ctx2, ys))                        # y^q - y
     order = np.argsort(zs, kind="stable")
     zs_sorted = zs[order]
+    lin = vec_add(ctx2, vec_mul(ctx2, kappa, frob), vec_neg(ctx2, ys))  # kappa y^q - y
+    lin_inv = np.full(ctx2.order, -1, dtype=np.int64)
+    lin_inv[lin] = ys
+    _check((lin_inv >= 0).all(), "kappa y^q - y is not a bijection")
 
-    xs = ctx4.exp_np[: n4 - 1].copy()                            # all x != 0
-    cs = ctx4.exp_np[(ctx4.log_np[xs] * m) % (n4 - 1)]           # x^((q+1)/2)
-    lo = np.searchsorted(zs_sorted, cs, side="left")
-    hi = np.searchsorted(zs_sorted, cs, side="right")
-    counts = hi - lo
+    xa, xb = _off_subfield(ctx2)
+    c0, c1 = _tower_pow(ctx2, nu, (xa, xb), (q + 1) // 2)
+    lo = np.searchsorted(zs_sorted, c0, side="left")
+    counts = np.searchsorted(zs_sorted, c0, side="right") - lo
     sel = counts > 0
-    assert set(np.unique(counts[sel]).tolist()) <= {q}
-    xs_rep = np.repeat(xs[sel], counts[sel])
-    offs = (np.arange(counts[sel].sum()) -
-            np.repeat(np.cumsum(counts[sel]) - counts[sel], counts[sel]))
-    ys_rep = order[np.repeat(lo[sel], counts[sel]) + offs]
-
-    rational = (inv_emb[xs_rep] >= 0) & (inv_emb[ys_rep] >= 0)
-    xs_rep, ys_rep = xs_rep[~rational], ys_rep[~rational]
+    _check(set(np.unique(counts[sel]).tolist()) <= {q},
+           "a value of y^q - y has other than q preimages")
+    ya = order[lo[sel, None] + np.arange(q)].ravel()
+    xa, xb, yb = (np.repeat(v[sel], q) for v in (xa, xb, lin_inv[c1]))
     g = (q - 1) ** 2 // 4
     expect_pts = (q * q + q) * (q * q - q - 2 * g)
-    assert len(xs_rep) == expect_pts, (len(xs_rep), expect_pts)
-
-    coords = (np.ones_like(xs_rep), xs_rep, ys_rep,
-              vec_mul(ctx4, ys_rep, ys_rep))
-    coords = _dedupe_conjugate(ctx4, coords)
-    keys = conj_pair_line_keys(ctx2, ctx4, inv_emb, coords)
-    out = np.unique(keys, axis=0)
-    assert len(out) == expect_pts // 2
-    return out
+    _check(2 * len(ya) == expect_pts,
+           f"{len(ya)} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
+    A = [np.ones_like(xa), xa, ya,
+         vec_add(ctx2, vec_mul(ctx2, ya, ya), vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb)))]
+    B = [np.zeros_like(xb), xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb))]
+    return _chord_keys(ctx2, A, B, expect_pts // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +288,11 @@ def classify_generator(frame: HermitianFrame, key, sets: CurvePointSets) -> str:
     n_om = len(pts & sets.omega_set)
     n_p = len(pts & sets.plus_set)
     n_m = len(pts & sets.minus_set)
-    assert n_om + n_p <= 1 and n_om + n_m <= 1, "two rational curve points on one generator"
+    _check(n_om + n_p <= 1 and n_om + n_m <= 1, "two rational curve points on one generator")
     if n_om:
         return G2_MEETS_OMEGA
     if n_p or n_m:
-        assert n_p == 1 and n_m == 1, "generator must meet both Delta sets"
+        _check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
         return G1_MEETS_DELTAS
     return DISJOINT
 
@@ -313,7 +328,7 @@ def classify_point_type(ctx2: FieldCtx, P) -> str:
         if not any(R):
             R = tuple(ctx2.sub(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
                       for a in proj)
-        assert all(ctx2.frobenius(x, h) == x for x in R if x)
+        _check(all(ctx2.frobenius(x, h) == x for x in R), "a Baer line point is not over GF(q)")
         if ctx2.sub(ctx2.mul(R[0], R[2]), ctx2.mul(R[1], R[1])) == 0:
             hits += 1
     return {0: TYPE_I, 2: TYPE_II, 1: TYPE_III}[hits]
@@ -324,16 +339,17 @@ def classify_point_type(ctx2: FieldCtx, P) -> str:
 
 @dataclass
 class FTFrame:
-    """Frame constants for the Fuhrmann-Torres construction at q = p^h."""
+    """Frame constants for the Fuhrmann-Torres construction at q = p^h.
+
+    Everything lives in ctx2 = GF(q^2); the chords reach GF(q^4) as the
+    tower GF(q^2)[sqrt(nu)] and need no tables of their own.
+    """
 
     p: int
     h: int
     eps: int
     ctx2: FieldCtx
-    ctx4: FieldCtx
     frame: HermitianFrame
-    emb: np.ndarray
-    inv_emb: np.ndarray
     b: int
     omega: int
     j: int
@@ -355,7 +371,7 @@ class FTFrame:
         v = self.ctx2.pow(x, (self.q - 1) // 2)
         if v == 1:
             return 1
-        assert v == self.ctx2.neg(1)
+        _check(v == self.ctx2.neg(1), f"x^((q-1)/2) = {v} is not +-1 for x = {x}")
         return -1
 
     def p_eps(self, eps: int = None) -> tuple:
@@ -387,15 +403,14 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
             omega = x
             break
     b = ctx2.sqrt(omega)
-    assert b is not None and ctx2.frobenius(b, h) == ctx2.neg(b)
+    _check(b is not None and ctx2.mul(b, b) == omega and ctx2.frobenius(b, h) == ctx2.neg(b),
+           "b = sqrt(omega) is not a square root with b^q = -b")
     j = ctx2.pow(b, (q - 1) // 2)
-    assert ctx2.mul(j, j) == neg1 and ctx2.frobenius(j, h) == j
+    _check(ctx2.mul(j, j) == neg1 and ctx2.frobenius(j, h) == j, "j is not a sqrt(-1) in GF(q)")
     sqrt2 = ctx2.sqrt(two)
-    assert ctx2.frobenius(sqrt2, h) == sqrt2
+    _check(ctx2.frobenius(sqrt2, h) == sqrt2, "sqrt(2) is not in GF(q)")
     sqrtm2 = ctx2.mul(j, sqrt2)
-    assert ctx2.mul(sqrtm2, sqrtm2) == ctx2.neg(two)
-    ctx4 = make_field(p, 4 * h)
-    emb, inv_emb = embed_subfield(ctx2, ctx4)
+    _check(ctx2.mul(sqrtm2, sqrtm2) == ctx2.neg(two), "sqrt(-2)^2 is not -2")
     frame = pg3.ft_frame(ctx2)
 
     # chi solves chi = eps * (2 - chi*sqrt2)^((q-1)/2); exactly one value works
@@ -403,16 +418,8 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
         v = ctx2.pow(x, (q - 1) // 2)
         return 1 if v == 1 else -1
 
-    chi = None
-    for cand in (1, -1):
-        arg = ctx2.sub(two, sqrt2 if cand == 1 else ctx2.neg(sqrt2))
-        if eps * char(arg) == cand:
-            assert chi is None, "chi is not unique"
-            chi = cand
-    assert chi is not None, "no chi satisfies the sign identity"
-    fr = FTFrame(p=p, h=h, eps=eps, ctx2=ctx2, ctx4=ctx4, frame=frame,
-                 emb=emb, inv_emb=inv_emb, b=b, omega=omega, j=j,
-                 sqrt2=sqrt2, sqrtm2=sqrtm2, chi=chi)
-    assert ctx2.mul(b, b) == omega
-    assert ctx2.neg(ctx2.mul(b, ctx2.frobenius(b, h))) == omega
-    return fr
+    chis = [c for c in (1, -1)
+            if eps * char(ctx2.sub(two, sqrt2 if c == 1 else ctx2.neg(sqrt2))) == c]
+    _check(len(chis) == 1, f"{len(chis)} values of chi satisfy the sign identity")
+    return FTFrame(p=p, h=h, eps=eps, ctx2=ctx2, frame=frame, b=b, omega=omega, j=j,
+                   sqrt2=sqrt2, sqrtm2=sqrtm2, chi=chis[0])

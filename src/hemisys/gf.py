@@ -65,7 +65,7 @@ class BadExponent(ValueError):
 
 
 class TableInvariantFailed(RuntimeError):
-    """A field table or subfield embedding broke an invariant: a bug, not input."""
+    """A field table broke an invariant: a bug, not input."""
 
 
 def is_prime(n: int) -> bool:
@@ -406,20 +406,6 @@ class FieldCtx:
             self._frob_cache[k] = tab
         return self._frob_cache[k]
 
-    def in_subfield(self, a: int, k: int) -> bool:
-        """Membership in GF(p^k), k | d."""
-        return self.frobenius(a, k) == a
-
-    def trace_to_subfield(self, a: int, k: int) -> int:
-        """Trace onto GF(p^k) for k | d."""
-        if self.d % k:
-            raise BadExponent("subfield degree must divide d")
-        t, cur = 0, a
-        for _ in range(self.d // k):
-            t = self.add(t, cur)
-            cur = self.frobenius(cur, k)
-        return t
-
     def is_square(self, a: int) -> bool:
         if a == 0:
             return True
@@ -453,10 +439,6 @@ class FieldCtx:
         """All elements in digit-lex order."""
         return [int(x) for x in self.unrank_np]
 
-    def descriptor(self) -> str:
-        return "p=%d d=%d poly=%s" % (
-            self.p, self.d, ",".join(str(c) for c in self.poly))
-
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.d}), poly={list(self.poly)})"
 
@@ -475,54 +457,6 @@ def make_field(p: int, d: int) -> FieldCtx:
             f"GF({p}^{d}) needs {need} bytes of tables, over the cap {TABLE_BYTES_CAP}")
     poly = smallest_irreducible(p, d)
     return FieldCtx(p, d, poly)
-
-
-def parse_descriptor(line: str) -> FieldCtx:
-    kv = dict(part.split("=", 1) for part in line.split())
-    p, d = int(kv["p"]), int(kv["d"])
-    poly = tuple(int(c) for c in kv["poly"].split(","))
-    ctx = make_field(p, d)
-    if ctx.poly != poly:
-        raise ValueError(f"descriptor polynomial {poly} is not canonical")
-    return ctx
-
-
-def embed_subfield(small: FieldCtx, big: FieldCtx):
-    """Embedding GF(p^k) -> GF(p^d) as a lookup array, plus partial inverse.
-
-    Sends the power-basis root of small.poly to its digit-lex smallest root
-    inside the big field; the image array has big-field indices, the inverse
-    array holds -1 off the image.
-    """
-    if big.p != small.p or big.d % small.d:
-        raise BadExponent("no subfield embedding")
-    p = big.p
-    # evaluate small.poly at every element of the big field (Horner, vectorised)
-    xs = np.arange(big.order, dtype=np.int64)
-    acc = np.zeros(big.order, dtype=np.int64)
-    for c in reversed(small.poly):
-        acc = big._sum(big._prod(acc, xs), c % p)
-    roots = np.nonzero(acc == 0)[0]
-    if len(roots) != small.d:
-        raise TableInvariantFailed(
-            f"{len(roots)} roots of {small.poly} in GF({p}^{big.d}), expected {small.d}")
-    rho = int(roots[np.argmin(big.rank_np[roots])])
-    # x = sum c_i a^i goes to sum c_i rho^i; a digit c_i is the prime-field element c_i
-    emb = np.zeros(small.order, dtype=np.int64)
-    rem = np.arange(small.order, dtype=np.int64)
-    w = 1
-    for _ in range(small.d):
-        emb = big._sum(emb, big._prod(rem % p, w))
-        rem //= p
-        w = big.mul(w, rho)
-    n1 = small.order - 1
-    lg = big.log_np[emb[small.gen]]
-    if not np.array_equal(emb[small.exp_np[:n1]],
-                          big.exp_np[np.arange(n1) * lg % (big.order - 1)]):
-        raise TableInvariantFailed("subfield embedding is not multiplicative")
-    inv = np.full(big.order, -1, dtype=np.int64)
-    inv[emb] = np.arange(small.order, dtype=np.int64)
-    return emb, inv
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import EvenCharacteristic, FieldCtx, is_prime, make_field, embed_subfield
+from .gf import EvenCharacteristic, FieldCtx, is_prime, make_field
 from . import pg3, curves, groups
 from .curves import FTFrame
 from .pg3 import HermitianFrame
@@ -211,8 +211,6 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     if q > 7 and not force:
         raise pg3.TooLarge(f"cp build at q={q} is heavy; pass force")
     ctx2 = make_field(p, 2 * h)
-    ctx4 = make_field(p, 4 * h)
-    emb, inv_emb = embed_subfield(ctx2, ctx4)
     frame = pg3.cp_frame(ctx2)
     curve = curves.cp_curve_points(ctx2)
     gcp = set()
@@ -227,7 +225,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
            "complementary orbit mismatch")
     if seed_orbit == "minus":
         M = gcp - M
-    chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv_emb)
+    chords = curves.cp_imaginary_chords(ctx2)
     lines = _sorted_lines(list(M) + [tuple(r) for r in chords])
     cand = HemisystemCandidate(
         family="cp", p=p, h=h, eps=None, chi=None, lines=lines, ctx=ctx2,
@@ -237,22 +235,18 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     return cand
 
 
-def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False,
-             fr: FTFrame | None = None,
-             chords: np.ndarray | None = None) -> HemisystemCandidate:
+def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False) -> HemisystemCandidate:
     """Fuhrmann-Torres hemisystem candidate (orbit rule, no verification)."""
-    return _build_ft(p, h, eps, force, fr, chords)[0]
+    return _build_ft(p, h, eps, force, curves.ft_frame_setup(p, h, eps))[0]
 
 
-def _build_ft(p, h, eps, force, fr, chords) -> tuple:
+def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     """build_ft's candidate, the index-2 subgroup H and the candidate's M2 half-orbit."""
     from . import numbers
     q = p ** h
-    if not force and not numbers.condition_B_holds(q):
+    if not force and not numbers.condition_B_holds(q, fr.ctx2):
         raise ConditionBFails(
             f"the point-count criterion fails at q={q}; pass force to build anyway")
-    if fr is None:
-        fr = curves.ft_frame_setup(p, h, eps)
     G, H, w = groups.ft_group_gens(fr)
     key0, quad0, seed_prov = seed_generator_g0(fr)
     m1 = groups.orbit(fr.ctx2, H.gens, key0)
@@ -263,8 +257,7 @@ def _build_ft(p, h, eps, force, fr, chords) -> tuple:
     pick_eps = 1 if r < rp else -1
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, pick_eps))
     _check(2 * len(m2) == (q + 1) ** 2, f"{len(m2)} lines in the M2 half-orbit")
-    if chords is None:
-        chords = curves.ft_imaginary_chords(fr.ctx2, fr.ctx4, fr.emb, fr.inv_emb)
+    chords = curves.ft_imaginary_chords(fr.ctx2)
     lines = _sorted_lines(list(m1) + list(m2) + [tuple(rw) for rw in chords])
     n_rational = (q ** 3 + q + 2) // 2
     _check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
@@ -287,8 +280,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     outcome is recorded in the provenance.  Returns (candidate, report).
     """
     fr = curves.ft_frame_setup(p, h, eps)
-    chords = curves.ft_imaginary_chords(fr.ctx2, fr.ctx4, fr.emb, fr.inv_emb)
-    cand, H, m2_old = _build_ft(p, h, eps, force, fr, chords)
+    cand, H, m2_old = _build_ft(p, h, eps, force, fr)
     report = verify(cand, threads=threads, frame=fr.frame)
     if report.passed:
         cand.provenance["m2_choice"] = "rule"

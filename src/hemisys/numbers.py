@@ -41,6 +41,16 @@ class NotPrimePower(ValueError):
     pass
 
 
+class CountInvariantFailed(RuntimeError):
+    """A number-theoretic identity failed: a bug, not input."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """Raise CountInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
+    if not ok:
+        raise CountInvariantFailed(what)
+
+
 def _chi(ctx: FieldCtx, x: int) -> int:
     """Quadratic character with chi(0) = 0."""
     if x == 0:
@@ -48,12 +58,19 @@ def _chi(ctx: FieldCtx, x: int) -> int:
     return 1 if ctx.is_square(x) else -1
 
 
-def count_E3(ctx_q: FieldCtx) -> int:
-    """Projective |{Y^2 = X^3 - X}| over GF(q)."""
+def count_E3(ctx: FieldCtx, q: int | None = None) -> int:
+    """Projective |{Y^2 = X^3 - X}| over the subfield GF(q) of ctx (default: ctx).
+
+    A y in GF(q)* is a square there iff its log in ctx is a multiple of
+    2 (|ctx| - 1) / (q - 1).
+    """
+    q = ctx.order if q is None else q
+    step = 2 * (ctx.order - 1) // (q - 1)
     n = 1
-    for x in range(ctx_q.order):
-        x3x = ctx_q.sub(ctx_q.mul(x, ctx_q.mul(x, x)), x)
-        n += 1 + _chi(ctx_q, x3x)
+    for x in range(ctx.order):
+        if ctx.pow(x, q) == x:
+            x3x = ctx.sub(ctx.mul(x, ctx.mul(x, x)), x)
+            n += 1 if x3x == 0 else 2 * int(ctx.log_np[x3x] % step == 0)   # 1 + chi
     return n
 
 
@@ -107,7 +124,7 @@ def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
         x2 = ctx_q.mul(x, x)
         f = ctx_q.add(ctx_q.sub(ctx_q.mul(x2, x2), ctx_q.mul(c24, x2)), c16)
         ch = _chi(ctx_q, f)
-        assert f != 0, "quartic has a rational root with non-square omega"
+        _check(f != 0, "the quartic has a rational root at a non-square omega")
         if ch == 1:
             n_q += 1
             n_c4_affine += 2
@@ -122,10 +139,9 @@ def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
     return rec
 
 
-def condition_B_holds(q: int) -> bool:
-    """Feasibility criterion: N_q(E3) is q-1 or q+3."""
-    ctx = _field_of_order(q)
-    return count_E3(ctx) in (q - 1, q + 3)
+def condition_B_holds(q: int, ctx: FieldCtx | None = None) -> bool:
+    """Feasibility criterion: N_q(E3) is q-1 or q+3; ctx, if given, contains GF(q)."""
+    return count_E3(ctx or _field_of_order(q), q) in (q - 1, q + 3)
 
 
 def prime_power(q: int):
@@ -185,13 +201,13 @@ def gauss_alpha1(p: int) -> GaussDecomp:
         if b * b == b2:
             base = (a, b)
             break
-    assert base is not None, "no two-square decomposition found"
+    _check(base is not None, f"no two-square decomposition of {p}")
     a, b = base
     for re, im in ((a, b), (a, -b), (-a, b), (-a, -b),
                    (b, a), (b, -a), (-b, a), (-b, -a)):
         if _divisible_in_zi((re - 1, im), (-2, 2)):
             return GaussDecomp(p=p, alpha1=re, alpha2=im)
-    raise RuntimeError(f"no normalized Gaussian factor for {p}")
+    raise CountInvariantFailed(f"no normalized Gaussian factor for {p}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def ft17_m2(ft17, ft17_gens):
 
 @pytest.fixture(scope="session")
 def ft17_chords(ft17):
-    return curves.ft_imaginary_chords(ft17.ctx2, ft17.ctx4, ft17.emb, ft17.inv_emb)
+    return curves.ft_imaginary_chords(ft17.ctx2)
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +73,8 @@ def ft17_g2(ft17, ft17_sets):
 
 
 @pytest.fixture(scope="session")
-def ft17_build(ft17, ft17_chords):
-    cand = hemisystem.build_ft(17, 1, 1, fr=ft17, chords=ft17_chords)
+def ft17_build(ft17):
+    cand = hemisystem.build_ft(17, 1, 1)
     report = hemisystem.verify(cand, frame=ft17.frame)
     return cand, report
 

@@ -202,10 +202,8 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
     # imaginary chords are generators disjoint from the rational points
     for p in (3, 5):
         ctx2 = gf.make_field(p, 2)
-        ctx4 = gf.make_field(p, 4)
-        emb, inv = gf.embed_subfield(ctx2, ctx4)
         frame = pg3.cp_frame(ctx2)
-        chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv)
+        chords = curves.cp_imaginary_chords(ctx2)
         curve = np.asarray(sorted(int(x) for x in curves.cp_curve_points(ctx2)))
         rows = pg3.line_points_table(ctx2, chords)
         parts[f"cp_chords_q{p}"] = (

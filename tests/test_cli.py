@@ -191,6 +191,23 @@ def test_verify_builds_the_field_once(capsys, monkeypatch, tmp_path, cp3_build):
     assert calls == [(3, 2)]
 
 
+@pytest.mark.parametrize("argv,field", [(("ft", "17"), (17, 2)), (("cp", "3"), (3, 2))],
+                         ids=["ft17", "cp3"])
+def test_construct_builds_one_field(capsys, monkeypatch, argv, field):
+    # GF(q^2) is the only field a construct builds: no GF(q^4), no GF(q)
+    make_field, calls = gf.make_field, []
+
+    def counting(p, d):
+        calls.append((p, d))
+        return make_field(p, d)
+
+    for mod in (gf, hemisystem, curves, numbers):
+        monkeypatch.setattr(mod, "make_field", counting)
+    code, out, _ = run(capsys, "construct", "--family", argv[0], "--p", argv[1])
+    assert code == 0 and "passed = True" in out
+    assert calls == [field]
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def equal_points(*args, **kwargs):
         raise pg3.EqualPoints("line through equal points")

@@ -1,16 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hemisys import curves, gf, pg3
 
+import gf_q4_oracle as oracle
+
 
 @pytest.fixture(scope="module")
 def cp5_setup(F25):
-    ctx4 = gf.make_field(5, 4)
-    emb, inv = gf.embed_subfield(F25, ctx4)
-    return F25, ctx4, emb, inv
+    return (F25, *oracle.gf_q4_setup(F25))
 
 
 # ---------------------------------------------------------------------------
@@ -38,20 +42,16 @@ def test_cp_curve_point_generator_count_q5(F25):
 @pytest.mark.parametrize("p,expected", [(3, 36), (5, 300)])
 def test_cp_chord_counts(p, expected):
     ctx2 = gf.make_field(p, 2)
-    ctx4 = gf.make_field(p, 4)
-    emb, inv = gf.embed_subfield(ctx2, ctx4)
-    chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv)
+    chords = curves.cp_imaginary_chords(ctx2)
     assert len(chords) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_cp_chords_are_generators_disjoint_from_curve(p):
     ctx2 = gf.make_field(p, 2)
-    ctx4 = gf.make_field(p, 4)
-    emb, inv = gf.embed_subfield(ctx2, ctx4)
     frame = pg3.cp_frame(ctx2)
     curve = set(int(x) for x in curves.cp_curve_points(ctx2))
-    chords = curves.cp_imaginary_chords(ctx2, ctx4, emb, inv)
+    chords = curves.cp_imaginary_chords(ctx2)
     rows = pg3.line_points_table(ctx2, chords)
     for key, pts in zip(chords, rows):
         A, B = pg3.key_points(ctx2, (int(key[0]), int(key[1])))
@@ -71,8 +71,8 @@ def test_cp_chord_conjugate_pair_same_line(cp5_setup):
         def coords(tt):
             return tuple(np.asarray([v], dtype=np.int64) for v in
                          (1, tt, ctx4.frobenius(tt, h), ctx4.mul(tt, ctx4.frobenius(tt, h))))
-        k1 = curves.conj_pair_line_keys(ctx2, ctx4, inv, coords(t))
-        k2 = curves.conj_pair_line_keys(ctx2, ctx4, inv, coords(tc))
+        k1 = oracle.conj_pair_line_keys(ctx2, ctx4, inv, coords(t))
+        k2 = oracle.conj_pair_line_keys(ctx2, ctx4, inv, coords(tc))
         assert (k1 == k2).all()
 
 
@@ -82,7 +82,7 @@ def test_natural_embedding_tangency_q5(cp5_setup):
     ctx2, ctx4, emb, inv = cp5_setup
     frame = pg3.cp_frame(ctx2)
     h = 1
-    c0, c1, c2, c3 = curves.cp_curve_coords_q4(ctx2, ctx4, emb)
+    c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
     for packed in curves.cp_curve_points(ctx2):
         P = pg3.unpack(ctx2, int(packed))
         coeffs = pg3.tangent_plane(frame, P)
@@ -102,7 +102,7 @@ def test_offcurve_tangent_meets_curve_in_q_plus_1_points_q5(cp5_setup):
     frame = pg3.cp_frame(ctx2)
     curve = set(int(x) for x in curves.cp_curve_points(ctx2))
     surf = pg3.enumerate_surface(frame)
-    c0, c1, c2, c3 = curves.cp_curve_coords_q4(ctx2, ctx4, emb)
+    c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
     rng = random.Random(1)
     done = 0
     while done < 50:
@@ -117,6 +117,39 @@ def test_offcurve_tangent_meets_curve_in_q_plus_1_points_q5(cp5_setup):
             acc = gf.vec_add(ctx4, acc, gf.vec_mul(ctx4, np.full_like(col, cc), col))
         assert (acc == 0).sum() == 6      # q + 1 distinct curve points
         done += 1
+
+
+@pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 7, 1), ("cp", 3, 2),
+                                         ("cp", 11, 1), ("cp", 13, 1), ("ft", 5, 1),
+                                         ("ft", 3, 2), ("ft", 13, 1), ("ft", 17, 1)])
+def test_tower_chords_match_the_gf_q4_oracle(family, p, h):
+    # GF(q^2)[sqrt(nu)] and the built GF(q^4) give the same chords, key for key
+    ctx2 = gf.make_field(p, 2 * h)
+    tower = getattr(curves, f"{family}_imaginary_chords")(ctx2)
+    direct = getattr(oracle, f"{family}_imaginary_chords")(ctx2, *oracle.gf_q4_setup(ctx2))
+    assert tower.dtype == direct.dtype and np.array_equal(tower, direct)
+
+
+CHORDS_DROPPING_A_ROW = """
+from hemisys import curves, gf, pg3
+keys = pg3.line_keys_batch
+pg3.line_keys_batch = lambda *args: keys(*args)[1:]
+for chords in (curves.cp_imaginary_chords, curves.ft_imaginary_chords):
+    try:
+        chords(gf.make_field(5, 2))
+    except curves.CurveInvariantFailed as e:
+        print(__debug__, e)
+"""
+
+
+def test_curve_checks_hold_under_python_O():
+    # the chord counts are raises, not asserts that -O strips
+    src = str(Path(curves.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", CHORDS_DROPPING_A_ROW],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == ("False 299 imaginary chords, expected 300\n"
+                   "False 179 imaginary chords, expected 180\n")
 
 
 # ---------------------------------------------------------------------------
