@@ -15,8 +15,6 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
 from . import curves, groups, hemisystem, numbers, pg3
 from .gf import NotPrime, EvenCharacteristic, FieldTooLarge
 
@@ -163,7 +161,7 @@ def cmd_diagnose(args) -> int:
     key0, quad0, prov = hemisystem.seed_generator_g0(fr)
     m1 = groups.orbit(fr.ctx2, H.gens, key0)
     g1 = groups.orbit(fr.ctx2, G.gens, key0)
-    r, rp = hemisystem.count_r_rprime(fr, np.asarray(m1, dtype=np.int64), "plus")
+    r, rp = hemisystem.count_r_rprime(fr, m1, "plus")
     m2 = groups.orbit(fr.ctx2, H.gens, hemisystem.ell_line(fr, 1))
     ctxq = numbers._field_of_order(fr.q)
     omega_small = next(x for x in range(1, fr.q) if not ctxq.is_square(x % fr.q))

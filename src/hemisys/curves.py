@@ -128,7 +128,7 @@ def _tower_pow(ctx2: FieldCtx, nu: int, x: tuple, n: int) -> tuple:
 def _chord_keys(ctx2: FieldCtx, A: list, B: list, expect: int) -> np.ndarray:
     """Sorted distinct keys of the lines <A, B>, A and B lists of 4 coordinate arrays."""
     keys = pg3.line_keys_batch(ctx2, np.stack(A, axis=1), np.stack(B, axis=1))
-    out = np.unique(keys, axis=0)
+    out = pg3.code_keys(ctx2, np.unique(pg3.line_codes(ctx2, keys)))
     _check(len(out) == expect, f"{len(out)} imaginary chords, expected {expect}")
     return out
 

@@ -131,26 +131,25 @@ def apply_to_keys(ctx: FieldCtx, col: Collineation, keys) -> np.ndarray:
     return pg3.line_keys_batch(ctx, A, B)
 
 
-def orbit(ctx: FieldCtx, gens, seed_key, max_size=None) -> list:
-    """Breadth-first line orbit; deterministic (sorted FIFO levels)."""
-    seed = (int(seed_key[0]), int(seed_key[1]))
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        frontier.sort()
-        arr = np.asarray(frontier, dtype=np.int64)
-        nxt = []
-        for g in gens:
-            imgs = apply_to_keys(ctx, g, arr)
-            for a, b in imgs:
-                k = (int(a), int(b))
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(k)
-            if max_size is not None and len(seen) > max_size:
-                raise OrbitBudgetExceeded(f"orbit exceeded {max_size} lines")
-        frontier = nxt
-    return sorted(seen)
+def orbit(ctx: FieldCtx, gens, seed_key, max_size=None) -> np.ndarray:
+    """Breadth-first line orbit as sorted (n, 2) key rows.
+
+    Each level maps the frontier by every generator at once and keeps the
+    images whose pg3.line_codes are not yet seen, in key order; seen stays
+    a sorted code array.
+    """
+    frontier = np.asarray(seed_key, dtype=np.int64).reshape(1, 2)
+    seen = pg3.line_codes(ctx, frontier)
+    while len(frontier):
+        imgs = np.concatenate([apply_to_keys(ctx, g, frontier) for g in gens])
+        codes, first = np.unique(pg3.line_codes(ctx, imgs), return_index=True)
+        at = np.searchsorted(seen, codes)
+        new = seen[np.minimum(at, len(seen) - 1)] != codes
+        seen = np.insert(seen, at[new], codes[new])
+        if max_size is not None and len(seen) > max_size:
+            raise OrbitBudgetExceeded(f"orbit exceeded {max_size} lines")
+        frontier = imgs[first[new]]
+    return pg3.code_keys(ctx, seen)
 
 
 # ---------------------------------------------------------------------------

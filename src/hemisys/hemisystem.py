@@ -106,9 +106,9 @@ class VerificationReport:
     expected_incidence: int
 
 
-def _sorted_lines(keys) -> np.ndarray:
-    arr = np.asarray(sorted({(int(a), int(b)) for a, b in keys}), dtype=np.int64)
-    return arr.reshape(-1, 2)
+def _sorted_lines(ctx: FieldCtx, *parts) -> np.ndarray:
+    """Sorted distinct key rows of the union of key arrays, by their line codes."""
+    return pg3.code_keys(ctx, np.unique(np.concatenate([pg3.line_codes(ctx, p) for p in parts])))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,8 @@ def ell_line(fr: FTFrame, eps: int) -> tuple:
 def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
     """Generators of the half-orbit through the tangency point, split (r, r')."""
     eps = 1 if which_point == "plus" else -1
-    m1 = {(int(a), int(b)) for a, b in m1_keys}
-    r = sum(k in m1 for k in pg3.generators_through(fr.frame, fr.p_eps(eps)))
+    through = pg3.generators_through(fr.frame, fr.p_eps(eps))
+    r = int(np.isin(pg3.line_codes(fr.ctx2, through), pg3.line_codes(fr.ctx2, m1_keys)).sum())
     return r, (fr.q + 1) // 2 - r
 
 
@@ -213,20 +213,20 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     ctx2 = make_field(p, 2 * h)
     frame = pg3.cp_frame(ctx2)
     curve = curves.cp_curve_points(ctx2)
-    gcp = set()
-    for packed in curve:
-        gcp.update(pg3.generators_through(frame, pg3.unpack(ctx2, int(packed))))
+    gcp = np.unique(pg3.line_codes(ctx2, np.concatenate(
+        [pg3.generators_through(frame, pg3.unpack(ctx2, int(x))) for x in curve])))
     _check(len(gcp) == (q + 1) * (q * q + 1), f"{len(gcp)} generators meet the curve")
     G, H = groups.cp_group_gens(ctx2)
     seed = min(pg3.generators_through(frame, (0, 0, 0, 1)))
-    M = set(groups.orbit(ctx2, H.gens, seed))
+    M = groups.orbit(ctx2, H.gens, seed)
     _check(2 * len(M) == len(gcp), "index-2 split failed")
-    _check(set(groups.orbit(ctx2, H.gens, min(gcp - M))) == gcp - M,
+    rest = pg3.code_keys(ctx2, np.setdiff1d(gcp, pg3.line_codes(ctx2, M)))
+    _check(np.array_equal(groups.orbit(ctx2, H.gens, rest[0]), rest),
            "complementary orbit mismatch")
     if seed_orbit == "minus":
-        M = gcp - M
+        M = rest
     chords = curves.cp_imaginary_chords(ctx2)
-    lines = _sorted_lines(list(M) + [tuple(r) for r in chords])
+    lines = _sorted_lines(ctx2, M, chords)
     cand = HemisystemCandidate(
         family="cp", p=p, h=h, eps=None, chi=None, lines=lines, ctx=ctx2,
         provenance={"seed": list(seed), "seed_orbit": seed_orbit,
@@ -251,14 +251,14 @@ def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     key0, quad0, seed_prov = seed_generator_g0(fr)
     m1 = groups.orbit(fr.ctx2, H.gens, key0)
     _check(4 * len(m1) == (q ** 3 - q) * (q + 1), "half-orbit size mismatch")
-    r, rp = count_r_rprime(fr, np.asarray(m1, dtype=np.int64), "plus")
+    r, rp = count_r_rprime(fr, m1, "plus")
     if r == rp:
         raise TieRR(f"r = r' = {r}")
     pick_eps = 1 if r < rp else -1
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, pick_eps))
     _check(2 * len(m2) == (q + 1) ** 2, f"{len(m2)} lines in the M2 half-orbit")
     chords = curves.ft_imaginary_chords(fr.ctx2)
-    lines = _sorted_lines(list(m1) + list(m2) + [tuple(rw) for rw in chords])
+    lines = _sorted_lines(fr.ctx2, m1, m2, chords)
     n_rational = (q ** 3 + q + 2) // 2
     _check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
            f"{len(m1)} + {len(m2)} curve-meeting lines")
@@ -287,7 +287,8 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
         return cand, report
     flipped = "minus" if cand.provenance["m2_point"] == "plus" else "plus"
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, 1 if flipped == "plus" else -1))
-    lines = _sorted_lines(list(cand.key_set() - set(m2_old)) + list(m2))
+    keep = ~np.isin(pg3.line_codes(fr.ctx2, cand.lines), pg3.line_codes(fr.ctx2, m2_old))
+    lines = _sorted_lines(fr.ctx2, cand.lines[keep], m2)
     cand2 = HemisystemCandidate(
         family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
         provenance={**cand.provenance, "m2_point": flipped, "m2_choice": "fallback"})
@@ -383,10 +384,8 @@ def condition_checks(fr: FTFrame, m_keys, P,
     meeting = [k for k, pts in zip(gens, rows)
                if set(int(x) for x in pts) & rational]
     if isinstance(m_keys, (set, frozenset)):
-        m_set = m_keys
-    else:
-        m_set = {(int(a), int(b)) for a, b in np.asarray(m_keys).reshape(-1, 2)}
-    in_m = sum(1 for k in meeting if k in m_set)
+        m_keys = list(m_keys)
+    in_m = int(np.isin(pg3.line_codes(ctx, meeting), pg3.line_codes(ctx, m_keys)).sum())
     if on_curve:
         tag = "CURVE_POINT"
         passed = in_m == (fr.q + 1) // 2

@@ -74,17 +74,6 @@ def count_E3(ctx: FieldCtx, q: int | None = None) -> int:
     return n
 
 
-def count_E3_naive(ctx_q: FieldCtx) -> int:
-    """Double-loop oracle for count_E3."""
-    n = 1
-    for x in range(ctx_q.order):
-        rhs = ctx_q.sub(ctx_q.mul(x, ctx_q.mul(x, x)), x)
-        for y in range(ctx_q.order):
-            if ctx_q.mul(y, y) == rhs:
-                n += 1
-    return n
-
-
 @dataclass
 class CountRecord:
     q: int

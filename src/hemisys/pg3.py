@@ -12,7 +12,10 @@ first nonzero coordinate is 1, R2 (0 at i) is below every R1 + lam R2
 (1 at i), and these agree with R1 before j and hold lam at j, so lam = 0
 is the least: the key is (R2, R1), and no point is enumerated to find
 it.  Surface points also have a dense index 0 .. num_points-1
-(surface_index, and its inverse surface_point).
+(surface_index, and its inverse surface_point).  Orbits and key sets are
+handled as one int64 line code per key (line_codes, and its inverse
+code_keys), which sorts exactly like the keys, so sets of lines are 1-D
+np.unique, np.isin and np.setdiff1d.
 
 line_surface_index indexes the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
@@ -358,6 +361,38 @@ def line_keys_batch(ctx: FieldCtx, A, B):
     return np.stack([_pack_rows(ctx, R2), _pack_rows(ctx, R1)], axis=1)
 
 
+def _code_base(ctx: FieldCtx) -> tuple:
+    """(n = order, one = rank of 1, N = n^3 + n^2 + n + 1 points of PG(3, n)).
+
+    Raises TooLarge unless every line code fits an int64: a key's first point
+    is 0 where its second leads, so its dense rank is below n^2 + n + 1.
+    """
+    n = ctx.order
+    N = n ** 3 + n ** 2 + n + 1
+    if (n * n + n + 1) * N >= 2 ** 63:
+        raise TooLarge(f"line codes at order {n} overflow int64")
+    return n, int(ctx.rank_np[1]), N
+
+
+def line_codes(ctx: FieldCtx, keys) -> np.ndarray:
+    """One int64 per key row, dense(key0) * N + dense(key1), where dense ranks a
+    normalized packed point among all N points in packed order; codes sort like keys."""
+    n, one, N = _code_base(ctx)
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    lead = one * n ** np.arange(4)            # the least point that leads at place 3 - k
+    k = np.searchsorted(lead, keys, side="right") - 1
+    dense = keys - lead[k] + (n ** k - 1) // (n - 1)
+    return dense[:, 0] * N + dense[:, 1]
+
+
+def code_keys(ctx: FieldCtx, codes) -> np.ndarray:
+    """Key rows (len(codes), 2) of line codes; the inverse of line_codes."""
+    n, one, N = _code_base(ctx)
+    d = np.stack(np.divmod(np.asarray(codes, dtype=np.int64), N), axis=1)
+    k = np.searchsorted((n ** np.arange(4) - 1) // (n - 1), d, side="right") - 1
+    return d - (n ** k - 1) // (n - 1) + one * n ** k
+
+
 def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
     """(n, q^2+1) packed point table of the lines given by key rows."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
@@ -524,23 +559,3 @@ def surface_point(frame: HermitianFrame, index):
 def enumerate_surface(frame: HermitianFrame) -> np.ndarray:
     """Sorted packed array of all (q^3+1)(q^2+1) surface points."""
     return np.sort(surface_point(frame, np.arange(frame.num_points)))
-
-
-def enumerate_generators(frame: HermitianFrame, force: bool = False) -> list:
-    """All generator keys; intended for q <= 7 unless force is set."""
-    if frame.q > 7 and not force:
-        raise TooLarge(f"full generator enumeration at q={frame.q} is heavy; pass force")
-    ctx = frame.ctx
-    pts = enumerate_surface(frame)
-    pairs_a = []
-    pairs_b = []
-    for packed in pts:
-        P = unpack(ctx, int(packed))
-        for R in _generator_partners(frame, P):
-            pairs_a.append(P)
-            pairs_b.append(R)
-    keys = line_keys_batch(ctx, pairs_a, pairs_b)
-    out = sorted({(int(a), int(b)) for a, b in keys})
-    if len(out) != frame.num_generators:
-        raise GeneratorCountMismatch(f"{len(out)} generators, expected {frame.num_generators}")
-    return out

@@ -21,6 +21,8 @@ import numpy as np
 
 from hemisys import cli, curves, gf, groups, hemisystem, numbers, pg3
 
+import oracles
+
 
 def _report(n: int, ok: bool, detail: str) -> None:
     print(f"[criterion {n:02d}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -84,13 +86,13 @@ def test_criterion_04_orbit_structure(ft17, ft17_gens, ft17_seed, ft17_g1,
                                        ft17_m1, ft17_m2, ft17_g2):
     ctx = ft17.ctx2
     _, _, w = ft17_gens
-    m1 = set(ft17_m1)
+    m1 = set(map(tuple, ft17_m1.tolist()))
     w_m1 = {(int(a), int(b)) for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m1))}
-    m2 = set(ft17_m2)
+    m2 = set(map(tuple, ft17_m2.tolist()))
     w_m2 = {(int(a), int(b)) for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m2))}
     ok = (len(ft17_g1) == 44064
           and len(m1) == 22032 and len(w_m1) == 22032
-          and not (m1 & w_m1) and m1 | w_m1 == set(ft17_g1)
+          and not (m1 & w_m1) and m1 | w_m1 == set(map(tuple, ft17_g1.tolist()))
           and len(m2) == 162 and len(w_m2) == 162
           and not (m2 & w_m2) and m2 | w_m2 == set(ft17_g2)
           and len(ft17_g2) == 324)
@@ -223,7 +225,7 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
     # complement of the q=3 hemisystem is a hemisystem
     cand, _ = cp3_build
     frame3 = pg3.cp_frame(cand.ctx2())
-    comp = sorted(set(pg3.enumerate_generators(frame3)) - cand.key_set())
+    comp = sorted(set(oracles.enumerate_generators(frame3)) - cand.key_set())
     comp_cand = hemisystem.HemisystemCandidate(
         "cp", 3, 1, None, None, np.asarray(comp, dtype=np.int64))
     parts["complement_q3"] = hemisystem.verify(comp_cand).passed

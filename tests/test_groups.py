@@ -111,11 +111,11 @@ def test_cp_orbit_split(p, total, half):
     assert len(gcp) == total
     G, H = groups.cp_group_gens(ctx)
     seed = min(pg3.generators_through(pg3.cp_frame(ctx), (0, 0, 0, 1)))
-    M = set(groups.orbit(ctx, H.gens, seed))
+    M = set(map(tuple, groups.orbit(ctx, H.gens, seed).tolist()))
     assert len(M) == half
-    M2 = set(groups.orbit(ctx, H.gens, min(gcp - M)))
+    M2 = set(map(tuple, groups.orbit(ctx, H.gens, min(gcp - M)).tolist()))
     assert M2 == gcp - M
-    full = set(groups.orbit(ctx, G.gens, seed))
+    full = set(map(tuple, groups.orbit(ctx, G.gens, seed).tolist()))
     assert full == gcp
 
 
@@ -217,7 +217,7 @@ def test_order2_fixed_structures(ft17):
 def test_gens_map_g1_bijectively(ft17, ft17_gens, ft17_g1):
     ctx = ft17.ctx2
     G, H, w = ft17_gens
-    g1 = set(ft17_g1)
+    g1 = set(map(tuple, ft17_g1.tolist()))
     arr = np.asarray(ft17_g1, dtype=np.int64)
     for col in G.gens + [w]:
         img = groups.apply_to_keys(ctx, col, arr)
@@ -228,18 +228,18 @@ def test_gens_map_g1_bijectively(ft17, ft17_gens, ft17_g1):
 def test_h_orbits_on_g1_swapped_by_w(ft17, ft17_gens, ft17_m1, ft17_g1):
     ctx = ft17.ctx2
     G, H, w = ft17_gens
-    m1 = set(ft17_m1)
+    m1 = set(map(tuple, ft17_m1.tolist()))
     assert len(m1) == 22032
     w_m1 = {(int(a), int(b))
             for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m1))}
     assert not (m1 & w_m1)
-    assert m1 | w_m1 == set(ft17_g1)
+    assert m1 | w_m1 == set(map(tuple, ft17_g1.tolist()))
 
 
 def test_h_orbits_on_g2_swapped_by_w(ft17, ft17_gens, ft17_m2, ft17_g2):
     ctx = ft17.ctx2
     G, H, w = ft17_gens
-    m2 = set(ft17_m2)
+    m2 = set(map(tuple, ft17_m2.tolist()))
     assert len(m2) == 162
     w_m2 = {(int(a), int(b))
             for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m2))}
@@ -247,7 +247,7 @@ def test_h_orbits_on_g2_swapped_by_w(ft17, ft17_gens, ft17_m2, ft17_g2):
     assert m2 | w_m2 == set(ft17_g2)
     # the full group is transitive on the omega-meeting generators
     full = groups.orbit(ctx, G.gens, ft17_m2[0])
-    assert set(full) == set(ft17_g2)
+    assert set(map(tuple, full.tolist())) == set(ft17_g2)
 
 
 def test_orbit_determinism_and_budget(ft17, ft17_gens):
@@ -256,7 +256,7 @@ def test_orbit_determinism_and_budget(ft17, ft17_gens):
     seed = hemisystem.ell_line(ft17, 1)
     o1 = groups.orbit(ctx, H.gens, seed)
     o2 = groups.orbit(ctx, H.gens, seed)
-    assert o1 == o2
+    assert np.array_equal(o1, o2)
     with pytest.raises(groups.OrbitBudgetExceeded):
         groups.orbit(ctx, H.gens, seed, max_size=100)
 

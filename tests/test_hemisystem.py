@@ -12,6 +12,8 @@ import pytest
 
 from hemisys import curves, gf, groups, hemisystem, numbers, pg3
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # seed generator
@@ -110,7 +112,7 @@ def test_build_cp_too_large_guard():
 def test_complement_is_hemisystem_q3(cp3_build, F9):
     cand, _ = cp3_build
     frame = pg3.cp_frame(F9)
-    comp = sorted(set(pg3.enumerate_generators(frame)) - cand.key_set())
+    comp = sorted(set(oracles.enumerate_generators(frame)) - cand.key_set())
     comp_cand = hemisystem.HemisystemCandidate(
         "cp", 3, 1, None, None, np.asarray(comp, dtype=np.int64))
     assert hemisystem.verify(comp_cand).passed
@@ -135,11 +137,11 @@ def test_build_ft_partitions(ft17, ft17_gens, ft17_build, ft17_g1, ft17_g2,
     # the chosen halves and their w-images tile the two curve-meeting classes
     ctx = ft17.ctx2
     _, _, w = ft17_gens
-    m1 = set(ft17_m1)
-    m2 = set(ft17_m2)
+    m1 = set(map(tuple, ft17_m1.tolist()))
+    m2 = set(map(tuple, ft17_m2.tolist()))
     w_m1 = {(int(a), int(b)) for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m1))}
     w_m2 = {(int(a), int(b)) for a, b in groups.apply_to_keys(ctx, w, np.asarray(ft17_m2))}
-    assert m1 | w_m1 == set(ft17_g1) and not (m1 & w_m1)
+    assert m1 | w_m1 == set(map(tuple, ft17_g1.tolist())) and not (m1 & w_m1)
     assert m2 | w_m2 == set(ft17_g2) and not (m2 & w_m2)
 
 
@@ -275,7 +277,7 @@ def test_complement_is_hemisystem_q17(ft17, ft17_gens, ft17_build, ft17_g1,
     ctx = ft17.ctx2
     _, _, w = ft17_gens
     chords_m = groups.apply_to_keys(ctx, w, np.asarray(ft17_chords))
-    all_gens = (set(ft17_g1) | set(ft17_g2)
+    all_gens = (set(map(tuple, ft17_g1.tolist())) | set(ft17_g2)
                 | {(int(a), int(b)) for a, b in ft17_chords}
                 | {(int(a), int(b)) for a, b in chords_m})
     assert len(all_gens) == (17 ** 3 + 1) * 18
@@ -609,3 +611,10 @@ def test_import_peak_memory_q17(ft17_build, tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.lines, cand.lines)
     assert peak < 20e6, peak
+
+
+def test_pinned_ft17_keys_round_trip_line_codes(ft17, ft17_build):
+    for cand in (ft17_build[0], hemisystem.build_ft(17, 1, -1)):
+        codes = pg3.line_codes(ft17.ctx2, cand.lines)
+        assert (np.diff(codes) > 0).all()
+        assert np.array_equal(pg3.code_keys(ft17.ctx2, codes), cand.lines)

@@ -6,6 +6,8 @@ import pytest
 
 from hemisys import gf, hemisystem, pg3
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def cp3(F9):
@@ -297,17 +299,17 @@ def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9):
 
 
 def test_enumerate_generators_counts(cp3, F25):
-    assert len(pg3.enumerate_generators(cp3)) == 112
-    assert len(pg3.enumerate_generators(pg3.cp_frame(F25))) == 756
+    assert len(oracles.enumerate_generators(cp3)) == 112
+    assert len(oracles.enumerate_generators(pg3.cp_frame(F25))) == 756
 
 
 def test_enumerate_generators_too_large(ft17f):
     with pytest.raises(pg3.TooLarge):
-        pg3.enumerate_generators(ft17f)
+        oracles.enumerate_generators(ft17f)
 
 
 def test_full_incidence_cross_check_q3(cp3, F9):
-    gens = pg3.enumerate_generators(cp3)
+    gens = oracles.enumerate_generators(cp3)
     cnt = Counter()
     for key in gens:
         A, B = pg3.key_points(F9, key)
@@ -343,7 +345,7 @@ def test_two_point_generator_criterion_equivalence_q3(cp3, F9):
     keys = pg3.line_keys_batch(F9, np.asarray(A, dtype=np.int64),
                                np.asarray(B, dtype=np.int64))
     seen = {(int(a), int(b)) for a, b in keys}
-    gens = set(pg3.enumerate_generators(cp3))
+    gens = set(oracles.enumerate_generators(cp3))
     assert gens & seen
     for key in seen:
         P, Q = pg3.key_points(F9, key)
@@ -394,3 +396,67 @@ def test_packed_order_is_digit_lex(F289):
     assert packed == sorted(packed)
     digit_seqs = [tuple(c // 17 ** i % 17 for c in p for i in range(2)) for p in pts]
     assert digit_seqs == sorted(digit_seqs)
+
+
+# ---------------------------------------------------------------------------
+# line codes
+
+def _assert_codes_sort_and_round_trip(ctx, keys):
+    """keys: sorted distinct key rows; their codes rise strictly and decode back."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    codes = pg3.line_codes(ctx, keys)
+    assert codes.dtype == np.int64
+    assert (np.diff(codes) > 0).all()
+    assert np.array_equal(pg3.code_keys(ctx, codes), keys)
+
+
+def test_line_code_dense_rank_is_packed_order(F9):
+    # with the least point (0,0,0,1) first, a key's code is dense of its second point
+    n = F9.order
+    r = np.arange(n)
+    grid = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    unrank = F9.unrank_np[grid]
+    lead = unrank[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    packed = np.sort(grid[(grid != 0).any(axis=1) & (lead == 1)] @ n ** np.arange(3, -1, -1))
+    assert len(packed) == n ** 3 + n ** 2 + n + 1
+    first = pg3.pack(F9, (0, 0, 0, 1))
+    dense = pg3.line_codes(F9, np.stack([np.full_like(packed, first), packed], axis=1))
+    assert np.array_equal(dense, np.arange(len(packed)))
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (3, 4)])
+@pytest.mark.parametrize("make_frame", [pg3.cp_frame, pg3.ft_frame])
+def test_line_codes_on_every_generator(p, d, make_frame):
+    ctx = gf.make_field(p, d)
+    _assert_codes_sort_and_round_trip(ctx, oracles.enumerate_generators(make_frame(ctx),
+                                                                        force=True))
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_line_codes_on_random_lines(p):
+    ctx = gf.make_field(p, 2)
+    rng = np.random.default_rng(p)
+    A, B = rng.integers(0, ctx.order, size=(2, 5000, 4))
+    A[:, 0] = 1                        # never zero, and A, B never proportional
+    B[:, 0] = 0
+    B[(B == 0).all(axis=1), 3] = 1
+    keys = np.unique(pg3.line_keys_batch(ctx, A, B), axis=0)
+    assert len(keys) > 4900
+    _assert_codes_sort_and_round_trip(ctx, keys)
+
+
+def test_line_codes_refuse_orders_past_int64():
+    big = gf.make_field(79, 2)
+    with pytest.raises(pg3.TooLarge):
+        pg3.line_codes(big, np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(pg3.TooLarge):
+        pg3.code_keys(big, np.zeros(0, dtype=np.int64))
+    ctx = gf.make_field(73, 2)
+    n = ctx.order
+    one = int(ctx.rank_np[1])
+    # the top code: the last point with X0 = 0, then the last point (ranks
+    # (0, 1, n-1, n-1) and (1, n-1, n-1, n-1)), dense n^2 + n and N - 1
+    N = n ** 3 + n ** 2 + n + 1
+    top = [[one * n * n + (n - 1) * (n + 1), one * n ** 3 + (n - 1) * (n * n + n + 1)]]
+    _assert_codes_sort_and_round_trip(ctx, top)
+    assert int(pg3.line_codes(ctx, top)[0]) == (n * n + n) * N + N - 1 > 2 ** 61
