@@ -42,10 +42,6 @@ class TwoNotSquare(ValueError):
     pass
 
 
-class NotGenerator(ValueError):
-    pass
-
-
 class ProjectionUndefined(ValueError):
     pass
 
@@ -59,10 +55,6 @@ def _check(ok: bool, what: str) -> None:
     if not ok:
         raise CurveInvariantFailed(what)
 
-
-G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
-G1_MEETS_DELTAS = "G1_MEETS_DELTAS"
-DISJOINT = "DISJOINT"
 
 RATIONAL_SUBPLANE = "RATIONAL_SUBPLANE"
 TYPE_I = "TYPE_I"
@@ -274,27 +266,6 @@ def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
          vec_add(ctx2, vec_mul(ctx2, ya, ya), vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb)))]
     B = [np.zeros_like(xb), xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb))]
     return _chord_keys(ctx2, A, B, expect_pts // 2)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-def classify_generator(frame: HermitianFrame, key, sets: CurvePointSets) -> str:
-    ctx = frame.ctx
-    A, B = pg3.key_points(ctx, key)
-    if not pg3.is_generator(frame, A, B):
-        raise NotGenerator(f"line {key} is not a generator")
-    pts = set(int(x) for x in pg3.line_points(ctx, A, B))
-    n_om = len(pts & sets.omega_set)
-    n_p = len(pts & sets.plus_set)
-    n_m = len(pts & sets.minus_set)
-    _check(n_om + n_p <= 1 and n_om + n_m <= 1, "two rational curve points on one generator")
-    if n_om:
-        return G2_MEETS_OMEGA
-    if n_p or n_m:
-        _check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
-        return G1_MEETS_DELTAS
-    return DISJOINT
 
 
 def _normalize3(ctx: FieldCtx, c) -> tuple:

@@ -5,12 +5,14 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.  Each worker thread adds the pg3.line_surface_index of its
-share of 2048-line chunks in place into its own array of one uint16 per
-surface point (np.add.at), so memory grows with the points, not with the
-incidences.  A wrapped counter would make the int64 incidence total fall
-short.  A size whose arrays and tables would exceed physical memory is
-refused with pg3.TooLarge before any is allocated.
+surface points.  Each worker thread adds the int32 pg3.line_surface_index
+of its share of 512-line chunks (a few MB of temporaries, near the L2
+cache) in place into its own array of one uint16 per surface point
+(np.add.at), so memory grows with the points, not with the incidences.
+A wrapped counter would make the int64 incidence total fall short.  A
+size whose arrays and tables would exceed physical memory, or whose
+surface indices would not fit an int32 (2^31 points, q >= 79), is refused
+with pg3.TooLarge before any is allocated.
 
 Candidate files are written and read by array code.  export looks up the
 8 ranks of each key in one table of coordinate strings; import_candidate
@@ -302,7 +304,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
 # ---------------------------------------------------------------------------
 # exact verification
 
-CHUNK_LINES = 2048                             # key rows per count step
+CHUNK_LINES = 512                              # key rows per count step
 
 
 def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
@@ -312,10 +314,12 @@ def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
 
 
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
-    """Bytes of each worker's uint16 counts and three int64 arrays of a chunk, then the tables."""
+    """Bytes of each worker's uint16 counts and five int32 arrays of a chunk (its indices,
+    d, and start.take's result and int64 copy of its indices), then the tables: pg3's
+    three int32 Zech rows, int32 slot and start, int64 fibre and sol_at."""
     n = frame.ctx.order
-    return (2 * workers * frame.num_points + 8 * 3 * workers * CHUNK_LINES * (n + 1)
-            + 8 * (n * n + (frame.q + 3) * n + 3 * n * (n - 1)))
+    return (2 * workers * frame.num_points + 4 * 5 * workers * CHUNK_LINES * (n + 1)
+            + 4 * (9 * n * (n - 1) + n * n + n) + 8 * (frame.q + 1) * n)
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
@@ -332,6 +336,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     if need > have:
         raise pg3.TooLarge(f"verify at q={frame.q} needs {need} bytes of counts and "
                            f"tables, over the {have} bytes of physical memory")
+    pg3.require_int32_indices(frame)
     bad = pg3.check_generators_batch(frame, keys)
     if len(bad):
         k = keys[int(bad[0])]

@@ -19,13 +19,18 @@ np.unique, np.isin and np.setdiff1d.
 
 line_surface_index indexes the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
-has rank shift[R1[k] w + log R2[k] + t], shift[a w + s] = rank(a + exp[s]),
+has rank r[R1[k] w + log R2[k] + t], r[a w + s] = rank(a + exp[s]),
 w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
 logarithms; Lidl and Niederreiter, Finite Fields).  Each such point has
 X0 = R1[0], as R2[0] = 0, so only the lines in the plane X0 = 0 take
-surface_index's X0 = 0 rule.  shift (order w int64: 2.0 MB at q = 17,
-68 MB at q = 41) is built on first use on the frame, like index_tables
-(order^2): one-line callers (line_points_batch) never build it.
+surface_index's X0 = 0 rule; the rest have index a q + d with
+a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r order,
+r and slot[r] as three int32 tables, so a is one add of two row reads and
+d one subtract (order w entries each: 1.0 MB at q = 17, 34 MB at q = 41).
+Every index is int32, which holds while num_points < 2^31, i.e. q <= 73
+(require_int32_indices).  The rows are built on first use on the frame,
+like index_tables (order^2): one-line callers (line_points_batch) never
+build them.
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -104,20 +109,31 @@ class HermitianFrame:
         rhs = vec_add(ctx, norm[:, None], e_norm[None, :]).reshape(-1)
         pos = np.empty(n, dtype=np.int64)
         pos[np.argsort(trace, kind="stable")] = np.tile(np.arange(q), q)   # q fibres of q ranks
-        slot = trace * q + pos
+        slot = (trace * q + pos).astype(np.int32)
         fibre = np.zeros(n * q, dtype=np.int64)
         fibre[slot] = np.arange(n)
         sol_at = np.full(n, -1, dtype=np.int64)
         sols = np.flatnonzero(e_norm == ctx.neg_np[1])
         sol_at[sols] = np.arange(len(sols))
-        return int(ctx.rank_np[1]), fibre, slot, rhs * q, sol_at
+        return int(ctx.rank_np[1]), fibre, slot, (rhs * q).astype(np.int32), sol_at
 
     @cached_property
-    def shift(self) -> np.ndarray:
-        """shift[a * w + s] = rank(a + exp[s]), w = 3(order - 1) (see the module docstring)."""
-        ctx = self.ctx
-        a = np.arange(ctx.order, dtype=np.int64)[:, None]
-        return ctx.rank_np[vec_add(ctx, a, ctx.exp_np[:3 * (ctx.order - 1)])].reshape(-1)
+    def zech_rows(self) -> tuple:
+        """Windows (order w, order - 1) onto r * order, r and slot[r], int32, for
+        r[a * w + s] = rank(a + exp[s]), w = 3(order - 1) (see the module docstring)."""
+        require_int32_indices(self)
+        ctx, n = self.ctx, self.ctx.order
+        a = np.arange(n, dtype=np.int64)[:, None]
+        r = ctx.rank_np.astype(np.int32)[vec_add(ctx, a, ctx.exp_np[:3 * (n - 1)])].reshape(-1)
+        return tuple(np.lib.stride_tricks.sliding_window_view(t, n - 1)
+                     for t in (r * n, r, self.index_tables[2][r]))
+
+
+def require_int32_indices(frame: HermitianFrame) -> None:
+    """Raise TooLarge unless every surface index fits an int32, as at q <= 73."""
+    if frame.num_points >= 2 ** 31:
+        raise TooLarge(f"q={frame.q} has {frame.num_points} surface points; "
+                       "int32 surface indices need fewer than 2**31")
 
 
 def cp_frame(ctx: FieldCtx) -> HermitianFrame:
@@ -247,19 +263,6 @@ def _dot4(ctx, row, vec):
     return acc
 
 
-def on_plane(ctx: FieldCtx, coeffs, P) -> bool:
-    return _dot4(ctx, coeffs, P) == 0
-
-
-def pole(frame: HermitianFrame, coeffs) -> tuple:
-    """Pole of a plane under the unitary polarity (inverse of tangent_plane)."""
-    ctx = frame.ctx
-    h = ctx.d // 2
-    gi = mat_inv(ctx, frame.gram)
-    v = [_dot4(ctx, gi[i], coeffs) for i in range(4)]
-    return normalize(ctx, tuple(ctx.frobenius(x, ctx.d - h) for x in v))
-
-
 # ---------------------------------------------------------------------------
 # 4x4 matrix helpers over the field
 
@@ -280,27 +283,6 @@ def _sum4(ctx, xs):
     for x in xs:
         acc = ctx.add(acc, x)
     return acc
-
-
-def mat_inv(ctx: FieldCtx, M):
-    n = 4
-    a = [list(row) for row in M]
-    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        s = ctx.inv(a[col][col])
-        a[col] = [ctx.mul(x, s) for x in a[col]]
-        b[col] = [ctx.mul(x, s) for x in b[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
-                b[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(b[r], b[col])]
-    return tuple(tuple(row) for row in b)
 
 
 def mat_frob(ctx: FieldCtx, M, k: int):
@@ -501,7 +483,7 @@ def _rank_index(frame: HermitianFrame, hi, r3):
     tail = np.flatnonzero(a < 0)
     a.flat[tail] = 0
     d = slot.take(r3) - start.take(a)         # x3's place in its fibre if 0 <= d < q
-    ok = d.view(np.uint64) < q                # 0 <= d < q as one unsigned compare
+    ok = d.view(np.uint32) < q                # 0 <= d < q as one unsigned compare
     idx = np.multiply(a, q, out=a)
     idx += d
     if len(tail):
@@ -518,25 +500,26 @@ def _rank_index(frame: HermitianFrame, hi, r3):
 
 
 def line_surface_index(frame: HermitianFrame, keys) -> tuple:
-    """surface_index of the points R1 + g^t R2 (t = 0 .. order-2), (n, order-1),
-    and of the key rows (R2, R1), (n, 2), of the lines given by key rows."""
+    """surface_index of the points R1 + g^t R2 (t = 0 .. order-2), (n, order-1)
+    int32, and of the key rows (R2, R1), (n, 2), of the lines given by key rows."""
     ctx, n, q = frame.ctx, frame.ctx.order, frame.q
-    one, _, slot, start, _ = frame.index_tables
+    one, _, _, start, _ = frame.index_tables
+    x1n, x2, x3slot = frame.zech_rows
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     R1, R2 = _rref(ctx, *(np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1)))
     base = R1 * (3 * (n - 1)) + ctx.log_np[R2]
-    rows = np.lib.stride_tricks.sliding_window_view(frame.shift, n - 1)
-    a = rows[base[:, 1]] * n                  # rank x1 * order + rank x2
-    a += rows[base[:, 2]]
+    a = x1n[base[:, 1]]                       # rank x1 * order + rank x2
+    a += x2[base[:, 2]]
     tail = np.flatnonzero(R1[:, 0] == 0)      # lines in the plane X0 = 0
-    in_plane = _rank_index(frame, a[tail], rows[base[tail, 3]])
-    d = slot.take(rows[base[:, 3]])
-    d -= start.take(a)
+    in_plane = _rank_index(frame, a[tail], x2[base[tail, 3]])
+    d = x3slot[base[:, 3]]
+    d -= start.take(a)                        # x3's place in its fibre if 0 <= d < q
     d[tail] = 0
-    if (d.view(np.uint64) >= q).any():        # d < 0 or d >= q as one unsigned compare
-        r, t = np.argwhere(d.view(np.uint64) >= q)[0]
-        packed = (one * n * n + a[r, t]) * n + rows[base[r, 3], t]
-        raise NotOnSurface(f"{unpack(ctx, int(packed))} is not on the surface")
+    off = d.view(np.uint32) >= q              # d < 0 or d >= q as one unsigned compare
+    if off.any():
+        r, t = np.argwhere(off)[0]
+        packed = (one * n * n + int(a[r, t])) * n + int(x2[base[r, 3], t])
+        raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
     a *= q
     a += d
     a[tail] = in_plane
@@ -554,8 +537,3 @@ def surface_point(frame: HermitianFrame, index):
     sols = np.flatnonzero(sol_at >= 0)
     tail = np.where(i == q5, one, (one * n + sols[j]) * n + r3)
     return np.where(i < q5, affine, tail)
-
-
-def enumerate_surface(frame: HermitianFrame) -> np.ndarray:
-    """Sorted packed array of all (q^3+1)(q^2+1) surface points."""
-    return np.sort(surface_point(frame, np.arange(frame.num_points)))

@@ -3,13 +3,82 @@
 enumerate_generators lists every generator of the surface through the
 transversal scan at the surface points of one plane; count_E3_naive counts the
 points of Y^2 = X^3 - X by a double loop.  The tests compare the library's
-faster routes against them.
+faster routes against them.  enumerate_surface, on_plane, pole (with mat_inv)
+and classify_generator are only used by tests, so they live here too.
 """
 
 from __future__ import annotations
 
-from hemisys import pg3
+import numpy as np
+
+from hemisys import curves, pg3
 from hemisys.gf import FieldCtx
+
+G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
+G1_MEETS_DELTAS = "G1_MEETS_DELTAS"
+DISJOINT = "DISJOINT"
+
+
+class NotGenerator(ValueError):
+    pass
+
+
+def enumerate_surface(frame: pg3.HermitianFrame) -> np.ndarray:
+    """Sorted packed array of all (q^3+1)(q^2+1) surface points."""
+    return np.sort(pg3.surface_point(frame, np.arange(frame.num_points)))
+
+
+def on_plane(ctx: FieldCtx, coeffs, P) -> bool:
+    return pg3._dot4(ctx, coeffs, P) == 0
+
+
+def pole(frame: pg3.HermitianFrame, coeffs) -> tuple:
+    """Pole of a plane under the unitary polarity (inverse of tangent_plane)."""
+    ctx = frame.ctx
+    h = ctx.d // 2
+    gi = mat_inv(ctx, frame.gram)
+    v = [pg3._dot4(ctx, gi[i], coeffs) for i in range(4)]
+    return pg3.normalize(ctx, tuple(ctx.frobenius(x, ctx.d - h) for x in v))
+
+
+def mat_inv(ctx: FieldCtx, M):
+    n = 4
+    a = [list(row) for row in M]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        s = ctx.inv(a[col][col])
+        a[col] = [ctx.mul(x, s) for x in a[col]]
+        b[col] = [ctx.mul(x, s) for x in b[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
+                b[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(b[r], b[col])]
+    return tuple(tuple(row) for row in b)
+
+
+def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSets) -> str:
+    ctx = frame.ctx
+    A, B = pg3.key_points(ctx, key)
+    if not pg3.is_generator(frame, A, B):
+        raise NotGenerator(f"line {key} is not a generator")
+    pts = set(int(x) for x in pg3.line_points(ctx, A, B))
+    n_om = len(pts & sets.omega_set)
+    n_p = len(pts & sets.plus_set)
+    n_m = len(pts & sets.minus_set)
+    curves._check(n_om + n_p <= 1 and n_om + n_m <= 1,
+                  "two rational curve points on one generator")
+    if n_om:
+        return G2_MEETS_OMEGA
+    if n_p or n_m:
+        curves._check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
+        return G1_MEETS_DELTAS
+    return DISJOINT
 
 
 def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list:
@@ -23,7 +92,7 @@ def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list
     ctx = frame.ctx
     pairs_a = []
     pairs_b = []
-    pts = pg3.enumerate_surface(frame)
+    pts = enumerate_surface(frame)
     for packed in pts[pts < ctx.order ** 3]:
         P = pg3.unpack(ctx, int(packed))
         for R in pg3._generator_partners(frame, P):

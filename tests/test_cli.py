@@ -174,6 +174,25 @@ def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
     assert 6e8 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 1e9
 
 
+def test_verify_refuses_more_points_than_int32_indices(capsys, monkeypatch, tmp_path):
+    # q=79 has 3,077,555,680 surface points, past what an int32 index holds;
+    # with physical memory taken as 2^80 bytes the budget passes, the guard does not
+    ctx = gf.make_field(79, 2)
+    assert pg3.ft_frame(ctx).num_points >= 2 ** 31
+    path = tmp_path / "q79.hs"
+    path.write_text("#hemis v1\nfamily=ft p=79 h=1 eps=+1 chi=+1\n"
+                    f"poly2={','.join(map(str, ctx.poly))}\n"
+                    f"count=0 sha256={hashlib.sha256(b'').hexdigest()}\n")
+    monkeypatch.setattr(hemisystem.os, "sysconf", lambda name: 2 ** 40)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: q=79 has 3077555680 surface points") and "2**31" in err
+    # q=73, the largest q the line codes allow, passes
+    frame73 = pg3.ft_frame(gf.make_field(73, 2))
+    assert frame73.num_points < 2 ** 31
+    pg3.require_int32_indices(frame73)
+
+
 def test_verify_builds_the_field_once(capsys, monkeypatch, tmp_path, cp3_build):
     # import_candidate's GF(q^2) reaches verify; neither builds it again
     path = tmp_path / "h3.hs"

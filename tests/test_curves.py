@@ -10,6 +10,7 @@ import pytest
 from hemisys import curves, gf, pg3
 
 import gf_q4_oracle as oracle
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,7 @@ def test_offcurve_tangent_meets_curve_in_q_plus_1_points_q5(cp5_setup):
     ctx2, ctx4, emb, inv = cp5_setup
     frame = pg3.cp_frame(ctx2)
     curve = set(int(x) for x in curves.cp_curve_points(ctx2))
-    surf = pg3.enumerate_surface(frame)
+    surf = oracles.enumerate_surface(frame)
     c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
     rng = random.Random(1)
     done = 0
@@ -252,23 +253,23 @@ def test_g1_size_and_single_delta_meetings(ft17, ft17_sets, ft17_g1):
 
 
 def test_classify_generator(ft17, ft17_sets, ft17_g2, ft17_g1, ft17_chords):
-    assert curves.classify_generator(ft17.frame, ft17_g2[0], ft17_sets) \
-        == curves.G2_MEETS_OMEGA
-    assert curves.classify_generator(ft17.frame, ft17_g1[0], ft17_sets) \
-        == curves.G1_MEETS_DELTAS
+    assert oracles.classify_generator(ft17.frame, ft17_g2[0], ft17_sets) \
+        == oracles.G2_MEETS_OMEGA
+    assert oracles.classify_generator(ft17.frame, ft17_g1[0], ft17_sets) \
+        == oracles.G1_MEETS_DELTAS
     k = (int(ft17_chords[0][0]), int(ft17_chords[0][1]))
-    assert curves.classify_generator(ft17.frame, k, ft17_sets) == curves.DISJOINT
+    assert oracles.classify_generator(ft17.frame, k, ft17_sets) == oracles.DISJOINT
     # a non-generator is rejected
     ctx = ft17.ctx2
-    surf = pg3.enumerate_surface(ft17.frame)
+    surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(4)
     while True:
         A = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         B = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         if A != B and pg3.herm_form(ft17.frame, A, B) != 0:
             break
-    with pytest.raises(curves.NotGenerator):
-        curves.classify_generator(ft17.frame, pg3.line_key(ctx, A, B), ft17_sets)
+    with pytest.raises(oracles.NotGenerator):
+        oracles.classify_generator(ft17.frame, pg3.line_key(ctx, A, B), ft17_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_point_type_census_q5_against_line_scan(F25):
         return {0: curves.TYPE_I, 2: curves.TYPE_II, 1: curves.TYPE_III}[hits]
 
     census = {}
-    for packed in pg3.enumerate_surface(frame):
+    for packed in oracles.enumerate_surface(frame):
         P = pg3.unpack(ctx, int(packed))
         proj = curves._normalize3(ctx, (P[0], P[2], P[3]))
         tag = curves.classify_point_type(ctx, P)

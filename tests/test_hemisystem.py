@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -231,7 +232,7 @@ def test_verify_mutation_drops_one_line(ft17, ft17_build):
 def test_verify_rejects_non_generator(ft17, ft17_build):
     cand, _ = ft17_build
     ctx = ft17.ctx2
-    surf = pg3.enumerate_surface(ft17.frame)
+    surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(0)
     while True:
         A = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
@@ -294,7 +295,7 @@ def test_complement_arithmetic_q17(ft17, ft17_build):
     cand, _ = ft17_build
     ctx = ft17.ctx2
     key_set = cand.key_set()
-    surf = pg3.enumerate_surface(ft17.frame)
+    surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(5)
     for _ in range(5):
         P = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
@@ -304,8 +305,8 @@ def test_complement_arithmetic_q17(ft17, ft17_build):
 
 
 def test_verify_peak_memory_grows_with_points_q17(ft17, ft17_build):
-    # one counts array per worker (1,425,060 int64 = 11 MB) plus one chunk of
-    # 2048 lines x 290 points; sorting every incidence took about 0.8 GB
+    # one counts array per worker (1,425,060 uint16 = 2.9 MB), the int32 tables
+    # and one chunk of 512 lines x 290 points; sorting every incidence took about 0.8 GB
     cand, report = ft17_build
     tracemalloc.start()
     try:
@@ -323,6 +324,27 @@ def test_verify_threads_match(cp3_build):
     assert rep4.histogram == rep1.histogram and rep4.passed
 
 
+@pytest.mark.parametrize("family,histogram", [("cp", {3: 3276}),
+                                              ("ft", {4: 3600, 5: 52660, 6: 3600})])
+def test_verify_report_does_not_depend_on_chunks_or_workers(family, histogram, monkeypatch):
+    # one line per chunk, a ragged 7 and the default, each at 1 and 3 workers,
+    # on the cp q=5 PASS and the forced ft q=9 FAIL candidate
+    if family == "cp":
+        cand = hemisystem.build_cp(5)
+    else:
+        cand = hemisystem.build_ft(3, 2, force=True)
+    reports = []
+    for chunk in (1, 7, hemisystem.CHUNK_LINES):
+        monkeypatch.setattr(hemisystem, "CHUNK_LINES", chunk)
+        for threads in (1, 3):
+            report = dataclasses.asdict(hemisystem.verify(cand, threads=threads))
+            del report["wall_time"]
+            reports.append(report)
+    assert all(r == reports[0] for r in reports)
+    assert reports[0]["histogram"] == histogram
+    assert reports[0]["passed"] == (family == "cp")
+
+
 # ---------------------------------------------------------------------------
 # condition diagnostics
 
@@ -332,7 +354,7 @@ def test_condition_checks_types_I_II(ft17, ft17_sets, ft17_build, ft17_chords):
     # restrict to the curve-meeting part of the candidate
     chords = set((int(a), int(b)) for a, b in ft17_chords)
     m_half = frozenset(k for k in cand.key_set() if k not in chords)
-    surf = pg3.enumerate_surface(ft17.frame)
+    surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(1)
     rational = ft17_sets.rational_plus
     checked = 0
