@@ -23,24 +23,15 @@ def _emit(report: dict, fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "json":
         out.write(json.dumps(report, sort_keys=True) + "\n")
+    elif "rows" in report and "columns" in report:
+        cols, sep = report["columns"], "," if fmt == "csv" else "  "
+        out.write(sep.join(cols) + "\n")
+        for row in report["rows"]:
+            out.write(sep.join(str(row[c]) for c in cols) + "\n")
     elif fmt == "csv":
-        if "rows" in report and "columns" in report:
-            out.write(",".join(report["columns"]) + "\n")
-            for row in report["rows"]:
-                out.write(",".join(str(row[c]) for c in report["columns"]) + "\n")
-        else:
-            out.write("key,value\n")
-            for k in sorted(report):
-                out.write(f"{k},{report[k]}\n")
+        out.write("key,value\n" + "".join(f"{k},{report[k]}\n" for k in sorted(report)))
     else:
-        if "rows" in report and "columns" in report:
-            cols = report["columns"]
-            out.write("  ".join(cols) + "\n")
-            for row in report["rows"]:
-                out.write("  ".join(str(row[c]) for c in cols) + "\n")
-        else:
-            for k in sorted(report):
-                out.write(f"{k} = {report[k]}\n")
+        out.write("".join(f"{k} = {report[k]}\n" for k in sorted(report)))
 
 
 def _hist_str(h: dict) -> str:

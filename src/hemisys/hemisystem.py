@@ -5,11 +5,13 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.  Each worker thread adds the int32 pg3.line_surface_index
-of its share of 512-line chunks (a few MB of temporaries, near the L2
-cache) in place into its own array of one uint16 per surface point
-(np.add.at), so memory grows with the points, not with the incidences.
-A wrapped counter would make the int64 incidence total fall short.  A
+surface points.  Each worker adds the int32 pg3.line_surface_index of its
+share of 512-line chunks in place (np.add.at) into its own uint8 row of one
+shared mapping, so memory grows with the points, not the incidences.
+Workers past the caller are forked (np.add.at holds the GIL) and read the
+tables copy-on-write; a failed child's share is recounted in process to
+raise its fault.  Repeated lines could wrap a uint8 counter (a point is on
+q+1 <= 74 distinct ones), making the int64 incidence total fall short.  A
 size whose arrays and tables would exceed physical memory, or whose
 surface indices would not fit an int32 (2^31 points, q >= 79), is refused
 with pg3.TooLarge before any is allocated.
@@ -24,10 +26,11 @@ fault names its first offending file line.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import re
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,15 +313,15 @@ CHUNK_LINES = 512                              # key rows per count step
 def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
     """Add the incidences of key rows, by pg3.line_surface_index, into counts in place."""
     for idx in pg3.line_surface_index(frame, keys):
-        np.add.at(counts, idx.reshape(-1), np.uint16(1))
+        np.add.at(counts, idx.reshape(-1), np.uint8(1))
 
 
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
-    """Bytes of each worker's uint16 counts and five int32 arrays of a chunk (its indices,
+    """Bytes of each worker's uint8 counts and five int32 arrays of a chunk (its indices,
     d, and start.take's result and int64 copy of its indices), then the tables: pg3's
     three int32 Zech rows, int32 slot and start, int64 fibre and sol_at."""
     n = frame.ctx.order
-    return (2 * workers * frame.num_points + 4 * 5 * workers * CHUNK_LINES * (n + 1)
+    return (workers * frame.num_points + 4 * 5 * workers * CHUNK_LINES * (n + 1)
             + 4 * (9 * n * (n - 1) + n * n + n) + 8 * (frame.q + 1) * n)
 
 
@@ -341,18 +344,39 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     if len(bad):
         k = keys[int(bad[0])]
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
+    frame.zech_rows                           # built once, read by the children copy-on-write
+    # row w of one shared mapping holds the counts of share w, chunks[w::workers]
+    rows = np.frombuffer(mmap.mmap(-1, workers * frame.num_points), np.uint8).reshape(workers, -1)
 
-    def count(share):
-        counts = np.zeros(frame.num_points, dtype=np.uint16)
-        for chunk in share:
-            _count_chunk(frame, chunk, counts)
-        return counts
+    def count(w):
+        for chunk in chunks[w::workers]:
+            _count_chunk(frame, chunk, rows[w])
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        counts, *rest = ex.map(count, [chunks[i::workers] for i in range(workers)])
-    for more in rest:
+    pids = {}
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if pid == 0:                      # the child counts its share and never returns
+                try:
+                    count(w)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids[w] = pid
+        count(0)
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [w for w, pid in pids.items() if os.waitpid(pid, 0)[1]]
+    for w in failed:                          # recount in process: re-raises the child's fault
+        rows[w] = 0
+        count(w)
+    counts = rows[0]
+    for more in rows[1:]:
         counts += more
-    # a wrapped counter (over 65535 incidences) can only make the total fall short
+    # a wrapped counter (over 255 incidences) can only make the total fall short
     total = int(counts.sum(dtype=np.int64))
     if total != len(keys) * (frame.ctx.order + 1):
         raise IncidenceSumMismatch(
@@ -360,7 +384,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
             f"{frame.ctx.order + 1} points")
     point_count = int(np.count_nonzero(counts))
     # bincount casts its input to int64: blocks keep that copy small
-    hist = sum(np.bincount(counts[lo:lo + 2 ** 20], minlength=2 ** 16)
+    hist = sum(np.bincount(counts[lo:lo + 2 ** 20], minlength=2 ** 8)
                for lo in range(0, len(counts), 2 ** 20))
     histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist[1:]) + 1}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
@@ -470,8 +494,7 @@ def _block_keys(ctx: FieldCtx, dig: np.ndarray, prev: np.ndarray) -> tuple:
         if len(bad):
             row, why = int(bad[0]), msg
     elem = dig[:row] @ ctx.p ** np.arange(ctx.d)
-    bad = np.flatnonzero((pg3.line_keys_batch(ctx, elem[:, 0], elem[:, 1])
-                          != keys[:row]).any(axis=1))
+    bad = np.flatnonzero(~pg3.is_rref_key(elem[:, 0], elem[:, 1]))
     if len(bad):
         row, why = int(bad[0]), "key is not the line's two smallest points"
     return keys[:row], row, why

@@ -11,11 +11,11 @@ every other point is R1 + lam R2.  Since rank(0) = 0 and each point's
 first nonzero coordinate is 1, R2 (0 at i) is below every R1 + lam R2
 (1 at i), and these agree with R1 before j and hold lam at j, so lam = 0
 is the least: the key is (R2, R1), and no point is enumerated to find
-it.  Surface points also have a dense index 0 .. num_points-1
-(surface_index, and its inverse surface_point).  Orbits and key sets are
-handled as one int64 line code per key (line_codes, and its inverse
-code_keys), which sorts exactly like the keys, so sets of lines are 1-D
-np.unique, np.isin and np.setdiff1d.
+it; so a key is its own RREF (is_rref_key).  Surface points also have a
+dense index 0 .. num_points-1 (surface_index, and its inverse
+surface_point).  Orbits and key sets are handled as one int64 line code
+per key (line_codes, and its inverse code_keys), which sorts exactly like
+the keys, so sets of lines are 1-D np.unique, np.isin and np.setdiff1d.
 
 line_surface_index indexes the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
@@ -43,7 +43,7 @@ and the surface predicate is x^T G x^(q) = 0 in both cases.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -106,7 +106,9 @@ class HermitianFrame:
         trace = vec_add(ctx, xs, xq)
         norm = vec_mul(ctx, xs, xq)
         e_norm = vec_mul(ctx, self.gram[2][2], norm)
-        rhs = vec_add(ctx, norm[:, None], e_norm[None, :]).reshape(-1)
+        start = np.empty((n, n), dtype=np.int32)      # filled in blocks of rows: no n^2 int64
+        for lo in range(0, n, 64):
+            start[lo:lo + 64] = vec_add(ctx, norm[lo:lo + 64, None], e_norm[None, :]) * q
         pos = np.empty(n, dtype=np.int64)
         pos[np.argsort(trace, kind="stable")] = np.tile(np.arange(q), q)   # q fibres of q ranks
         slot = (trace * q + pos).astype(np.int32)
@@ -115,7 +117,7 @@ class HermitianFrame:
         sol_at = np.full(n, -1, dtype=np.int64)
         sols = np.flatnonzero(e_norm == ctx.neg_np[1])
         sol_at[sols] = np.arange(len(sols))
-        return int(ctx.rank_np[1]), fibre, slot, (rhs * q).astype(np.int32), sol_at
+        return int(ctx.rank_np[1]), fibre, slot, start.reshape(-1), sol_at
 
     @cached_property
     def zech_rows(self) -> tuple:
@@ -273,16 +275,9 @@ def mat_vec(ctx: FieldCtx, M, v):
 def mat_mul(ctx: FieldCtx, A, B):
     return tuple(
         tuple(
-            _sum4(ctx, [ctx.mul(A[i][k], B[k][j]) for k in range(4)])
+            reduce(ctx.add, [ctx.mul(A[i][k], B[k][j]) for k in range(4)], 0)
             for j in range(4))
         for i in range(4))
-
-
-def _sum4(ctx, xs):
-    acc = 0
-    for x in xs:
-        acc = ctx.add(acc, x)
-    return acc
 
 
 def mat_frob(ctx: FieldCtx, M, k: int):
@@ -313,6 +308,14 @@ def _rref(ctx: FieldCtx, A, B):
     if not ((R1[rows, i] == 1) & (R2[rows, j] == 1)).all():
         raise EqualPoints("line through equal points")
     return R1, R2
+
+
+def is_rref_key(A, B):
+    """True on rows where (A, B) is its line's key and RREF: both normalized, B leads
+    before A and is 0 where A leads, so R1 = B, R2 = A and line_keys_batch gives (A, B)."""
+    rows = np.arange(len(A))
+    i, j = (B != 0).argmax(axis=1), (A != 0).argmax(axis=1)
+    return (i < j) & (B[rows, i] == 1) & (A[rows, j] == 1) & (B[rows, j] == 0)
 
 
 def _pack_rows(ctx: FieldCtx, R):
@@ -506,7 +509,10 @@ def line_surface_index(frame: HermitianFrame, keys) -> tuple:
     one, _, _, start, _ = frame.index_tables
     x1n, x2, x3slot = frame.zech_rows
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    R1, R2 = _rref(ctx, *(np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1)))
+    R2, R1 = (np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1))
+    redo = np.flatnonzero(~is_rref_key(R2, R1))   # a canonical key is its own RREF
+    if len(redo):
+        R1[redo], R2[redo] = _rref(ctx, R2[redo], R1[redo])
     base = R1 * (3 * (n - 1)) + ctx.log_np[R2]
     a = x1n[base[:, 1]]                       # rank x1 * order + rank x2
     a += x2[base[:, 2]]

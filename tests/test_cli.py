@@ -159,19 +159,20 @@ def test_bad_user_input_exit_code(capsys):
 
 
 def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
-    # a file that passes every format check; its counts alone would take a TiB
+    # a file that passes every format check at q=233, the largest q whose packed
+    # points fit an int64; its uint8 counts alone would take 0.8 TB
     ctx = gf.make_field(233, 2)
     path = tmp_path / "q233.hs"
     path.write_text("#hemis v1\nfamily=cp p=233 h=1 eps=na chi=na\n"
                     f"poly2={','.join(map(str, ctx.poly))}\n"
                     f"count=0 sha256={hashlib.sha256(b'').hexdigest()}\n")
     need = hemisystem._verify_bytes(pg3.cp_frame(ctx), 1)
-    assert need > 2 ** 40
+    assert need > 8e11
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: verify at q=233 needs {need} bytes")
-    # ft q=41 --force at 2 threads (one 0.23 GB uint16 array per worker) needs under 1 GB
-    assert 6e8 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 1e9
+    # ft q=41 --force at 2 workers (one 0.12 GB uint8 row per worker) needs 0.38 GB
+    assert 3.5e8 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 4.5e8
 
 
 def test_verify_refuses_more_points_than_int32_indices(capsys, monkeypatch, tmp_path):

@@ -261,13 +261,14 @@ def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):
 
 
 def test_verify_raises_on_a_wrapped_counter(cp3_build):
-    # 65,537 copies of one generator wrap its points' 16-bit counters; the
-    # incidence total then falls short instead of passing as a small count
+    # 257 or 65,537 copies of one generator wrap its points' 8-bit counters;
+    # the incidence total then falls short instead of passing as a small count
     cand, _ = cp3_build
-    lines = np.vstack([cand.lines, np.repeat(cand.lines[:1], 2 ** 16, axis=0)])
-    mut = hemisystem.HemisystemCandidate("cp", 3, 1, None, None, lines)
-    with pytest.raises(hemisystem.IncidenceSumMismatch):
-        hemisystem.verify(mut)
+    for copies in (2 ** 8, 2 ** 16):
+        lines = np.vstack([cand.lines, np.repeat(cand.lines[:1], copies, axis=0)])
+        mut = hemisystem.HemisystemCandidate("cp", 3, 1, None, None, lines)
+        with pytest.raises(hemisystem.IncidenceSumMismatch):
+            hemisystem.verify(mut)
 
 
 def test_complement_is_hemisystem_q17(ft17, ft17_gens, ft17_build, ft17_g1,
@@ -305,7 +306,7 @@ def test_complement_arithmetic_q17(ft17, ft17_build):
 
 
 def test_verify_peak_memory_grows_with_points_q17(ft17, ft17_build):
-    # one counts array per worker (1,425,060 uint16 = 2.9 MB), the int32 tables
+    # one counts row per worker (1,425,060 uint8 = 1.4 MB), the int32 tables
     # and one chunk of 512 lines x 290 points; sorting every incidence took about 0.8 GB
     cand, report = ft17_build
     tracemalloc.start()
@@ -322,6 +323,38 @@ def test_verify_threads_match(cp3_build):
     cand, rep1 = cp3_build
     rep4 = hemisystem.verify(cand, threads=4)
     assert rep4.histogram == rep1.histogram and rep4.passed
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_worker_fault_is_raised_as_in_process(monkeypatch, threads):
+    # the second chunk belongs to share 1 at 1, 2 and 3 workers; a child that
+    # meets it exits 1, and the parent's recount raises the same fault
+    cand = hemisystem.build_cp(5)
+    count_chunk = hemisystem._count_chunk
+
+    def fault_in_chunk_1(frame, keys, counts):
+        if np.array_equal(keys, cand.lines[7:14]):
+            raise pg3.NotOnSurface("chunk 1 is off the surface")
+        count_chunk(frame, keys, counts)
+
+    monkeypatch.setattr(hemisystem, "CHUNK_LINES", 7)
+    monkeypatch.setattr(hemisystem, "_count_chunk", fault_in_chunk_1)
+    faults = []
+    for n in (1, threads):
+        with pytest.raises(pg3.NotOnSurface) as fault:
+            hemisystem.verify(cand, threads=n)
+        faults.append((fault.type, str(fault.value)))
+    assert faults[0] == faults[1] == (pg3.NotOnSurface, "chunk 1 is off the surface")
+    with pytest.raises(ChildProcessError):    # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_at_one_thread_forks_nothing(cp3_build, monkeypatch):
+    def no_fork():
+        pytest.fail("verify forked at threads=1")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert hemisystem.verify(cp3_build[0], threads=1).passed
 
 
 @pytest.mark.parametrize("family,histogram", [("cp", {3: 3276}),

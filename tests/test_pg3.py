@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -238,6 +239,55 @@ def test_surface_index_raises_exactly_off_the_surface(family, F9):
     surf = oracles.enumerate_surface(frame)
     with pytest.raises(pg3.NotOnSurface):
         pg3.surface_index(frame, np.append(surf, pg3.pack(F9, (0, 0, 1, 0))))
+
+
+@pytest.mark.parametrize("field", ["F9", "F289"])
+def test_is_rref_key_is_the_key_coming_back(field, request):
+    # 20,000 pairs of normalized points: random ones (equal leads among them),
+    # canonical keys, the keys swapped, and keys (A, B + lam A), nonzero at
+    # lead(A); then 5,000 keys (lam A, B) whose first point is not normalized
+    ctx = request.getfixturevalue(field)
+    n = ctx.order
+    rng = np.random.default_rng(n)
+    lead = rng.integers(0, 4, (2, 6000, 1))
+    rand = ctx.unrank_np[rng.integers(0, n, (2, 6000, 4))]
+    A, B = np.where(np.arange(4) < lead, 0, np.where(np.arange(4) == lead, 1, rand))
+    distinct = np.flatnonzero((A != B).any(axis=1))[:5000]       # a point is no line
+    A, B = A[distinct], B[distinct]
+    KA, KB = (np.stack(pg3.unpack_batch(ctx, k), axis=1)
+              for k in pg3.line_keys_batch(ctx, A, B).T)
+    lam = ctx.unrank_np[rng.integers(1, n, (len(KA), 1))]
+    lam[lam == 1] = ctx.neg_np[1]                # lam is neither 0 nor 1
+    A, B = (np.concatenate(c) for c in zip((A, B), (KA, KB), (KB, KA),
+                                            (KA, gf.vec_add(ctx, KB, gf.vec_mul(ctx, lam, KA))),
+                                            (gf.vec_mul(ctx, lam, KA), KB)))
+    came_back = (pg3.line_keys_batch(ctx, A, B)
+                 == np.stack([pg3._pack_rows(ctx, P) for P in (A, B)], axis=1)).all(1)
+    assert len(A) == 25000 and 5000 < came_back.sum() < 6000
+    assert ((A != 0).argmax(axis=1) == (B != 0).argmax(axis=1)).sum() > 500
+    assert np.array_equal(pg3.is_rref_key(A, B), came_back)
+
+
+def test_is_rref_key_holds_on_every_key_of_cp5():
+    cand = hemisystem.build_cp(5)
+    ctx = cand.ctx2()
+    A, B = (np.stack(pg3.unpack_batch(ctx, k), axis=1) for k in cand.lines.T)
+    assert pg3.is_rref_key(A, B).all()
+    assert np.array_equal(pg3.line_keys_batch(ctx, A, B), cand.lines)
+
+
+def test_index_tables_build_without_order_squared_int64_temporaries():
+    # start has order^2 int32 entries (11.3 MB at q=41); an int64 temporary
+    # of that length would take twice as much again
+    frame = pg3.ft_frame(gf.make_field(41, 2))
+    tracemalloc.start()
+    try:
+        tables = frame.index_tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(t.nbytes for t in tables[1:])
+    assert final > 11e6 and peak < 2 * final, (peak, final)
 
 
 @pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 3, 2),
