@@ -150,7 +150,7 @@ def cmd_diagnose(args) -> int:
     sets = curves.ft_point_sets(fr.ctx2)
     G, H, w = groups.ft_group_gens(fr)
     key0, quad0, prov = hemisystem.seed_generator_g0(fr)
-    m1 = groups.orbit(fr.ctx2, H.gens, key0)
+    m1 = hemisystem.m1_half_orbit(fr, key0)
     g1 = groups.orbit(fr.ctx2, G.gens, key0)
     r, rp = hemisystem.count_r_rprime(fr, m1, "plus")
     m2 = groups.orbit(fr.ctx2, H.gens, hemisystem.ell_line(fr, 1))

@@ -12,6 +12,14 @@ extra commuting involution w = diag(1,-1,1,1) which swaps the two
 curves.  The same five families act on parameter quadruples (u,v,s,t)
 of the Delta-meeting generators; quadruple_action_check certifies that
 each matrix realizes its quadruple map.
+
+T, M and N act on (X0, X2, X3) as PSL(2, q) on the conic X0 X3 = X2^2 and
+L scales X1, so the index-2 subgroup H has a Bruhat normal form: with g the
+generator of GF(q^2) and eta = g^(q+1), each element is one word T_a M_rho
+L_lam or T_a M_rho L_lam N_sigma0 T_b, a, b in GF(q) = {0} u <eta>, rho one
+of the (q-1)/2 squares eta^(2k), lam one of the (q+1)/2 powers of
+g^(2(q-1)) and sigma0 = g^(q-1): q(q-1)(q+1)^2/4 = |H| words (22,032 at
+q = 17).  ft_word_images images a line by every word; orbit is BFS.
 """
 
 from __future__ import annotations
@@ -135,20 +143,19 @@ def orbit(ctx: FieldCtx, gens, seed_key, max_size=None) -> np.ndarray:
     """Breadth-first line orbit as sorted (n, 2) key rows.
 
     Each level maps the frontier by every generator at once and keeps the
-    images whose pg3.line_codes are not yet seen, in key order; seen stays
-    a sorted code array.
+    images whose pg3.line_codes are not yet seen; seen stays a sorted code
+    array.
     """
     frontier = np.asarray(seed_key, dtype=np.int64).reshape(1, 2)
     seen = pg3.line_codes(ctx, frontier)
     while len(frontier):
         imgs = np.concatenate([apply_to_keys(ctx, g, frontier) for g in gens])
-        codes, first = np.unique(pg3.line_codes(ctx, imgs), return_index=True)
-        at = np.searchsorted(seen, codes)
-        new = seen[np.minimum(at, len(seen) - 1)] != codes
-        seen = np.insert(seen, at[new], codes[new])
+        codes = pg3.unique(pg3.line_codes(ctx, imgs))
+        codes = codes[~pg3.member(codes, seen)]
+        seen = np.insert(seen, np.searchsorted(seen, codes), codes)
         if max_size is not None and len(seen) > max_size:
             raise OrbitBudgetExceeded(f"orbit exceeded {max_size} lines")
-        frontier = imgs[first[new]]
+        frontier = pg3.code_keys(ctx, codes)
     return pg3.code_keys(ctx, seen)
 
 
@@ -297,6 +304,38 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     for col in G.gens:
         _check(w.compose(ctx, col) == col.compose(ctx, w), "w does not commute")
     return G, H, w
+
+
+def ft_word_images(fr: FTFrame, key) -> np.ndarray:
+    """Line codes of h(key) for every h of H, one per normal word, unsorted.
+
+    Up to the scalar rho, T_a M_rho L_lam maps (x0, x1, x2, x3) to
+    (x0, rho lam x1, a x0 + rho x2, a^2 x0 + 2a rho x2 + rho^2 x3).  That is
+    evaluated on the key's two points, then on N_sigma0 T_b of them for each b:
+    one block of q (q-1)/2 (q+1)/2 lines at a time.
+    """
+    ctx, q = fr.ctx2, fr.q
+    e = ctx.exp_np
+    a = np.concatenate([[0], e[(q + 1) * np.arange(q - 1)]])[:, None, None]
+    rho = e[2 * (q + 1) * np.arange((q - 1) // 2)][:, None]
+    lam = e[2 * (q - 1) * np.arange((q + 1) // 2)]
+    rho_lam, rho2 = vec_mul(ctx, rho, lam), vec_mul(ctx, rho, rho)
+    a2, two_a = vec_mul(ctx, a, a), vec_mul(ctx, 2 % ctx.p, a)
+    shape = (len(a), len(rho), len(lam))
+
+    def images(x):
+        y2 = vec_mul(ctx, rho, x[2])
+        cols = (x[0], vec_mul(ctx, rho_lam, x[1]), vec_add(ctx, vec_mul(ctx, a, x[0]), y2),
+                vec_add(ctx, vec_add(ctx, vec_mul(ctx, a2, x[0]), vec_mul(ctx, two_a, y2)),
+                        vec_mul(ctx, rho2, x[3])))
+        return np.stack([np.broadcast_to(c, shape).reshape(-1) for c in cols], axis=1)
+
+    points = pg3.key_points(ctx, key)
+    n_sigma0 = mat_N(ctx, ctx.pow(ctx.gen, q - 1))
+    blocks = [points] + [[n_sigma0.apply(ctx, mat_T(ctx, int(b)).apply(ctx, x)) for x in points]
+                         for b in a.ravel()]
+    return np.concatenate([pg3.line_codes(ctx, pg3.line_keys_batch(ctx, *map(images, blk)))
+                           for blk in blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class VerificationReport:
 
 def _sorted_lines(ctx: FieldCtx, *parts) -> np.ndarray:
     """Sorted distinct key rows of the union of key arrays, by their line codes."""
-    return pg3.code_keys(ctx, np.unique(np.concatenate([pg3.line_codes(ctx, p) for p in parts])))
+    return pg3.code_keys(ctx, pg3.unique(np.concatenate([pg3.line_codes(ctx, p) for p in parts])))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
     """Generators of the half-orbit through the tangency point, split (r, r')."""
     eps = 1 if which_point == "plus" else -1
     through = pg3.generators_through(fr.frame, fr.p_eps(eps))
-    r = int(np.isin(pg3.line_codes(fr.ctx2, through), pg3.line_codes(fr.ctx2, m1_keys)).sum())
+    r = int(pg3.member(pg3.line_codes(fr.ctx2, through), pg3.line_codes(fr.ctx2, m1_keys)).sum())
     return r, (fr.q + 1) // 2 - r
 
 
@@ -218,14 +218,15 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     ctx2 = make_field(p, 2 * h)
     frame = pg3.cp_frame(ctx2)
     curve = curves.cp_curve_points(ctx2)
-    gcp = np.unique(pg3.line_codes(ctx2, np.concatenate(
-        [pg3.generators_through(frame, pg3.unpack(ctx2, int(x))) for x in curve])))
+    through = pg3.generators_through_batch(frame, np.stack(pg3.unpack_batch(ctx2, curve), axis=1))
+    gcp = pg3.unique(pg3.line_codes(ctx2, through))
     _check(len(gcp) == (q + 1) * (q * q + 1), f"{len(gcp)} generators meet the curve")
     G, H = groups.cp_group_gens(ctx2)
-    seed = min(pg3.generators_through(frame, (0, 0, 0, 1)))
+    inf = np.searchsorted(curve, pg3.pack_point(ctx2, (0, 0, 0, 1)))
+    seed = tuple(int(x) for x in through[inf, 0])    # the least generator through (0,0,0,1)
     M = groups.orbit(ctx2, H.gens, seed)
     _check(2 * len(M) == len(gcp), "index-2 split failed")
-    rest = pg3.code_keys(ctx2, np.setdiff1d(gcp, pg3.line_codes(ctx2, M)))
+    rest = pg3.code_keys(ctx2, gcp[~pg3.member(gcp, pg3.line_codes(ctx2, M))])
     _check(np.array_equal(groups.orbit(ctx2, H.gens, rest[0]), rest),
            "complementary orbit mismatch")
     if seed_orbit == "minus":
@@ -245,6 +246,16 @@ def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False) -> Hemisyste
     return _build_ft(p, h, eps, force, curves.ft_frame_setup(p, h, eps))[0]
 
 
+def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
+    """Sorted key rows of M1 = H(key0), one image per normal word of H
+    (groups.ft_word_images): they must be |H| = q(q-1)(q+1)^2/4 distinct lines."""
+    q = fr.q
+    codes = np.sort(groups.ft_word_images(fr, key0))
+    _check(len(codes) == q * (q - 1) * (q + 1) ** 2 // 4 and (codes[1:] != codes[:-1]).all(),
+           f"{len(codes)} words of H give {len(pg3.unique(codes))} lines of M1")
+    return pg3.code_keys(fr.ctx2, codes)
+
+
 def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     """build_ft's candidate, the index-2 subgroup H and the candidate's M2 half-orbit."""
     from . import numbers
@@ -254,8 +265,7 @@ def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
             f"the point-count criterion fails at q={q}; pass force to build anyway")
     G, H, w = groups.ft_group_gens(fr)
     key0, quad0, seed_prov = seed_generator_g0(fr)
-    m1 = groups.orbit(fr.ctx2, H.gens, key0)
-    _check(4 * len(m1) == (q ** 3 - q) * (q + 1), "half-orbit size mismatch")
+    m1 = m1_half_orbit(fr, key0)
     r, rp = count_r_rprime(fr, m1, "plus")
     if r == rp:
         raise TieRR(f"r = r' = {r}")
@@ -292,7 +302,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
         return cand, report
     flipped = "minus" if cand.provenance["m2_point"] == "plus" else "plus"
     m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, 1 if flipped == "plus" else -1))
-    keep = ~np.isin(pg3.line_codes(fr.ctx2, cand.lines), pg3.line_codes(fr.ctx2, m2_old))
+    keep = ~pg3.member(pg3.line_codes(fr.ctx2, cand.lines), pg3.line_codes(fr.ctx2, m2_old))
     lines = _sorted_lines(fr.ctx2, cand.lines[keep], m2)
     cand2 = HemisystemCandidate(
         family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
@@ -340,7 +350,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         raise pg3.TooLarge(f"verify at q={frame.q} needs {need} bytes of counts and "
                            f"tables, over the {have} bytes of physical memory")
     pg3.require_int32_indices(frame)
-    bad = pg3.check_generators_batch(frame, keys)
+    bad = pg3.check_generators_batch(frame, keys)   # its blocks end before the counts begin
     if len(bad):
         k = keys[int(bad[0])]
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
@@ -414,7 +424,8 @@ def condition_checks(fr: FTFrame, m_keys, P,
                if set(int(x) for x in pts) & rational]
     if isinstance(m_keys, (set, frozenset)):
         m_keys = list(m_keys)
-    in_m = int(np.isin(pg3.line_codes(ctx, meeting), pg3.line_codes(ctx, m_keys)).sum())
+    m_codes = pg3.unique(pg3.line_codes(ctx, m_keys))
+    in_m = int(pg3.member(pg3.line_codes(ctx, meeting), m_codes).sum())
     if on_curve:
         tag = "CURVE_POINT"
         passed = in_m == (fr.q + 1) // 2

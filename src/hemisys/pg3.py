@@ -15,7 +15,8 @@ it; so a key is its own RREF (is_rref_key).  Surface points also have a
 dense index 0 .. num_points-1 (surface_index, and its inverse
 surface_point).  Orbits and key sets are handled as one int64 line code
 per key (line_codes, and its inverse code_keys), which sorts exactly like
-the keys, so sets of lines are 1-D np.unique, np.isin and np.setdiff1d.
+the keys, so sets of lines are sorted 1-D arrays, handled by unique and
+member (numpy 2.4's np.unique, np.isin and np.setdiff1d import numpy.ma).
 
 line_surface_index indexes the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
@@ -246,17 +247,6 @@ def on_surface_batch(frame: HermitianFrame, c0, c1, c2, c3):
     return _herm_form_batch(frame, cs, cs) == 0
 
 
-def tangent_plane(frame: HermitianFrame, P) -> tuple:
-    """Coefficients (a0..a3) of the tangent plane sum a_i X_i = 0 at P."""
-    if not on_surface(frame, P):
-        raise NotOnSurface(f"{P} is not on the surface")
-    ctx = frame.ctx
-    h = ctx.d // 2
-    Pq = [ctx.frobenius(x, h) for x in P]
-    return tuple(
-        _dot4(ctx, frame.gram[i], Pq) for i in range(4))
-
-
 def _dot4(ctx, row, vec):
     acc = 0
     for a, b in zip(row, vec):
@@ -378,6 +368,17 @@ def code_keys(ctx: FieldCtx, codes) -> np.ndarray:
     return d - (n ** k - 1) // (n - 1) + one * n ** k
 
 
+def unique(a) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array, by a sort and an adjacent compare."""
+    s = np.sort(np.asarray(a).reshape(-1))
+    return s[np.concatenate([[True], s[1:] != s[:-1]])]
+
+
+def member(a, sorted_b) -> np.ndarray:
+    """True where an entry of a occurs in the non-empty sorted 1-D array sorted_b."""
+    return sorted_b[np.minimum(np.searchsorted(sorted_b, a), len(sorted_b) - 1)] == a
+
+
 def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
     """(n, q^2+1) packed point table of the lines given by key rows."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
@@ -409,55 +410,67 @@ def is_generator(frame: HermitianFrame, A, B) -> bool:
             and herm_form(frame, A, B) == 0)
 
 
+CHECK_ROWS = 2 ** 16                           # key rows per check_generators_batch block
+
+
 def check_generators_batch(frame: HermitianFrame, keys):
-    """Indices of key rows that fail the generator criterion."""
-    a = unpack_batch(frame.ctx, keys[:, 0])
-    b = unpack_batch(frame.ctx, keys[:, 1])
-    ok = ((_herm_form_batch(frame, a, a) == 0) & (_herm_form_batch(frame, b, b) == 0)
-          & (_herm_form_batch(frame, a, b) == 0))
-    return np.nonzero(~ok)[0]
+    """Indices of key rows that fail the generator criterion, checked CHECK_ROWS rows
+    at a time, so its temporaries stay those of one block (about 7 MB)."""
+    bad = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(keys), CHECK_ROWS):
+        a, b = (unpack_batch(frame.ctx, keys[lo:lo + CHECK_ROWS, k]) for k in (0, 1))
+        ok = ((_herm_form_batch(frame, a, a) == 0) & (_herm_form_batch(frame, b, b) == 0)
+              & (_herm_form_batch(frame, a, b) == 0))
+        bad.append(lo + np.flatnonzero(~ok))
+    return np.concatenate(bad)
 
 
 # ---------------------------------------------------------------------------
 # generators through a point
 
-def plane_kernel_basis(ctx: FieldCtx, coeffs):
-    """Three spanning points of the plane sum c_i X_i = 0."""
-    piv = next(i for i in range(4) if coeffs[i])
-    s = ctx.inv(coeffs[piv])
-    basis = []
-    for i in range(4):
-        if i == piv:
-            continue
-        v = [0, 0, 0, 0]
-        v[i] = 1
-        v[piv] = ctx.neg(ctx.mul(coeffs[i], s))
-        basis.append(tuple(v))
-    return basis
-
-
 def generators_through(frame: HermitianFrame, P) -> list:
-    """The q+1 generator keys through a surface point P."""
-    ctx = frame.ctx
-    P = normalize(ctx, P)
-    partners = _generator_partners(frame, P)
-    keys = line_keys_batch(ctx, [P] * len(partners), partners)
-    out = sorted({(int(a), int(b)) for a, b in keys})
-    if len(out) != frame.q + 1:
-        raise GeneratorCountMismatch(f"{len(out)} generators through {P}, not {frame.q + 1}")
-    return out
+    """The q+1 generator keys through a surface point P, sorted."""
+    keys = generators_through_batch(frame, [normalize(frame.ctx, P)])[0]
+    return [(int(a), int(b)) for a, b in keys]
 
 
-def _generator_partners(frame: HermitianFrame, P):
-    """One surface point on each generator through P (transversal scan)."""
-    ctx = frame.ctx
-    coeffs = tangent_plane(frame, P)
-    piv = next(i for i in range(4) if coeffs[i])
-    i0 = next(i for i in range(4) if i != piv and P[i])
-    u, v = [b for b in plane_kernel_basis(ctx, coeffs) if b[i0] == 0]
-    pts = line_points_batch(ctx, [u], [v])[0]
-    hits = pts[on_surface_batch(frame, *unpack_batch(ctx, pts))]
-    return [unpack(ctx, int(x)) for x in hits]
+def generators_through_batch(frame: HermitianFrame, P) -> np.ndarray:
+    """Generator keys (n, q+1, 2), sorted per row, through each of n normalized
+    surface points P (n, 4), by one transversal scan of all the tangent planes.
+
+    The tangent plane sum c_i X_i = 0 at P, c = G P^q, meets the surface in
+    the q+1 generators through P.  With piv the first i where c_i != 0 and i0
+    the first other i where P_i != 0, the kernel vectors e_i - (c_i / c_piv)
+    e_piv of the two i outside {piv, i0} span a line of the plane that is 0 at
+    i0, so it misses P and meets each generator through P in one point.
+    """
+    ctx, q = frame.ctx, frame.q
+    P = np.asarray(P, dtype=np.int64).reshape(-1, 4)
+    rows = np.arange(len(P))
+    off = np.flatnonzero(~on_surface_batch(frame, *P.T))
+    if len(off):
+        raise NotOnSurface(f"{tuple(int(x) for x in P[off[0]])} is not on the surface")
+    eye = np.eye(4, dtype=np.int64)
+    c = np.stack([_herm_form_batch(frame, eye[i], P.T) for i in range(4)], axis=1)   # G P^q
+    piv = (c != 0).argmax(axis=1)
+    i0 = ((P != 0) & (np.arange(4) != piv[:, None])).argmax(axis=1)
+    free = (np.arange(4) != piv[:, None]) & (np.arange(4) != i0[:, None])
+    scale = ctx.neg_np[ctx.inv_np[c[rows, piv]]]
+    span = []
+    for i in np.nonzero(free)[1].reshape(-1, 2).T:
+        v = eye[i]
+        v[rows, piv] = vec_mul(ctx, c[rows, i], scale)
+        span.append(v)
+    pts = line_points_batch(ctx, *span)
+    hit = on_surface_batch(frame, *unpack_batch(ctx, pts))
+    if (hit.sum(axis=1) != q + 1).any():
+        raise GeneratorCountMismatch(f"a transversal has other than {q + 1} surface points")
+    partners = np.stack(unpack_batch(ctx, pts[hit]), axis=1)
+    keys = line_keys_batch(ctx, np.repeat(P, q + 1, axis=0), partners)
+    codes = np.sort(line_codes(ctx, keys).reshape(-1, q + 1), axis=1)
+    if (codes[:, 1:] == codes[:, :-1]).any():
+        raise GeneratorCountMismatch(f"fewer than {q + 1} distinct generators through a point")
+    return code_keys(ctx, codes.reshape(-1)).reshape(-1, q + 1, 2)
 
 
 # ---------------------------------------------------------------------------

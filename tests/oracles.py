@@ -1,10 +1,12 @@
 """Slow, direct test oracles for library functions.
 
-enumerate_generators lists every generator of the surface through the
-transversal scan at the surface points of one plane; count_E3_naive counts the
+generators_through scans one point's tangent plane in scalar code, and
+enumerate_generators lists every generator of the surface through that scan at
+the surface points of one plane; count_E3_naive counts the
 points of Y^2 = X^3 - X by a double loop.  The tests compare the library's
-faster routes against them.  enumerate_surface, on_plane, pole (with mat_inv)
-and classify_generator are only used by tests, so they live here too.
+faster routes against them.  enumerate_surface, on_plane, pole (with
+mat_inv), tangent_plane and classify_generator are only used by tests, so they
+live here too.
 """
 
 from __future__ import annotations
@@ -81,6 +83,51 @@ def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSe
     return DISJOINT
 
 
+def tangent_plane(frame: pg3.HermitianFrame, P) -> tuple:
+    """Coefficients (a0..a3) of the tangent plane sum a_i X_i = 0 at P."""
+    if not pg3.on_surface(frame, P):
+        raise pg3.NotOnSurface(f"{P} is not on the surface")
+    ctx = frame.ctx
+    h = ctx.d // 2
+    Pq = [ctx.frobenius(x, h) for x in P]
+    return tuple(pg3._dot4(ctx, frame.gram[i], Pq) for i in range(4))
+
+
+def plane_kernel_basis(ctx: FieldCtx, coeffs):
+    """Three spanning points of the plane sum c_i X_i = 0."""
+    piv = next(i for i in range(4) if coeffs[i])
+    s = ctx.inv(coeffs[piv])
+    basis = []
+    for i in range(4):
+        if i == piv:
+            continue
+        v = [0, 0, 0, 0]
+        v[i] = 1
+        v[piv] = ctx.neg(ctx.mul(coeffs[i], s))
+        basis.append(tuple(v))
+    return basis
+
+
+def generator_partners(frame: pg3.HermitianFrame, P):
+    """One surface point on each generator through P (transversal scan)."""
+    ctx = frame.ctx
+    coeffs = tangent_plane(frame, P)
+    piv = next(i for i in range(4) if coeffs[i])
+    i0 = next(i for i in range(4) if i != piv and P[i])
+    u, v = [b for b in plane_kernel_basis(ctx, coeffs) if b[i0] == 0]
+    pts = pg3.line_points_batch(ctx, [u], [v])[0]
+    hits = pts[pg3.on_surface_batch(frame, *pg3.unpack_batch(ctx, pts))]
+    return [pg3.unpack(ctx, int(x)) for x in hits]
+
+
+def generators_through(frame: pg3.HermitianFrame, P) -> list:
+    """The sorted distinct generator keys through a surface point P, one scalar scan."""
+    P = pg3.normalize(frame.ctx, P)
+    partners = generator_partners(frame, P)
+    keys = pg3.line_keys_batch(frame.ctx, [P] * len(partners), partners)
+    return sorted({(int(a), int(b)) for a, b in keys})
+
+
 def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list:
     """All generator keys; intended for q <= 7 unless force is set.
 
@@ -95,7 +142,7 @@ def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list
     pts = enumerate_surface(frame)
     for packed in pts[pts < ctx.order ** 3]:
         P = pg3.unpack(ctx, int(packed))
-        for R in pg3._generator_partners(frame, P):
+        for R in generator_partners(frame, P):
             pairs_a.append(P)
             pairs_b.append(R)
     keys = pg3.line_keys_batch(ctx, pairs_a, pairs_b)

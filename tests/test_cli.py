@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,23 @@ def test_diagnose_q17(capsys):
     assert {payload["r"], payload["r_prime"]} == {4, 5}
     assert payload["two_r_prime_minus_1"] == payload["n_q"] == 9
     assert payload["quad_action_ok"] is True
+
+
+CLI_RUNS_WITHOUT_NUMPY_MA = """
+import sys
+from hemisys import cli
+codes = [cli.main(["construct", "--family", "cp", "--p", "5", "--out", "cp5.hs"]),
+         cli.main(["construct", "--family", "ft", "--p", "3", "--h", "2", "--force"]),
+         cli.main(["verify", "cp5.hs"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique (and np.isin, np.setdiff1d through it) imports
+    # numpy.ma, about 30 ms of every process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", CLI_RUNS_WITHOUT_NUMPY_MA], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 1, 0] False"

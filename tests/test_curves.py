@@ -86,7 +86,7 @@ def test_natural_embedding_tangency_q5(cp5_setup):
     c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
     for packed in curves.cp_curve_points(ctx2):
         P = pg3.unpack(ctx2, int(packed))
-        coeffs = pg3.tangent_plane(frame, P)
+        coeffs = oracles.tangent_plane(frame, P)
         ce = [int(emb[c]) for c in coeffs]
         acc = np.zeros(len(c0), dtype=np.int64)
         for cc, col in zip(ce, (c0, c1, c2, c3)):
@@ -111,7 +111,7 @@ def test_offcurve_tangent_meets_curve_in_q_plus_1_points_q5(cp5_setup):
         if packed in curve:
             continue
         P = pg3.unpack(ctx2, packed)
-        coeffs = pg3.tangent_plane(frame, P)
+        coeffs = oracles.tangent_plane(frame, P)
         ce = [int(emb[c]) for c in coeffs]
         acc = np.zeros(len(c0), dtype=np.int64)
         for cc, col in zip(ce, (c0, c1, c2, c3)):

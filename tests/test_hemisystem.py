@@ -165,14 +165,40 @@ def test_build_ft_condition_b_gate():
 def test_build_ft_forced_falsification_q9(monkeypatch):
     # condition B fails at q=9; the forced build assembles a candidate of the
     # right size and exhaustive verification rejects it, both half-choices,
-    # building M1 and each M2 half-orbit once
+    # enumerating M1 once and building each M2 half-orbit once
     orbit, calls = groups.orbit, []
+    words, word_calls = groups.ft_word_images, []
     monkeypatch.setattr(groups, "orbit", lambda *a, **k: calls.append(a[2]) or orbit(*a, **k))
+    monkeypatch.setattr(groups, "ft_word_images",
+                        lambda *a: word_calls.append(a[1]) or words(*a))
     cand, report = hemisystem.build_ft_verified(3, 2, eps=1, force=True)
     assert len(cand.lines) == (9 ** 3 + 1) * 10 // 2
     assert not report.passed
     assert cand.provenance["m2_choice"] == "both_failed"
-    assert len(calls) == len(set(calls)) == 3
+    assert len(word_calls) == 1
+    assert len(calls) == len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("p, h, eps", [(3, 2, 1), (3, 2, -1), (17, 1, 1), (17, 1, -1)])
+def test_m1_by_words_is_the_bfs_orbit(p, h, eps):
+    fr = curves.ft_frame_setup(p, h, eps)
+    _, H, _ = groups.ft_group_gens(fr)
+    key0 = hemisystem.seed_generator_g0(fr)[0]
+    assert np.array_equal(hemisystem.m1_half_orbit(fr, key0), groups.orbit(fr.ctx2, H.gens, key0))
+
+
+def test_m1_refuses_two_words_with_one_image(monkeypatch):
+    fr = curves.ft_frame_setup(3, 2, 1)
+    words = groups.ft_word_images
+
+    def collide(fr, key):
+        codes = words(fr, key)
+        codes[1] = codes[0]
+        return codes
+
+    monkeypatch.setattr(groups, "ft_word_images", collide)
+    with pytest.raises(hemisystem.BuildInvariantFailed):
+        hemisystem.m1_half_orbit(fr, hemisystem.seed_generator_g0(fr)[0])
 
 
 BUILD_CP_DROPPING_AN_ORBIT_LINE = """
@@ -229,20 +255,52 @@ def test_verify_mutation_drops_one_line(ft17, ft17_build):
     assert report.histogram == {9: 1425060 - 290, 8: 290}
 
 
-def test_verify_rejects_non_generator(ft17, ft17_build):
-    cand, _ = ft17_build
-    ctx = ft17.ctx2
-    surf = oracles.enumerate_surface(ft17.frame)
-    rng = random.Random(0)
+def _non_generator(ft17, seed):
+    ctx, surf, rng = ft17.ctx2, oracles.enumerate_surface(ft17.frame), random.Random(seed)
     while True:
         A = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         B = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         if A != B and pg3.herm_form(ft17.frame, A, B) != 0:
-            break
-    bad = np.vstack([cand.lines, np.asarray([pg3.line_key(ctx, A, B)])])
+            return pg3.line_key(ctx, A, B)
+
+
+def test_verify_rejects_non_generator(ft17, ft17_build):
+    cand, _ = ft17_build
+    bad = np.vstack([cand.lines, np.asarray([_non_generator(ft17, 0)])])
     mut = hemisystem.HemisystemCandidate("ft", 17, 1, 1, cand.chi, bad)
     with pytest.raises(hemisystem.NotGeneratorInSet):
         hemisystem.verify(mut, frame=ft17.frame)
+
+
+def test_generator_check_blocks_name_the_first_bad_line(ft17, ft17_build, monkeypatch):
+    cand, _ = ft17_build
+    bad = [np.asarray([_non_generator(ft17, s)]) for s in (1, 2)]
+    lines = np.concatenate([cand.lines[:5000], bad[0], cand.lines[5000:20000], bad[1],
+                            cand.lines[20000:]])
+    mut = hemisystem.HemisystemCandidate("ft", 17, 1, 1, cand.chi, lines)
+    messages = []
+    for rows in (pg3.CHECK_ROWS, 512):
+        monkeypatch.setattr(pg3, "CHECK_ROWS", rows)
+        with pytest.raises(hemisystem.NotGeneratorInSet) as e:
+            hemisystem.verify(mut, frame=ft17.frame)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] == f"line {tuple(bad[0][0].tolist())} is not a generator"
+
+
+def test_generator_check_peak_memory_is_one_block(ft17, ft17_build, monkeypatch):
+    # 44,226 keys in one block peak near 4.6 MB of temporaries, 512 keys near 60 kB
+    keys = np.asarray(ft17_build[0].lines)
+    monkeypatch.setattr(pg3, "CHECK_ROWS", 512)
+    peaks = []
+    for rows in (512, len(keys)):
+        tracemalloc.start()
+        try:
+            assert len(pg3.check_generators_batch(ft17.frame, keys[:rows])) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_block, all_blocks = peaks
+    assert all_blocks < 2 * one_block, peaks
 
 
 def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):

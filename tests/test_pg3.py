@@ -36,13 +36,13 @@ def test_cp_curve_points_on_surface(F289):
 
 
 def test_tangent_plane_cp_at_infinity(cp3, F9):
-    c = pg3.tangent_plane(cp3, (0, 0, 0, 1))
+    c = oracles.tangent_plane(cp3, (0, 0, 0, 1))
     c = pg3.normalize(F9, c)
     assert c == (1, 0, 0, 0)          # plane X0 = 0
 
 
 def test_tangent_plane_ft_at_origin(ft17f, F289):
-    c = pg3.tangent_plane(ft17f, (1, 0, 0, 0))
+    c = oracles.tangent_plane(ft17f, (1, 0, 0, 0))
     assert pg3.normalize(F289, c) == (0, 0, 0, 1)   # plane X3 = 0
 
 
@@ -51,12 +51,12 @@ def test_point_on_own_tangent_plane(ft17f, F289):
     rng = random.Random(1)
     for _ in range(25):
         P = pg3.unpack(F289, int(pts[rng.randrange(len(pts))]))
-        assert oracles.on_plane(F289, pg3.tangent_plane(ft17f, P), P)
+        assert oracles.on_plane(F289, oracles.tangent_plane(ft17f, P), P)
 
 
 def test_tangent_plane_requires_surface_point(ft17f):
     with pytest.raises(pg3.NotOnSurface):
-        pg3.tangent_plane(ft17f, (0, 1, 0, 0))
+        oracles.tangent_plane(ft17f, (0, 1, 0, 0))
 
 
 def test_line_has_q2_plus_1_points(F9, F289):
@@ -134,11 +134,52 @@ def test_line_keys_batch_raises_on_a_proportional_pair(F9):
 
 
 def test_generators_through_raises_when_a_partner_is_dropped(cp3, monkeypatch):
-    partners = pg3._generator_partners
-    monkeypatch.setattr(pg3, "_generator_partners",
-                        lambda frame, P: partners(frame, P)[:-1])
+    on_surface = pg3.on_surface_batch
+
+    def drop_a_hit(frame, *cols):                 # the transversal scan's mask is 2-D
+        hit = on_surface(frame, *cols)
+        if hit.ndim == 2:
+            hit[0, np.flatnonzero(hit[0])[-1]] = False
+        return hit
+
+    monkeypatch.setattr(pg3, "on_surface_batch", drop_a_hit)
     with pytest.raises(pg3.GeneratorCountMismatch):
         pg3.generators_through(cp3, (0, 0, 0, 1))
+
+
+def test_generators_through_raises_on_a_repeated_generator(cp3, monkeypatch):
+    keys_batch = pg3.line_keys_batch
+
+    def repeat_a_key(ctx, A, B):
+        keys = keys_batch(ctx, A, B)
+        keys[1] = keys[0]
+        return keys
+
+    monkeypatch.setattr(pg3, "line_keys_batch", repeat_a_key)
+    with pytest.raises(pg3.GeneratorCountMismatch):
+        pg3.generators_through(cp3, (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("make_frame, p, h", [(pg3.cp_frame, 3, 1), (pg3.cp_frame, 5, 1),
+                                              (pg3.cp_frame, 3, 2), (pg3.ft_frame, 3, 2),
+                                              (pg3.ft_frame, 17, 1)])
+def test_generators_through_batch_matches_the_scalar_scan(make_frame, p, h):
+    frame = make_frame(gf.make_field(p, 2 * h))
+    q5, rng = frame.q ** 5, random.Random(p + h)
+    # affine points, (0,0,0,1) at q^5, then points (0, 1, x2, x3)
+    idx = sorted({*rng.sample(range(q5), 24), q5, q5 + 1, frame.num_points - 1,
+                  *rng.sample(range(q5 + 1, frame.num_points), 8)})
+    P = np.stack(pg3.unpack_batch(frame.ctx, pg3.surface_point(frame, idx)), axis=1)
+    keys = pg3.generators_through_batch(frame, P)
+    assert keys.shape == (len(idx), frame.q + 1, 2)
+    for row, point in zip(keys, P.tolist()):
+        expect = oracles.generators_through(frame, point)
+        assert [tuple(k) for k in row.tolist()] == pg3.generators_through(frame, point) == expect
+
+
+def test_generators_through_batch_refuses_an_off_surface_point(cp3):
+    with pytest.raises(pg3.NotOnSurface):
+        pg3.generators_through_batch(cp3, [(0, 0, 0, 1), (0, 1, 0, 0)])
 
 
 def test_is_generator_ft_example(ft17f, F289):
@@ -373,7 +414,7 @@ def test_tangent_plane_intersection_is_generator_union_q3(cp3, F9):
     surf = set(int(x) for x in oracles.enumerate_surface(cp3))
     for packed in list(surf)[:15]:
         P = pg3.unpack(F9, packed)
-        coeffs = pg3.tangent_plane(cp3, P)
+        coeffs = oracles.tangent_plane(cp3, P)
         in_plane = {s for s in surf
                     if oracles.on_plane(F9, coeffs, pg3.unpack(F9, s))}
         union = set()
@@ -425,7 +466,7 @@ def test_polarity_involution(ft17f, F289):
     rng = random.Random(3)
     for _ in range(20):
         P = pg3.unpack(F289, int(pts[rng.randrange(len(pts))]))
-        assert oracles.pole(ft17f, pg3.tangent_plane(ft17f, P)) == pg3.normalize(F289, P)
+        assert oracles.pole(ft17f, oracles.tangent_plane(ft17f, P)) == pg3.normalize(F289, P)
 
 
 def test_pack_unpack_roundtrip(F289):
