@@ -148,12 +148,12 @@ def cmd_diagnose(args) -> int:
     t0 = time.time()
     fr = curves.ft_frame_setup(args.p, args.h, eps=args.eps)
     sets = curves.ft_point_sets(fr.ctx2)
-    G, H, w = groups.ft_group_gens(fr)
-    key0, quad0, prov = hemisystem.seed_generator_g0(fr)
+    groups.ft_group_gens(fr)                  # raises unless the generators preserve the form
+    key0, _, prov = hemisystem.seed_generator_g0(fr)
     m1 = hemisystem.m1_half_orbit(fr, key0)
-    g1 = groups.orbit(fr.ctx2, G.gens, key0)
+    g1 = hemisystem.g_orbit(fr, m1)
     r, rp = hemisystem.count_r_rprime(fr, m1, "plus")
-    m2 = groups.orbit(fr.ctx2, H.gens, hemisystem.ell_line(fr, 1))
+    m2 = curves.m2_half_orbit(fr, 1)
     ctxq = numbers._field_of_order(fr.q)
     omega_small = next(x for x in range(1, fr.q) if not ctxq.is_square(x % fr.q))
     rec = numbers.count_C3_C4(ctxq, omega_small)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--p", type=int, required=True)
     d.add_argument("--h", type=positive_int, default=1)
     d.add_argument("--eps", type=int, choices=(1, -1), default=1)
-    d.add_argument("--samples", type=int, default=1000)
+    d.add_argument("--samples", type=positive_int, default=1000)
     d.set_defaults(func=cmd_diagnose)
     return ap
 

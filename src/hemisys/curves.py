@@ -10,6 +10,10 @@ GF(q^2)-rational points split into Omega (the conic section in the plane
 X1 = 0) and Delta+/Delta-.  Imaginary chords join a GF(q^4)-point of the
 curve to its q^2-Frobenius conjugate; they are generators of the surface
 disjoint from the rational points and supply the H part of a hemisystem.
+The curve-meeting half-orbits are unions of pencils: the half-orbit's
+lines through one base point of the curve, moved to every other point by
+one group element each (cp_half_orbits, m2_half_orbit).  join_keys turns
+chords and pencils alike into sorted, distinct, counted keys.
 
 GF(q^4) is never built.  Its elements are pairs t = a + b sqrt(nu) over
 GF(q^2), nu the digit-lex smallest non-square of GF(q^2), and with
@@ -117,11 +121,16 @@ def _tower_pow(ctx2: FieldCtx, nu: int, x: tuple, n: int) -> tuple:
     return out
 
 
-def _chord_keys(ctx2: FieldCtx, A: list, B: list, expect: int) -> np.ndarray:
-    """Sorted distinct keys of the lines <A, B>, A and B lists of 4 coordinate arrays."""
-    keys = pg3.line_keys_batch(ctx2, np.stack(A, axis=1), np.stack(B, axis=1))
-    out = pg3.code_keys(ctx2, pg3.unique(pg3.line_codes(ctx2, keys)))
-    _check(len(out) == expect, f"{len(out)} imaginary chords, expected {expect}")
+def join_keys(ctx2: FieldCtx, pencils, expect: int, what: str) -> np.ndarray:
+    """Sorted distinct keys of the lines <A, B> for each (A, B) of pencils, A and B
+    four coordinates (arrays or ints) that broadcast together.  Raises
+    CurveInvariantFailed unless they are expect distinct lines."""
+    codes = []
+    for A, B in pencils:
+        rows = np.stack(np.broadcast_arrays(*A, *B), axis=-1).reshape(-1, 8)
+        codes.append(pg3.line_codes(ctx2, pg3.line_keys_batch(ctx2, rows[:, :4], rows[:, 4:])))
+    out = pg3.code_keys(ctx2, pg3.unique(np.concatenate(codes)))
+    _check(len(out) == expect, f"{len(out)} {what}, expected {expect}")
     return out
 
 
@@ -136,11 +145,32 @@ def cp_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
     a, b = _off_subfield(ctx2)
     aq, bq = frob[a], frob[b]
     kbq = vec_mul(ctx2, kappa, bq)
-    A = [np.ones_like(a), a, aq,
-         vec_add(ctx2, vec_mul(ctx2, a, aq), vec_mul(ctx2, vec_mul(ctx2, nu, kappa),
-                                                     vec_mul(ctx2, b, bq)))]
-    B = [np.zeros_like(b), b, kbq, vec_add(ctx2, vec_mul(ctx2, a, kbq), vec_mul(ctx2, aq, b))]
-    return _chord_keys(ctx2, A, B, (q * q + q) * (q * q - q) // 2)
+    A = (1, a, aq, vec_add(ctx2, vec_mul(ctx2, a, aq), vec_mul(ctx2, vec_mul(ctx2, nu, kappa),
+                                                               vec_mul(ctx2, b, bq))))
+    B = (0, b, kbq, vec_add(ctx2, vec_mul(ctx2, a, kbq), vec_mul(ctx2, aq, b)))
+    return join_keys(ctx2, [(A, B)], (q * q + q) * (q * q - q) // 2, "imaginary chords")
+
+
+def cp_half_orbits(ctx2: FieldCtx, x0: int) -> tuple:
+    """PSL(2, q^2)'s two half-orbits on the (q+1)(q^2+1) generators meeting the
+    rational curve, each a union of q^2+1 pencils of (q+1)/2 lines.
+
+    The generators through (0,0,0,1) are <(0,0,0,1), (0,1,x,0)> with
+    x^(q+1) = -1, x = x0 g^((q-1)k).  The stabilizer t -> a^2 t + b of t = oo
+    multiplies x by a^(2(q-1)), so even k (with x0) and odd k are its halves.
+    h_c: t -> c - 1/t, in PSL(2, q^2), moves both to the curve point
+    (1, c, c^q, c^(q+1)), sending (0,1,x,0) to (0, x, 1, c + c^q x).
+    Returns (even k's half-orbit, odd k's).
+    """
+    q = ctx2.p ** (ctx2.d // 2)
+    c = np.arange(ctx2.order, dtype=np.int64)[:, None]
+    cq = ctx2.frob_np(ctx2.d // 2)[c]
+    x = vec_mul(ctx2, x0, ctx2.exp_np[(q - 1) * np.arange(q + 1)])
+    return tuple(join_keys(ctx2, [((1, c, cq, vec_mul(ctx2, c, cq)),
+                                   (0, xk, 1, vec_add(ctx2, c, vec_mul(ctx2, cq, xk)))),
+                                  ((0, 0, 0, 1), (0, 1, xk, 0))],
+                           (q + 1) * (q * q + 1) // 2, "lines in a cp half-orbit")
+                 for xk in (x[0::2], x[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +292,28 @@ def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
     expect_pts = (q * q + q) * (q * q - q - 2 * g)
     _check(2 * len(ya) == expect_pts,
            f"{len(ya)} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
-    A = [np.ones_like(xa), xa, ya,
-         vec_add(ctx2, vec_mul(ctx2, ya, ya), vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb)))]
-    B = [np.zeros_like(xb), xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb))]
-    return _chord_keys(ctx2, A, B, expect_pts // 2)
+    A = (1, xa, ya, vec_add(ctx2, vec_mul(ctx2, ya, ya), vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb))))
+    B = (0, xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb)))
+    return join_keys(ctx2, [(A, B)], expect_pts // 2, "imaginary chords")
+
+
+def m2_half_orbit(fr: FTFrame, eps: int) -> np.ndarray:
+    """H's half-orbit M2 of <O, P_eps>, O = (1,0,0,0): (q+1)^2/2 generators
+    meeting Omega, a union of q+1 pencils of (q+1)/2 lines.
+
+    Through O it is <O, (0,y,1,0)> for y in y0 <g^(2(q-1))>, y0 = eps sqrt(-2)
+    the direction of P_eps, as L_lam scales y by lam.  T_a (a in GF(q)) moves
+    it to (1,0,a,a^2), sending (0,y,1,0) to (0,y,1,2a), and N_sigma0
+    (sigma0 = g^(q-1)) to (0,0,0,1), sending (0,y,1,0) to (0,sigma0 y,1,0).
+    """
+    ctx2, q = fr.ctx2, fr.q
+    y0 = fr.sqrtm2 if eps == 1 else ctx2.neg(fr.sqrtm2)
+    y = vec_mul(ctx2, y0, ctx2.exp_np[2 * (q - 1) * np.arange((q + 1) // 2)])
+    a = subfield_elements(ctx2)[:, None]
+    two_a = vec_mul(ctx2, 2 % ctx2.p, a)
+    return join_keys(ctx2, [((1, 0, a, vec_mul(ctx2, a, a)), (0, y, 1, two_a)),
+                            ((0, 0, 0, 1), (0, vec_mul(ctx2, ctx2.exp_np[q - 1], y), 1, 0))],
+                     (q + 1) ** 2 // 2, "lines in the M2 half-orbit")
 
 
 def _normalize3(ctx: FieldCtx, c) -> tuple:

@@ -1,17 +1,15 @@
-"""Collineation groups acting on the surface and orbit computation.
+"""Collineation groups of the Fuhrmann-Torres pair and their action on lines.
 
 Collineations are invertible 4x4 matrices over GF(q^2) modulo scalars,
 acting on column points by left multiplication.  Group generators are
 checked to preserve the active Hermitian form up to a scalar.
 
-For the rational curve the relevant group is the lift of PGL(2,q^2)
-acting as fractional maps t -> (at+b)/(ct+d) on the curve parameter;
-for the Fuhrmann-Torres pair it is the group generated by the five
-matrix families T_a, M_rho, N_sigma, R_mu, L_lambda together with the
-extra commuting involution w = diag(1,-1,1,1) which swaps the two
-curves.  The same five families act on parameter quadruples (u,v,s,t)
-of the Delta-meeting generators; quadruple_action_check certifies that
-each matrix realizes its quadruple map.
+The group G is generated by the five matrix families T_a, M_rho, N_sigma,
+R_mu, L_lambda together with the extra commuting involution
+w = diag(1,-1,1,1) which swaps the two curves.  The same five families act
+on parameter quadruples (u,v,s,t) of the Delta-meeting generators;
+quadruple_action_check certifies that each matrix realizes its quadruple
+map.
 
 T, M and N act on (X0, X2, X3) as PSL(2, q) on the conic X0 X3 = X2^2 and
 L scales X1, so the index-2 subgroup H has a Bruhat normal form: with g the
@@ -19,7 +17,9 @@ generator of GF(q^2) and eta = g^(q+1), each element is one word T_a M_rho
 L_lam or T_a M_rho L_lam N_sigma0 T_b, a, b in GF(q) = {0} u <eta>, rho one
 of the (q-1)/2 squares eta^(2k), lam one of the (q+1)/2 powers of
 g^(2(q-1)) and sigma0 = g^(q-1): q(q-1)(q+1)^2/4 = |H| words (22,032 at
-q = 17).  ft_word_images images a line by every word; orbit is BFS.
+q = 17).  ft_word_images images a line by every word.  No orbit is searched:
+the other half-orbits are pencil unions (curves.cp_half_orbits,
+curves.m2_half_orbit), and G's orbit of a line is H's and its image by R.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .curves import FTFrame
 
 
 class Singular(ValueError):
-    pass
-
-
-class OrbitBudgetExceeded(RuntimeError):
     pass
 
 
@@ -137,67 +133,6 @@ def apply_to_keys(ctx: FieldCtx, col: Collineation, keys) -> np.ndarray:
     A, B = (np.stack(col.apply_batch(ctx, pg3.unpack_batch(ctx, keys[:, k])), axis=1)
             for k in (0, 1))
     return pg3.line_keys_batch(ctx, A, B)
-
-
-def orbit(ctx: FieldCtx, gens, seed_key, max_size=None) -> np.ndarray:
-    """Breadth-first line orbit as sorted (n, 2) key rows.
-
-    Each level maps the frontier by every generator at once and keeps the
-    images whose pg3.line_codes are not yet seen; seen stays a sorted code
-    array.
-    """
-    frontier = np.asarray(seed_key, dtype=np.int64).reshape(1, 2)
-    seen = pg3.line_codes(ctx, frontier)
-    while len(frontier):
-        imgs = np.concatenate([apply_to_keys(ctx, g, frontier) for g in gens])
-        codes = pg3.unique(pg3.line_codes(ctx, imgs))
-        codes = codes[~pg3.member(codes, seen)]
-        seen = np.insert(seen, np.searchsorted(seen, codes), codes)
-        if max_size is not None and len(seen) > max_size:
-            raise OrbitBudgetExceeded(f"orbit exceeded {max_size} lines")
-        frontier = pg3.code_keys(ctx, codes)
-    return pg3.code_keys(ctx, seen)
-
-
-# ---------------------------------------------------------------------------
-# rational-curve group: lift of PGL(2, q^2)
-
-def cp_lift(ctx: FieldCtx, moeb) -> Collineation:
-    """Lift of t -> (at+b)/(ct+d) to the diagonal frame.
-
-    Acts when the curve is parametrized by (u u^s, v u^s, u v^s, v v^s)
-    with s the q-power and t = v/u; the lift of a product is the product
-    of the lifts up to scalars.
-    """
-    a, b, c, d = (x % ctx.order for x in moeb)
-    ctxh = ctx.d // 2
-    det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
-    if det == 0:
-        raise Singular("Moebius map is singular")
-    ap, bp, cp, dp = d, c, b, a            # action on (u, v)
-    f = lambda x: ctx.frobenius(x, ctxh)
-    m = ctx.mul
-    rows = [
-        [m(ap, f(ap)), m(f(ap), bp), m(ap, f(bp)), m(bp, f(bp))],
-        [m(cp, f(ap)), m(dp, f(ap)), m(cp, f(bp)), m(dp, f(bp))],
-        [m(ap, f(cp)), m(bp, f(cp)), m(ap, f(dp)), m(bp, f(dp))],
-        [m(cp, f(cp)), m(dp, f(cp)), m(cp, f(dp)), m(dp, f(dp))],
-    ]
-    return Collineation(ctx, rows)
-
-
-def cp_group_gens(ctx: FieldCtx) -> tuple:
-    """Full lift of PGL(2,q^2) and its PSL(2,q^2) subgroup generators."""
-    g = ctx.gen
-    n1 = ctx.neg(1)
-    shift = cp_lift(ctx, (1, 1, 0, 1))
-    invmap = cp_lift(ctx, (0, n1, 1, 0))
-    G = GroupSpec("cp_pgl", [shift, cp_lift(ctx, (g, 0, 0, 1)), invmap])
-    H = GroupSpec("cp_psl", [shift, cp_lift(ctx, (ctx.mul(g, g), 0, 0, 1)), invmap])
-    frame = pg3.cp_frame(ctx)
-    for col in G.gens + H.gens:
-        _check(preserves_form(frame, col) is not None, "a cp generator breaks the form")
-    return G, H
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,6 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
     return key, quad, prov
 
 
-def ell_line(fr: FTFrame, eps: int) -> tuple:
-    """Generator joining the origin (1,0,0,0) to (1, eps*sqrt(-2)b, b, 0)."""
-    return pg3.line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))
-
-
 def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
     """Generators of the half-orbit through the tangency point, split (r, r')."""
     eps = 1 if which_point == "plus" else -1
@@ -216,21 +211,13 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
     if q > 7 and not force:
         raise pg3.TooLarge(f"cp build at q={q} is heavy; pass force")
     ctx2 = make_field(p, 2 * h)
-    frame = pg3.cp_frame(ctx2)
-    curve = curves.cp_curve_points(ctx2)
-    through = pg3.generators_through_batch(frame, np.stack(pg3.unpack_batch(ctx2, curve), axis=1))
-    gcp = pg3.unique(pg3.line_codes(ctx2, through))
-    _check(len(gcp) == (q + 1) * (q * q + 1), f"{len(gcp)} generators meet the curve")
-    G, H = groups.cp_group_gens(ctx2)
-    inf = np.searchsorted(curve, pg3.pack_point(ctx2, (0, 0, 0, 1)))
-    seed = tuple(int(x) for x in through[inf, 0])    # the least generator through (0,0,0,1)
-    M = groups.orbit(ctx2, H.gens, seed)
-    _check(2 * len(M) == len(gcp), "index-2 split failed")
-    rest = pg3.code_keys(ctx2, gcp[~pg3.member(gcp, pg3.line_codes(ctx2, M))])
-    _check(np.array_equal(groups.orbit(ctx2, H.gens, rest[0]), rest),
-           "complementary orbit mismatch")
-    if seed_orbit == "minus":
-        M = rest
+    # the least generator through (0,0,0,1) is <(0,0,0,1), (0,1,x0,0)>
+    seed = pg3.generators_through(pg3.cp_frame(ctx2), (0, 0, 0, 1))[0]
+    plus, minus = curves.cp_half_orbits(ctx2, pg3.unpack(ctx2, seed[1])[2])
+    _check(len(plus) == len(minus) == (q + 1) * (q * q + 1) // 2
+           and not pg3.member(pg3.line_codes(ctx2, minus), pg3.line_codes(ctx2, plus)).any(),
+           "index-2 split failed")
+    M = plus if seed_orbit == "plus" else minus
     chords = curves.cp_imaginary_chords(ctx2)
     lines = _sorted_lines(ctx2, M, chords)
     cand = HemisystemCandidate(
@@ -256,22 +243,28 @@ def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
     return pg3.code_keys(fr.ctx2, codes)
 
 
+def g_orbit(fr: FTFrame, m1) -> np.ndarray:
+    """Sorted key rows of G(key0) = M1 u R M1 for M1 = H(key0): H has index 2 in
+    G, and R = mat_R(eta), eta = g^(q+1), lies in G outside H."""
+    ctx = fr.ctx2
+    R = groups.mat_R(ctx, ctx.pow(ctx.gen, fr.q + 1))
+    return _sorted_lines(ctx, m1, groups.apply_to_keys(ctx, R, m1))
+
+
 def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
-    """build_ft's candidate, the index-2 subgroup H and the candidate's M2 half-orbit."""
+    """build_ft's candidate and its M2 half-orbit."""
     from . import numbers
     q = p ** h
     if not force and not numbers.condition_B_holds(q, fr.ctx2):
         raise ConditionBFails(
             f"the point-count criterion fails at q={q}; pass force to build anyway")
-    G, H, w = groups.ft_group_gens(fr)
-    key0, quad0, seed_prov = seed_generator_g0(fr)
+    key0, _, seed_prov = seed_generator_g0(fr)
     m1 = m1_half_orbit(fr, key0)
     r, rp = count_r_rprime(fr, m1, "plus")
     if r == rp:
         raise TieRR(f"r = r' = {r}")
     pick_eps = 1 if r < rp else -1
-    m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, pick_eps))
-    _check(2 * len(m2) == (q + 1) ** 2, f"{len(m2)} lines in the M2 half-orbit")
+    m2 = curves.m2_half_orbit(fr, pick_eps)
     chords = curves.ft_imaginary_chords(fr.ctx2)
     lines = _sorted_lines(fr.ctx2, m1, m2, chords)
     n_rational = (q ** 3 + q + 2) // 2
@@ -284,7 +277,7 @@ def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
                     "m2_point": "plus" if pick_eps == 1 else "minus",
                     "chords": int(len(chords)), **seed_prov})
     _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
-    return cand, H, m2
+    return cand, m2
 
 
 def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
@@ -295,13 +288,13 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     outcome is recorded in the provenance.  Returns (candidate, report).
     """
     fr = curves.ft_frame_setup(p, h, eps)
-    cand, H, m2_old = _build_ft(p, h, eps, force, fr)
+    cand, m2_old = _build_ft(p, h, eps, force, fr)
     report = verify(cand, threads=threads, frame=fr.frame)
     if report.passed:
         cand.provenance["m2_choice"] = "rule"
         return cand, report
     flipped = "minus" if cand.provenance["m2_point"] == "plus" else "plus"
-    m2 = groups.orbit(fr.ctx2, H.gens, ell_line(fr, 1 if flipped == "plus" else -1))
+    m2 = curves.m2_half_orbit(fr, 1 if flipped == "plus" else -1)
     keep = ~pg3.member(pg3.line_codes(fr.ctx2, cand.lines), pg3.line_codes(fr.ctx2, m2_old))
     lines = _sorted_lines(fr.ctx2, cand.lines[keep], m2)
     cand2 = HemisystemCandidate(
@@ -422,8 +415,6 @@ def condition_checks(fr: FTFrame, m_keys, P,
     rows = pg3.line_points_table(ctx, np.asarray(gens, dtype=np.int64))
     meeting = [k for k, pts in zip(gens, rows)
                if set(int(x) for x in pts) & rational]
-    if isinstance(m_keys, (set, frozenset)):
-        m_keys = list(m_keys)
     m_codes = pg3.unique(pg3.line_codes(ctx, m_keys))
     in_m = int(pg3.member(pg3.line_codes(ctx, meeting), m_codes).sum())
     if on_curve:

@@ -3,7 +3,11 @@
 generators_through scans one point's tangent plane in scalar code, and
 enumerate_generators lists every generator of the surface through that scan at
 the surface points of one plane; count_E3_naive counts the
-points of Y^2 = X^3 - X by a double loop.  The tests compare the library's
+points of Y^2 = X^3 - X by a double loop.  orbit is the breadth-first search
+of a line's orbit under a list of generator collineations: with cp_lift and
+cp_group_gens (the lift of PGL(2, q^2) and its PSL(2, q^2) generators) and
+ell_line (the seed of M2) it is the reference for every half-orbit the
+library writes down by enumeration.  The tests compare the library's
 faster routes against them.  enumerate_surface, on_plane, pole (with
 mat_inv), tangent_plane and classify_generator are only used by tests, so they
 live here too.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hemisys import curves, pg3
+from hemisys import curves, groups, pg3
 from hemisys.gf import FieldCtx
 
 G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
@@ -162,3 +166,56 @@ def count_E3_naive(ctx_q: FieldCtx) -> int:
             if ctx_q.mul(y, y) == rhs:
                 n += 1
     return n
+
+
+def orbit(ctx: FieldCtx, gens, seed_key) -> np.ndarray:
+    """Breadth-first line orbit as sorted (n, 2) key rows.
+
+    Each level maps the frontier by every generator at once and keeps the
+    images whose pg3.line_codes are not yet seen; seen stays a sorted code
+    array.
+    """
+    frontier = np.asarray(seed_key, dtype=np.int64).reshape(1, 2)
+    seen = pg3.line_codes(ctx, frontier)
+    while len(frontier):
+        imgs = np.concatenate([groups.apply_to_keys(ctx, g, frontier) for g in gens])
+        codes = pg3.unique(pg3.line_codes(ctx, imgs))
+        codes = codes[~pg3.member(codes, seen)]
+        seen = np.insert(seen, np.searchsorted(seen, codes), codes)
+        frontier = pg3.code_keys(ctx, codes)
+    return pg3.code_keys(ctx, seen)
+
+
+def cp_lift(ctx: FieldCtx, moeb) -> groups.Collineation:
+    """Lift of t -> (at+b)/(ct+d) to the diagonal frame.
+
+    Acts when the curve is parametrized by (u u^s, v u^s, u v^s, v v^s)
+    with s the q-power and t = v/u; the lift of a product is the product
+    of the lifts up to scalars.
+    """
+    a, b, c, d = (x % ctx.order for x in moeb)
+    if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) == 0:
+        raise groups.Singular("Moebius map is singular")
+    ap, bp, cp, dp = d, c, b, a            # action on (u, v)
+    f = lambda x: ctx.frobenius(x, ctx.d // 2)
+    m = ctx.mul
+    return groups.Collineation(ctx, [
+        [m(ap, f(ap)), m(f(ap), bp), m(ap, f(bp)), m(bp, f(bp))],
+        [m(cp, f(ap)), m(dp, f(ap)), m(cp, f(bp)), m(dp, f(bp))],
+        [m(ap, f(cp)), m(bp, f(cp)), m(ap, f(dp)), m(bp, f(dp))],
+        [m(cp, f(cp)), m(dp, f(cp)), m(cp, f(dp)), m(dp, f(dp))],
+    ])
+
+
+def cp_group_gens(ctx: FieldCtx) -> tuple:
+    """Generators of the lift of PGL(2,q^2) and of its PSL(2,q^2) subgroup."""
+    g = ctx.gen
+    shift = cp_lift(ctx, (1, 1, 0, 1))
+    invmap = cp_lift(ctx, (0, ctx.neg(1), 1, 0))
+    return ([shift, cp_lift(ctx, (g, 0, 0, 1)), invmap],
+            [shift, cp_lift(ctx, (ctx.mul(g, g), 0, 0, 1)), invmap])
+
+
+def ell_line(fr: curves.FTFrame, eps: int) -> tuple:
+    """Generator joining the origin (1,0,0,0) to (1, eps*sqrt(-2)b, b, 0)."""
+    return pg3.line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))

@@ -157,7 +157,9 @@ def test_bad_user_input_exit_code(capsys):
                  ["survey", "--q-list", "21"], ["eccount", "--p", "21"],
                  ["construct", "--family", "cp", "--p", "2"],
                  ["construct", "--family", "cp", "--p", "3", "--h", "0"],
-                 ["diagnose", "--p", "17", "--h", "0"]):
+                 ["diagnose", "--p", "17", "--h", "0"],
+                 ["diagnose", "--p", "17", "--samples", "0"],
+                 ["diagnose", "--p", "17", "--samples", "-5"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, argv
 

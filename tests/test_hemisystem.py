@@ -166,9 +166,10 @@ def test_build_ft_forced_falsification_q9(monkeypatch):
     # condition B fails at q=9; the forced build assembles a candidate of the
     # right size and exhaustive verification rejects it, both half-choices,
     # enumerating M1 once and building each M2 half-orbit once
-    orbit, calls = groups.orbit, []
+    m2_half_orbit, calls = curves.m2_half_orbit, []
     words, word_calls = groups.ft_word_images, []
-    monkeypatch.setattr(groups, "orbit", lambda *a, **k: calls.append(a[2]) or orbit(*a, **k))
+    monkeypatch.setattr(curves, "m2_half_orbit",
+                        lambda fr, eps: calls.append(eps) or m2_half_orbit(fr, eps))
     monkeypatch.setattr(groups, "ft_word_images",
                         lambda *a: word_calls.append(a[1]) or words(*a))
     cand, report = hemisystem.build_ft_verified(3, 2, eps=1, force=True)
@@ -184,7 +185,20 @@ def test_m1_by_words_is_the_bfs_orbit(p, h, eps):
     fr = curves.ft_frame_setup(p, h, eps)
     _, H, _ = groups.ft_group_gens(fr)
     key0 = hemisystem.seed_generator_g0(fr)[0]
-    assert np.array_equal(hemisystem.m1_half_orbit(fr, key0), groups.orbit(fr.ctx2, H.gens, key0))
+    assert np.array_equal(hemisystem.m1_half_orbit(fr, key0), oracles.orbit(fr.ctx2, H.gens, key0))
+    # M2 by pencils, at the rule's point and the fallback's
+    for e in (1, -1):
+        bfs = oracles.orbit(fr.ctx2, H.gens, oracles.ell_line(fr, e))
+        assert np.array_equal(curves.m2_half_orbit(fr, e), bfs)
+
+
+@pytest.mark.parametrize("p, h", [(3, 2), (17, 1)])
+def test_g_orbit_is_the_bfs_orbit(p, h, ft17_g1):
+    fr = curves.ft_frame_setup(p, h, 1)
+    G, _, _ = groups.ft_group_gens(fr)
+    key0 = hemisystem.seed_generator_g0(fr)[0]
+    g1 = hemisystem.g_orbit(fr, hemisystem.m1_half_orbit(fr, key0))
+    assert np.array_equal(g1, ft17_g1 if p == 17 else oracles.orbit(fr.ctx2, G.gens, key0))
 
 
 def test_m1_refuses_two_words_with_one_image(monkeypatch):
@@ -202,9 +216,9 @@ def test_m1_refuses_two_words_with_one_image(monkeypatch):
 
 
 BUILD_CP_DROPPING_AN_ORBIT_LINE = """
-from hemisys import groups, hemisystem
-orbit = groups.orbit
-groups.orbit = lambda *args, **kwargs: orbit(*args, **kwargs)[1:]
+from hemisys import curves, hemisystem
+halves = curves.cp_half_orbits
+curves.cp_half_orbits = lambda *args: (halves(*args)[0][1:], halves(*args)[1])
 try:
     hemisystem.build_cp(3)
 except hemisystem.BuildInvariantFailed as e:
@@ -444,7 +458,7 @@ def test_condition_checks_types_I_II(ft17, ft17_sets, ft17_build, ft17_chords):
     ctx = ft17.ctx2
     # restrict to the curve-meeting part of the candidate
     chords = set((int(a), int(b)) for a, b in ft17_chords)
-    m_half = frozenset(k for k in cand.key_set() if k not in chords)
+    m_half = [k for k in cand.key_set() if k not in chords]
     surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(1)
     rational = ft17_sets.rational_plus
