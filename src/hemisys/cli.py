@@ -103,7 +103,7 @@ def _survey_list(args):
 
 def cmd_survey(args) -> int:
     qs = _survey_list(args)
-    rows = numbers.survey(qs, threads=args.threads)
+    rows = numbers.survey(qs)
     report = {
         "columns": ["q", "N_E3", "conditionB", "p_mod8", "q_square"],
         "rows": [{"q": r.q, "N_E3": r.N_E3,

@@ -29,7 +29,7 @@ keeps, unlike assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class BadCongruence(ValueError):
 
 
 class TwoNotSquare(ValueError):
-    pass
-
-
-class ProjectionUndefined(ValueError):
     pass
 
 
@@ -64,22 +60,6 @@ RATIONAL_SUBPLANE = "RATIONAL_SUBPLANE"
 TYPE_I = "TYPE_I"
 TYPE_II = "TYPE_II"
 TYPE_III = "TYPE_III"
-
-
-# ---------------------------------------------------------------------------
-# rational curve (diagonal frame)
-
-def cp_curve_points(ctx2: FieldCtx) -> np.ndarray:
-    """Packed points (1, t, t^q, t^(q+1)) plus (0,0,0,1); q^2+1 in total."""
-    h = ctx2.d // 2
-    ts = np.arange(ctx2.order, dtype=np.int64)
-    tq = ctx2.frob_np(h)[ts]
-    ones = np.ones_like(ts)
-    pts = pg3.norm_pack_batch(ctx2, ones, ts, tq, vec_mul(ctx2, ts, tq))
-    inf = np.asarray([pg3.pack_point(ctx2, (0, 0, 0, 1))], dtype=np.int64)
-    out = pg3.unique(np.concatenate([pts, inf]))
-    _check(len(out) == ctx2.order + 1, f"{len(out)} points on the rational curve")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +163,6 @@ class CurvePointSets:
     omega: np.ndarray
     delta_plus: np.ndarray
     delta_minus: np.ndarray
-    uv_plus: dict = field(repr=False, default_factory=dict)
-    st_minus: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.omega_set = frozenset(int(x) for x in self.omega)
@@ -218,8 +196,6 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
     _check(len(omega) == q + 1, f"{len(omega)} points in Omega")
 
     frob_h = ctx2.frob_np(h)
-    uv_plus: dict = {}
-    st_minus: dict = {}
     plus_rows = []
     minus_rows = []
     sub_set = set(int(x) for x in sub)
@@ -243,16 +219,12 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
                              plus_arr[:, 2], plus_arr[:, 3])
     dm = pg3.norm_pack_batch(ctx2, minus_arr[:, 0], minus_arr[:, 1],
                              minus_arr[:, 2], minus_arr[:, 3])
-    for row, packed in zip(plus_rows, dp):
-        uv_plus[int(packed)] = (row[1], row[2])
-    for row, packed in zip(minus_rows, dm):
-        st_minus[int(packed)] = (row[1], row[2])
     dp = pg3.unique(dp)
     dm = pg3.unique(dm)
     expect = (q ** 3 - q) // 2
     _check(len(dp) == expect and len(dm) == expect,
            f"{len(dp)} and {len(dm)} points in Delta+ and Delta-, expected {expect}")
-    sets = CurvePointSets(omega, dp, dm, uv_plus, st_minus)
+    sets = CurvePointSets(omega, dp, dm)
     _check(not (sets.omega_set & sets.plus_set or sets.omega_set & sets.minus_set
                 or sets.plus_set & sets.minus_set), "Omega, Delta+ and Delta- overlap")
     return sets
@@ -316,14 +288,6 @@ def m2_half_orbit(fr: FTFrame, eps: int) -> np.ndarray:
                      (q + 1) ** 2 // 2, "lines in the M2 half-orbit")
 
 
-def _normalize3(ctx: FieldCtx, c) -> tuple:
-    for x in c:
-        if x:
-            s = ctx.inv(x)
-            return tuple(ctx.mul(y, s) for y in c)
-    raise ProjectionUndefined("projection from the vertex is undefined")
-
-
 def classify_point_type(ctx2: FieldCtx, P) -> str:
     """Type of a surface point w.r.t. the conic X0 X3 = X2^2 in the plane X1=0.
 
@@ -333,7 +297,7 @@ def classify_point_type(ctx2: FieldCtx, P) -> str:
     """
     h = ctx2.d // 2
     q = ctx2.p ** h
-    proj = _normalize3(ctx2, (P[0], P[2], P[3]))
+    proj = pg3.normalize(ctx2, (P[0], P[2], P[3]))
     if all(ctx2.frobenius(x, h) == x for x in proj):
         return RATIONAL_SUBPLANE
     conj = tuple(ctx2.frobenius(x, h) for x in proj)

@@ -1,8 +1,12 @@
 """Collineation groups of the Fuhrmann-Torres pair and their action on lines.
 
-Collineations are invertible 4x4 matrices over GF(q^2) modulo scalars,
-acting on column points by left multiplication.  Group generators are
-checked to preserve the active Hermitian form up to a scalar.
+A collineation is a plain (4, 4) int64 matrix over GF(q^2), acting on column
+points by left multiplication and taken modulo scalars: apply is its one
+kernel, on four coordinates that are ints or equal-shape arrays, and
+apply_to_keys images a batch of lines.  Products are pg3.mat_mul, and two
+matrices are the same collineation when pg3.normalize of their 16 entries
+agrees.  Group generators are checked to preserve the active Hermitian form
+up to a scalar.
 
 The group G is generated by the five matrix families T_a, M_rho, N_sigma,
 R_mu, L_lambda together with the extra commuting involution
@@ -25,7 +29,6 @@ curves.m2_half_orbit), and G's orbit of a line is H's and its image by R.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +36,6 @@ from .gf import FieldCtx, vec_add, vec_mul
 from . import pg3
 from .pg3 import HermitianFrame
 from .curves import FTFrame
-
-
-class Singular(ValueError):
-    pass
 
 
 class GroupInvariantFailed(RuntimeError):
@@ -49,88 +48,37 @@ def _check(ok: bool, what: str) -> None:
         raise GroupInvariantFailed(what)
 
 
-class Collineation:
-    """Projective 4x4 matrix, normalized so the first nonzero entry is 1."""
-
-    __slots__ = ("mat", "_key")
-
-    def __init__(self, ctx: FieldCtx, mat):
-        flat = [int(x) for row in mat for x in row]
-        s = next((x for x in flat if x), 0)
-        if not s:
-            raise Singular("zero matrix")
-        si = ctx.inv(s)
-        flat = [ctx.mul(x, si) for x in flat]
-        self.mat = tuple(tuple(flat[4 * i + j] for j in range(4)) for i in range(4))
-        self._key = tuple(flat)
-
-    def __eq__(self, other):
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def apply(self, ctx: FieldCtx, P) -> tuple:
-        return pg3.normalize(ctx, pg3.mat_vec(ctx, self.mat, P))
-
-    def apply_batch(self, ctx: FieldCtx, cols):
-        """Image coordinates of points given as four equal-shape arrays."""
-        out = []
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                m = self.mat[i][j]
-                if not m:
-                    continue
-                term = cols[j] if m == 1 else vec_mul(ctx, m, cols[j])
-                acc = term if acc is None else vec_add(ctx, acc, term)
-            out.append(acc if acc is not None else np.zeros_like(cols[0]))
-        return out
-
-    def compose(self, ctx: FieldCtx, other: "Collineation") -> "Collineation":
-        return Collineation(ctx, pg3.mat_mul(ctx, self.mat, other.mat))
-
-    def __repr__(self):
-        return f"Collineation({self.mat})"
+def apply(ctx: FieldCtx, M, cols) -> list:
+    """Image coordinates M x of points x given as four coordinates, ints or
+    equal-shape arrays; zero entries of M are skipped and entries 1 not multiplied."""
+    out = []
+    for row in M.tolist():
+        acc = None
+        for m, c in zip(row, cols):
+            if not m:
+                continue
+            term = c if m == 1 else vec_mul(ctx, m, c)
+            acc = term if acc is None else vec_add(ctx, acc, term)
+        out.append(acc if acc is not None else np.zeros_like(cols[0]))
+    return out
 
 
-@dataclass
-class GroupSpec:
-    name: str
-    gens: list
-
-
-def preserves_form(frame: HermitianFrame, col: Collineation):
+def preserves_form(frame: HermitianFrame, M):
     """Scalar lam with M^(q)T G M = lam G, or None."""
     ctx = frame.ctx
-    h = ctx.d // 2
-    mq = pg3.mat_frob(ctx, col.mat, h)
-    lhs = pg3.mat_mul(ctx, pg3.mat_mul(ctx, pg3.mat_transpose(mq), frame.gram),
-                      col.mat)
-    lam = None
-    for i in range(4):
-        for j in range(4):
-            g = frame.gram[i][j]
-            if g:
-                cand = ctx.div(lhs[i][j], g)
-                if lam is None:
-                    lam = cand
-                elif cand != lam:
-                    return None
-            elif lhs[i][j] != 0:
-                return None
-    return lam if lam else None
+    G = np.asarray(frame.gram, dtype=np.int64)
+    lhs = pg3.mat_mul(ctx, pg3.mat_mul(ctx, ctx.frob_np(ctx.d // 2)[M].T, G), M)
+    nz = G != 0
+    lam = vec_mul(ctx, lhs[nz], ctx.inv_np[G[nz]])
+    if lam[0] and (lam == lam[0]).all() and not lhs[~nz].any():
+        return int(lam[0])
+    return None
 
 
-def apply_to_key(ctx: FieldCtx, col: Collineation, key) -> tuple:
-    A, B = pg3.key_points(ctx, key)
-    return pg3.line_key(ctx, col.apply(ctx, A), col.apply(ctx, B))
-
-
-def apply_to_keys(ctx: FieldCtx, col: Collineation, keys) -> np.ndarray:
+def apply_to_keys(ctx: FieldCtx, M, keys) -> np.ndarray:
     """Canonical keys of the images of a batch of lines; (n,2) -> (n,2)."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    A, B = (np.stack(col.apply_batch(ctx, pg3.unpack_batch(ctx, keys[:, k])), axis=1)
+    A, B = (np.stack(apply(ctx, M, pg3.unpack_batch(ctx, keys[:, k])), axis=1)
             for k in (0, 1))
     return pg3.line_keys_batch(ctx, A, B)
 
@@ -140,33 +88,33 @@ def apply_to_keys(ctx: FieldCtx, col: Collineation, keys) -> np.ndarray:
 
 def mat_T(ctx: FieldCtx, a: int):
     a2 = ctx.mul(a, a)
-    return Collineation(ctx, [[1, 0, 0, 0], [0, 1, 0, 0], [a, 0, 1, 0],
-                              [a2, 0, ctx.mul(2 % ctx.p, a), 1]])
+    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [a, 0, 1, 0],
+                     [a2, 0, ctx.mul(2 % ctx.p, a), 1]], dtype=np.int64)
 
 
 def mat_M(ctx: FieldCtx, rho: int):
-    return Collineation(ctx, [[ctx.inv(rho), 0, 0, 0], [0, 1, 0, 0],
-                              [0, 0, 1, 0], [0, 0, 0, rho]])
+    return np.array([[ctx.inv(rho), 0, 0, 0], [0, 1, 0, 0],
+                     [0, 0, 1, 0], [0, 0, 0, rho]], dtype=np.int64)
 
 
 def mat_L(ctx: FieldCtx, lam: int):
-    return Collineation(ctx, [[1, 0, 0, 0], [0, lam, 0, 0],
-                              [0, 0, 1, 0], [0, 0, 0, 1]])
+    return np.array([[1, 0, 0, 0], [0, lam, 0, 0],
+                     [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
 
 
 def mat_N(ctx: FieldCtx, sigma: int):
-    return Collineation(ctx, [[0, 0, 0, 1], [0, sigma, 0, 0],
-                              [0, 0, 1, 0], [1, 0, 0, 0]])
+    return np.array([[0, 0, 0, 1], [0, sigma, 0, 0],
+                     [0, 0, 1, 0], [1, 0, 0, 0]], dtype=np.int64)
 
 
 def mat_R(ctx: FieldCtx, mu: int):
-    return Collineation(ctx, [[0, 0, 0, ctx.inv(mu)], [0, 1, 0, 0],
-                              [0, 0, 1, 0], [mu, 0, 0, 0]])
+    return np.array([[0, 0, 0, ctx.inv(mu)], [0, 1, 0, 0],
+                     [0, 0, 1, 0], [mu, 0, 0, 0]], dtype=np.int64)
 
 
 def mat_W(ctx: FieldCtx):
-    return Collineation(ctx, [[1, 0, 0, 0], [0, ctx.neg(1), 0, 0],
-                              [0, 0, 1, 0], [0, 0, 0, 1]])
+    return np.array([[1, 0, 0, 0], [0, ctx.neg(1), 0, 0],
+                     [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
 
 
 def quad_T(ctx, a):
@@ -207,7 +155,7 @@ def quad_W(ctx):
 
 
 def ft_group_gens(fr: FTFrame) -> tuple:
-    """Generators of the full group, the index-2 subgroup, and w.
+    """Generator lists of the full group G and the index-2 subgroup H, and w.
 
     The subgroup uses translations, square dilations, one sigma-inversion
     and one central scalar; adding one non-square dilation-inversion R
@@ -221,23 +169,18 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     lam0 = ctx.pow(ctx.gen, 2 * (q - 1))        # order (q+1)/2
     _check(ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1), "sigma0^((q+1)/2) is not -1")
     _check(ctx.pow(lam0, (q + 1) // 2) == 1, "lam0^((q+1)/2) is not 1")
-    h_pairs = [
-        ("T", 1, mat_T(ctx, 1), quad_T(ctx, 1)),
-        ("T", eta, mat_T(ctx, eta), quad_T(ctx, eta)),
-        ("M", rho0, mat_M(ctx, rho0), quad_M(ctx, rho0)),
-        ("N", sigma0, mat_N(ctx, sigma0), quad_N(ctx, sigma0)),
-        ("L", lam0, mat_L(ctx, lam0), quad_L(ctx, lam0)),
-    ]
-    g_pairs = h_pairs + [("R", eta, mat_R(ctx, eta), quad_R(ctx, eta))]
-    for _, _, col, _ in g_pairs:
-        _check(preserves_form(fr.frame, col) is not None, "an ft generator breaks the form")
-    H = GroupSpec("ft_h", [c for _, _, c, _ in h_pairs])
-    G = GroupSpec("ft_g", [c for _, _, c, _ in g_pairs])
+    H = [mat_T(ctx, 1), mat_T(ctx, eta), mat_M(ctx, rho0), mat_N(ctx, sigma0),
+         mat_L(ctx, lam0)]
+    G = H + [mat_R(ctx, eta)]
+    for M in G:
+        _check(preserves_form(fr.frame, M) is not None, "an ft generator breaks the form")
     w = mat_W(ctx)
     _check(preserves_form(fr.frame, w) is not None, "w breaks the form")
-    _check(w.compose(ctx, w) == Collineation(ctx, np.eye(4, dtype=np.int64)), "w^2 is not 1")
-    for col in G.gens:
-        _check(w.compose(ctx, col) == col.compose(ctx, w), "w does not commute")
+    _check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, w).ravel())
+           == pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel()), "w^2 is not 1")
+    for M in G:
+        _check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, M).ravel())
+               == pg3.normalize(ctx, pg3.mat_mul(ctx, M, w).ravel()), "w does not commute")
     return G, H, w
 
 
@@ -267,7 +210,7 @@ def ft_word_images(fr: FTFrame, key) -> np.ndarray:
 
     points = pg3.key_points(ctx, key)
     n_sigma0 = mat_N(ctx, ctx.pow(ctx.gen, q - 1))
-    blocks = [points] + [[n_sigma0.apply(ctx, mat_T(ctx, int(b)).apply(ctx, x)) for x in points]
+    blocks = [points] + [[apply(ctx, n_sigma0, apply(ctx, mat_T(ctx, int(b)), x)) for x in points]
                          for b in a.ravel()]
     return np.concatenate([pg3.line_codes(ctx, pg3.line_keys_batch(ctx, *map(images, blk)))
                            for blk in blocks])
@@ -362,12 +305,12 @@ def quadruple_action_check(fr: FTFrame, n_samples: int, seed: int = 0) -> bool:
         return mat_W(ctx), quad_W(ctx)
 
     for _ in range(n_samples):
-        col, qmap = random_pair(rng)
+        M, qmap = random_pair(rng)
         image = qmap(quad)
         if not quad_relations_hold(fr, image):
             return False
-        key = quad_line(fr, quad)
-        if apply_to_key(ctx, col, key) != quad_line(fr, image):
+        A, B = pg3.key_points(ctx, quad_line(fr, quad))
+        if pg3.line_key(ctx, apply(ctx, M, A), apply(ctx, M, B)) != quad_line(fr, image):
             return False
         quad = image
     return True

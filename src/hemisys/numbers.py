@@ -22,7 +22,6 @@ n_q = (N_C3 - 2)/2) holds exactly when 2 is a square in GF(q).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -231,12 +230,9 @@ def survey_row(q: int) -> SurveyRow:
                      p_mod_8=ctx.p % 8, q_square=h % 2 == 0)
 
 
-def survey(q_list, threads: int = 1) -> list:
+def survey(q_list) -> list:
     qs = list(q_list)
     for q in qs:
         if q % 4 != 1:
             raise NotOneModFour(f"survey requires q = 1 mod 4, got {q}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(survey_row, qs))
     return [survey_row(q) for q in qs]

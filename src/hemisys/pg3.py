@@ -215,22 +215,9 @@ def unpack_batch(ctx: FieldCtx, packed):
 # ---------------------------------------------------------------------------
 # Hermitian form, surface, tangent planes
 
-def herm_form(frame: HermitianFrame, A, B) -> int:
-    """Sesquilinear form A^T G B^(q); zero iff A is on B's tangent plane."""
-    ctx = frame.ctx
-    h = ctx.d // 2
-    acc = 0
-    for i, j, g in frame.sparse:
-        acc = ctx.add(acc, ctx.mul(g, ctx.mul(A[i], ctx.frobenius(B[j], h))))
-    return acc
-
-
-def on_surface(frame: HermitianFrame, P) -> bool:
-    return herm_form(frame, P, P) == 0
-
-
-def _herm_form_batch(frame: HermitianFrame, A, B):
-    """herm_form over coordinate arrays: A, B are 4-tuples of index arrays."""
+def herm_form(frame: HermitianFrame, A, B):
+    """Sesquilinear form A^T G B^(q), zero iff A is on B's tangent plane; A and B
+    are four coordinates each, ints or arrays that broadcast together."""
     ctx = frame.ctx
     fr = ctx.frob_np(ctx.d // 2)
     acc = 0
@@ -242,40 +229,18 @@ def _herm_form_batch(frame: HermitianFrame, A, B):
     return acc
 
 
-def on_surface_batch(frame: HermitianFrame, c0, c1, c2, c3):
-    cs = (c0, c1, c2, c3)
-    return _herm_form_batch(frame, cs, cs) == 0
-
-
-def _dot4(ctx, row, vec):
-    acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
+def on_surface(frame: HermitianFrame, P):
+    """True where the point of the four coordinates P (ints or arrays) is on the surface."""
+    return herm_form(frame, P, P) == 0
 
 
 # ---------------------------------------------------------------------------
-# 4x4 matrix helpers over the field
+# 4x4 matrices over the field
 
-def mat_vec(ctx: FieldCtx, M, v):
-    return tuple(_dot4(ctx, M[i], v) for i in range(4))
-
-
-def mat_mul(ctx: FieldCtx, A, B):
-    return tuple(
-        tuple(
-            reduce(ctx.add, [ctx.mul(A[i][k], B[k][j]) for k in range(4)], 0)
-            for j in range(4))
-        for i in range(4))
-
-
-def mat_frob(ctx: FieldCtx, M, k: int):
-    return tuple(tuple(ctx.frobenius(x, k) for x in row) for row in M)
-
-
-def mat_transpose(M):
-    return tuple(tuple(M[j][i] for j in range(4)) for i in range(4))
+def mat_mul(ctx: FieldCtx, A, B) -> np.ndarray:
+    """Product of two (4, 4) matrices over the field."""
+    terms = vec_mul(ctx, np.asarray(A)[:, :, None], np.asarray(B)[None])   # A[i, k] B[k, j]
+    return reduce(lambda acc, t: vec_add(ctx, acc, t), terms.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +369,10 @@ def key_points(ctx: FieldCtx, key) -> tuple:
     return unpack(ctx, key[0]), unpack(ctx, key[1])
 
 
-def is_generator(frame: HermitianFrame, A, B) -> bool:
-    """Two-point criterion: both on the surface and mutually conjugate."""
-    return (herm_form(frame, A, A) == 0 and herm_form(frame, B, B) == 0
-            and herm_form(frame, A, B) == 0)
+def is_generator(frame: HermitianFrame, A, B):
+    """Two-point criterion: both on the surface and mutually conjugate; A and B are
+    four coordinates each, ints or arrays, and the answer is per entry."""
+    return on_surface(frame, A) & on_surface(frame, B) & (herm_form(frame, A, B) == 0)
 
 
 CHECK_ROWS = 2 ** 16                           # key rows per check_generators_batch block
@@ -419,9 +384,7 @@ def check_generators_batch(frame: HermitianFrame, keys):
     bad = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(keys), CHECK_ROWS):
         a, b = (unpack_batch(frame.ctx, keys[lo:lo + CHECK_ROWS, k]) for k in (0, 1))
-        ok = ((_herm_form_batch(frame, a, a) == 0) & (_herm_form_batch(frame, b, b) == 0)
-              & (_herm_form_batch(frame, a, b) == 0))
-        bad.append(lo + np.flatnonzero(~ok))
+        bad.append(lo + np.flatnonzero(~is_generator(frame, a, b)))
     return np.concatenate(bad)
 
 
@@ -447,11 +410,11 @@ def generators_through_batch(frame: HermitianFrame, P) -> np.ndarray:
     ctx, q = frame.ctx, frame.q
     P = np.asarray(P, dtype=np.int64).reshape(-1, 4)
     rows = np.arange(len(P))
-    off = np.flatnonzero(~on_surface_batch(frame, *P.T))
+    off = np.flatnonzero(~on_surface(frame, P.T))
     if len(off):
         raise NotOnSurface(f"{tuple(int(x) for x in P[off[0]])} is not on the surface")
     eye = np.eye(4, dtype=np.int64)
-    c = np.stack([_herm_form_batch(frame, eye[i], P.T) for i in range(4)], axis=1)   # G P^q
+    c = np.stack([herm_form(frame, eye[i], P.T) for i in range(4)], axis=1)   # G P^q
     piv = (c != 0).argmax(axis=1)
     i0 = ((P != 0) & (np.arange(4) != piv[:, None])).argmax(axis=1)
     free = (np.arange(4) != piv[:, None]) & (np.arange(4) != i0[:, None])
@@ -462,7 +425,7 @@ def generators_through_batch(frame: HermitianFrame, P) -> np.ndarray:
         v[rows, piv] = vec_mul(ctx, c[rows, i], scale)
         span.append(v)
     pts = line_points_batch(ctx, *span)
-    hit = on_surface_batch(frame, *unpack_batch(ctx, pts))
+    hit = on_surface(frame, unpack_batch(ctx, pts))
     if (hit.sum(axis=1) != q + 1).any():
         raise GeneratorCountMismatch(f"a transversal has other than {q + 1} surface points")
     partners = np.stack(unpack_batch(ctx, pts[hit]), axis=1)

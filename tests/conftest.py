@@ -44,19 +44,19 @@ def ft17_seed(ft17):
 def ft17_m1(ft17, ft17_gens, ft17_seed):
     _, H, _ = ft17_gens
     key0 = ft17_seed[0]
-    return oracles.orbit(ft17.ctx2, H.gens, key0)
+    return oracles.orbit(ft17.ctx2, H, key0)
 
 
 @pytest.fixture(scope="session")
 def ft17_g1(ft17, ft17_gens, ft17_seed):
     G, _, _ = ft17_gens
-    return oracles.orbit(ft17.ctx2, G.gens, ft17_seed[0])
+    return oracles.orbit(ft17.ctx2, G, ft17_seed[0])
 
 
 @pytest.fixture(scope="session")
 def ft17_m2(ft17, ft17_gens):
     _, H, _ = ft17_gens
-    return oracles.orbit(ft17.ctx2, H.gens, oracles.ell_line(ft17, 1))
+    return oracles.orbit(ft17.ctx2, H, oracles.ell_line(ft17, 1))
 
 
 @pytest.fixture(scope="session")

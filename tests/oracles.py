@@ -4,20 +4,21 @@ generators_through scans one point's tangent plane in scalar code, and
 enumerate_generators lists every generator of the surface through that scan at
 the surface points of one plane; count_E3_naive counts the
 points of Y^2 = X^3 - X by a double loop.  orbit is the breadth-first search
-of a line's orbit under a list of generator collineations: with cp_lift and
-cp_group_gens (the lift of PGL(2, q^2) and its PSL(2, q^2) generators) and
-ell_line (the seed of M2) it is the reference for every half-orbit the
-library writes down by enumeration.  The tests compare the library's
-faster routes against them.  enumerate_surface, on_plane, pole (with
-mat_inv), tangent_plane and classify_generator are only used by tests, so they
-live here too.
+of a line's orbit under a list of (4, 4) generator matrices: with cp_lift and
+cp_group_gens (the lift of PGL(2, q^2) and its PSL(2, q^2) generators; a
+singular Moebius map raises Singular) and ell_line (the seed of M2) it is the
+reference for every half-orbit the library writes down by enumeration.  The
+tests compare the library's faster routes against them.  enumerate_surface,
+cp_curve_points, on_plane, pole (with mat_inv and the scalar dot4),
+tangent_plane and classify_generator are only used by tests, so they live
+here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hemisys import curves, groups, pg3
+from hemisys import curves, gf, groups, pg3
 from hemisys.gf import FieldCtx
 
 G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
@@ -29,13 +30,36 @@ class NotGenerator(ValueError):
     pass
 
 
+class Singular(ValueError):
+    pass
+
+
+def dot4(ctx: FieldCtx, row, vec) -> int:
+    """sum row_i vec_i over the field, in scalar code."""
+    acc = 0
+    for a, b in zip(row, vec):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def cp_curve_points(ctx2: FieldCtx) -> np.ndarray:
+    """Packed points (1, t, t^q, t^(q+1)) plus (0,0,0,1); q^2+1 in total."""
+    h = ctx2.d // 2
+    ts = np.arange(ctx2.order, dtype=np.int64)
+    tq = ctx2.frob_np(h)[ts]
+    pts = pg3.norm_pack_batch(ctx2, np.ones_like(ts), ts, tq, gf.vec_mul(ctx2, ts, tq))
+    out = pg3.unique(np.concatenate([pts, [pg3.pack_point(ctx2, (0, 0, 0, 1))]]))
+    curves._check(len(out) == ctx2.order + 1, f"{len(out)} points on the rational curve")
+    return out
+
+
 def enumerate_surface(frame: pg3.HermitianFrame) -> np.ndarray:
     """Sorted packed array of all (q^3+1)(q^2+1) surface points."""
     return np.sort(pg3.surface_point(frame, np.arange(frame.num_points)))
 
 
 def on_plane(ctx: FieldCtx, coeffs, P) -> bool:
-    return pg3._dot4(ctx, coeffs, P) == 0
+    return dot4(ctx, coeffs, P) == 0
 
 
 def pole(frame: pg3.HermitianFrame, coeffs) -> tuple:
@@ -43,7 +67,7 @@ def pole(frame: pg3.HermitianFrame, coeffs) -> tuple:
     ctx = frame.ctx
     h = ctx.d // 2
     gi = mat_inv(ctx, frame.gram)
-    v = [pg3._dot4(ctx, gi[i], coeffs) for i in range(4)]
+    v = [dot4(ctx, gi[i], coeffs) for i in range(4)]
     return pg3.normalize(ctx, tuple(ctx.frobenius(x, ctx.d - h) for x in v))
 
 
@@ -94,7 +118,7 @@ def tangent_plane(frame: pg3.HermitianFrame, P) -> tuple:
     ctx = frame.ctx
     h = ctx.d // 2
     Pq = [ctx.frobenius(x, h) for x in P]
-    return tuple(pg3._dot4(ctx, frame.gram[i], Pq) for i in range(4))
+    return tuple(dot4(ctx, frame.gram[i], Pq) for i in range(4))
 
 
 def plane_kernel_basis(ctx: FieldCtx, coeffs):
@@ -120,7 +144,7 @@ def generator_partners(frame: pg3.HermitianFrame, P):
     i0 = next(i for i in range(4) if i != piv and P[i])
     u, v = [b for b in plane_kernel_basis(ctx, coeffs) if b[i0] == 0]
     pts = pg3.line_points_batch(ctx, [u], [v])[0]
-    hits = pts[pg3.on_surface_batch(frame, *pg3.unpack_batch(ctx, pts))]
+    hits = pts[pg3.on_surface(frame, pg3.unpack_batch(ctx, pts))]
     return [pg3.unpack(ctx, int(x)) for x in hits]
 
 
@@ -186,7 +210,7 @@ def orbit(ctx: FieldCtx, gens, seed_key) -> np.ndarray:
     return pg3.code_keys(ctx, seen)
 
 
-def cp_lift(ctx: FieldCtx, moeb) -> groups.Collineation:
+def cp_lift(ctx: FieldCtx, moeb) -> np.ndarray:
     """Lift of t -> (at+b)/(ct+d) to the diagonal frame.
 
     Acts when the curve is parametrized by (u u^s, v u^s, u v^s, v v^s)
@@ -195,16 +219,16 @@ def cp_lift(ctx: FieldCtx, moeb) -> groups.Collineation:
     """
     a, b, c, d = (x % ctx.order for x in moeb)
     if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) == 0:
-        raise groups.Singular("Moebius map is singular")
+        raise Singular("Moebius map is singular")
     ap, bp, cp, dp = d, c, b, a            # action on (u, v)
     f = lambda x: ctx.frobenius(x, ctx.d // 2)
     m = ctx.mul
-    return groups.Collineation(ctx, [
+    return np.array([
         [m(ap, f(ap)), m(f(ap), bp), m(ap, f(bp)), m(bp, f(bp))],
         [m(cp, f(ap)), m(dp, f(ap)), m(cp, f(bp)), m(dp, f(bp))],
         [m(ap, f(cp)), m(bp, f(cp)), m(ap, f(dp)), m(bp, f(dp))],
         [m(cp, f(cp)), m(dp, f(cp)), m(cp, f(dp)), m(dp, f(dp))],
-    ])
+    ], dtype=np.int64)
 
 
 def cp_group_gens(ctx: FieldCtx) -> tuple:

@@ -206,7 +206,7 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
         ctx2 = gf.make_field(p, 2)
         frame = pg3.cp_frame(ctx2)
         chords = curves.cp_imaginary_chords(ctx2)
-        curve = np.asarray(sorted(int(x) for x in curves.cp_curve_points(ctx2)))
+        curve = np.asarray(sorted(int(x) for x in oracles.cp_curve_points(ctx2)))
         rows = pg3.line_points_table(ctx2, chords)
         parts[f"cp_chords_q{p}"] = (
             len(pg3.check_generators_batch(frame, np.asarray(chords))) == 0

@@ -293,6 +293,26 @@ def test_diagnose_q17(capsys):
     assert payload["quad_action_ok"] is True
 
 
+DIAGNOSE_STDOUT_SHA256 = {
+    ("--p", "17", "--eps", "1"):
+        "6e03b0d95cd458d6a5c2a134a8580d6049a50a950808d555f9837ed19bd5694c",
+    ("--p", "17", "--eps", "-1"):
+        "961e57abd44c36b39b1d0136e2a0f04fcaf39e93e81a689ab04c2f2d2d156631",
+    ("--p", "3", "--h", "2", "--eps", "1"):
+        "35606688448fec0bd5bf9cfec073dc794b018c5b2329b170f8cd9fea918c9d2f",
+    ("--p", "3", "--h", "2", "--eps", "-1"):
+        "67b609c8270e10a5ec866d1d4d09591216517cc7ab425b3b9ae98a2467f96acb",
+}
+
+
+@pytest.mark.parametrize("args", list(DIAGNOSE_STDOUT_SHA256))
+def test_diagnose_stdout_pinned(capsys, args):
+    # the whole JSON payload at the default --samples, byte for byte
+    code, out, _ = run(capsys, "diagnose", *args, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_STDOUT_SHA256[args]
+
+
 CLI_RUNS_WITHOUT_NUMPY_MA = """
 import sys
 from hemisys import cli

@@ -22,20 +22,20 @@ def cp5_setup(F25):
 # rational curve
 
 def test_cp_curve_counts(F9, F25):
-    assert len(curves.cp_curve_points(F9)) == 10
-    assert len(curves.cp_curve_points(F25)) == 26
+    assert len(oracles.cp_curve_points(F9)) == 10
+    assert len(oracles.cp_curve_points(F25)) == 26
 
 
 def test_cp_curve_origin_on_surface(F9):
     frame = pg3.cp_frame(F9)
     assert pg3.on_surface(frame, (1, 0, 0, 0))
-    pts = curves.cp_curve_points(F9)
+    pts = oracles.cp_curve_points(F9)
     assert pg3.pack_point(F9, (1, 0, 0, 0)) in set(int(x) for x in pts)
 
 
 def test_cp_curve_point_generator_count_q5(F25):
     frame = pg3.cp_frame(F25)
-    for packed in curves.cp_curve_points(F25):
+    for packed in oracles.cp_curve_points(F25):
         P = pg3.unpack(F25, int(packed))
         assert len(pg3.generators_through(frame, P)) == 6
 
@@ -51,7 +51,7 @@ def test_cp_chord_counts(p, expected):
 def test_cp_chords_are_generators_disjoint_from_curve(p):
     ctx2 = gf.make_field(p, 2)
     frame = pg3.cp_frame(ctx2)
-    curve = set(int(x) for x in curves.cp_curve_points(ctx2))
+    curve = set(int(x) for x in oracles.cp_curve_points(ctx2))
     chords = curves.cp_imaginary_chords(ctx2)
     rows = pg3.line_points_table(ctx2, chords)
     for key, pts in zip(chords, rows):
@@ -84,7 +84,7 @@ def test_natural_embedding_tangency_q5(cp5_setup):
     frame = pg3.cp_frame(ctx2)
     h = 1
     c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
-    for packed in curves.cp_curve_points(ctx2):
+    for packed in oracles.cp_curve_points(ctx2):
         P = pg3.unpack(ctx2, int(packed))
         coeffs = oracles.tangent_plane(frame, P)
         ce = [int(emb[c]) for c in coeffs]
@@ -101,7 +101,7 @@ def test_natural_embedding_tangency_q5(cp5_setup):
 def test_offcurve_tangent_meets_curve_in_q_plus_1_points_q5(cp5_setup):
     ctx2, ctx4, emb, inv = cp5_setup
     frame = pg3.cp_frame(ctx2)
-    curve = set(int(x) for x in curves.cp_curve_points(ctx2))
+    curve = set(int(x) for x in oracles.cp_curve_points(ctx2))
     surf = oracles.enumerate_surface(frame)
     c0, c1, c2, c3 = oracle.cp_curve_coords_q4(ctx2, ctx4, emb)
     rng = random.Random(1)
@@ -167,7 +167,7 @@ def test_ft_sets_disjoint_and_on_surface(ft17, ft17_sets):
                              ft17_sets.delta_minus])
     assert len(np.unique(allpts)) == len(allpts)
     cs = pg3.unpack_batch(ft17.ctx2, allpts)
-    assert bool(pg3.on_surface_batch(ft17.frame, *cs).all())
+    assert bool(pg3.on_surface(ft17.frame, cs).all())
 
 
 def test_omega_in_plane_and_conic(ft17, ft17_sets):
@@ -328,7 +328,7 @@ def test_point_type_census_q5_against_line_scan(F25):
     census = {}
     for packed in oracles.enumerate_surface(frame):
         P = pg3.unpack(ctx, int(packed))
-        proj = curves._normalize3(ctx, (P[0], P[2], P[3]))
+        proj = pg3.normalize(ctx, (P[0], P[2], P[3]))
         tag = curves.classify_point_type(ctx, P)
         assert tag == brute_type(proj)
         census[tag] = census.get(tag, 0) + 1

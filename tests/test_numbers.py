@@ -135,7 +135,3 @@ def test_survey_requires_1_mod_4():
     with pytest.raises(numbers.NotOneModFour):
         numbers.survey([7])
 
-
-def test_survey_threaded_matches():
-    qs = [5, 9, 13, 17, 25, 29]
-    assert numbers.survey(qs) == numbers.survey(qs, threads=4)

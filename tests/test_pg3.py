@@ -134,15 +134,15 @@ def test_line_keys_batch_raises_on_a_proportional_pair(F9):
 
 
 def test_generators_through_raises_when_a_partner_is_dropped(cp3, monkeypatch):
-    on_surface = pg3.on_surface_batch
+    on_surface = pg3.on_surface
 
-    def drop_a_hit(frame, *cols):                 # the transversal scan's mask is 2-D
-        hit = on_surface(frame, *cols)
+    def drop_a_hit(frame, P):                     # the transversal scan's mask is 2-D
+        hit = on_surface(frame, P)
         if hit.ndim == 2:
             hit[0, np.flatnonzero(hit[0])[-1]] = False
         return hit
 
-    monkeypatch.setattr(pg3, "on_surface_batch", drop_a_hit)
+    monkeypatch.setattr(pg3, "on_surface", drop_a_hit)
     with pytest.raises(pg3.GeneratorCountMismatch):
         pg3.generators_through(cp3, (0, 0, 0, 1))
 
@@ -256,7 +256,7 @@ def test_surface_index_round_trips_enumerate_surface(family, p, d):
     frame = pg3.cp_frame(ctx) if family == "cp" else pg3.ft_frame(ctx)
     pts = oracles.enumerate_surface(frame)
     assert len(pts) == frame.num_points and (np.diff(pts) > 0).all()
-    assert pg3.on_surface_batch(frame, *pg3.unpack_batch(ctx, pts)).all()
+    assert pg3.on_surface(frame, pg3.unpack_batch(ctx, pts)).all()
     idx = pg3.surface_index(frame, pts)
     assert (np.sort(idx) == np.arange(frame.num_points)).all()
     assert (pg3.surface_point(frame, idx) == pts).all()
