@@ -41,8 +41,7 @@ def _hist_str(h: dict) -> str:
 def cmd_construct(args) -> int:
     t0 = time.time()
     if args.family == "cp":
-        cand = hemisystem.build_cp(args.p, args.h, seed_orbit=args.seed_orbit,
-                                   force=args.force)
+        cand = hemisystem.build_cp(args.p, args.h, seed_orbit=args.seed_orbit)
         report = hemisystem.verify(cand, threads=args.threads)
     else:
         cand, report = hemisystem.build_ft_verified(
@@ -240,8 +239,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+    if args.threads < 1 or args.threads > 1 and args.command not in ("construct", "verify"):
+        print("error: --threads must be >= 1, and 1 outside construct and verify", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -103,12 +103,16 @@ def _tower_pow(ctx2: FieldCtx, nu: int, x: tuple, n: int) -> tuple:
 
 def join_keys(ctx2: FieldCtx, pencils, expect: int, what: str) -> np.ndarray:
     """Sorted distinct keys of the lines <A, B> for each (A, B) of pencils, A and B
-    four coordinates (arrays or ints) that broadcast together.  Raises
+    four coordinates (arrays or ints) that broadcast together, joined about 4096
+    pairs at a time: only the int64 line codes span all of them.  Raises
     CurveInvariantFailed unless they are expect distinct lines."""
     codes = []
     for A, B in pencils:
-        rows = np.stack(np.broadcast_arrays(*A, *B), axis=-1).reshape(-1, 8)
-        codes.append(pg3.line_codes(ctx2, pg3.line_keys_batch(ctx2, rows[:, :4], rows[:, 4:])))
+        cols = np.broadcast_arrays(*A, *B)
+        step = max(1, 4096 * len(cols[0]) // max(1, cols[0].size))   # leading rows a block
+        for lo in range(0, len(cols[0]), step):
+            rows = np.stack([c[lo:lo + step] for c in cols], axis=-1).reshape(-1, 8)
+            codes.append(pg3.line_codes(ctx2, pg3.line_keys_batch(ctx2, rows[:, :4], rows[:, 4:])))
     out = pg3.code_keys(ctx2, pg3.unique(np.concatenate(codes)))
     _check(len(out) == expect, f"{len(out)} {what}, expected {expect}")
     return out

@@ -5,22 +5,22 @@ A candidate is half of the generators of the surface: the orbit part
 subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
-surface points.  Each worker adds the int32 pg3.line_surface_index of its
-share of 512-line chunks in place (np.add.at) into its own uint8 row of one
-shared mapping, so memory grows with the points, not the incidences.
-Workers past the caller are forked (np.add.at holds the GIL) and read the
-tables copy-on-write; a failed child's share is recounted in process to
-raise its fault.  Repeated lines could wrap a uint8 counter (a point is on
-q+1 <= 74 distinct ones), making the int64 incidence total fall short.  A
-size whose arrays and tables would exceed physical memory, or whose
-surface indices would not fit an int32 (2^31 points, q >= 79), is refused
-with pg3.TooLarge before any is allocated.
+surface points.  Each worker adds pg3.count_incidences of its contiguous
+share of the keys, CHUNK_LINES at a time (a workspace that does not grow
+with q), in place into its own uint8 row of one shared mapping, so memory
+grows with the points, not the incidences.  Workers past the caller are
+forked (np.add.at holds the GIL); a failed child's share is recounted in
+process to raise its fault.  Repeated lines could wrap a uint8 counter (a
+point is on q+1 <= 74 distinct ones), making the int64 incidence total fall
+short.  A size whose arrays and tables would exceed physical memory, or
+whose surface indices would not fit an int32 (q >= 79), is refused with
+pg3.TooLarge first.
 
-Candidate files are written and read by array code.  export looks up the
-8 ranks of each key in one table of coordinate strings; import_candidate
-matches the body's separators against the fixed per-line pattern, decodes
-the digit runs and runs each check on blocks of BLOCK_LINES lines, and a
-fault names its first offending file line.
+Candidate files are written and read by array code, BLOCK_LINES lines at a
+time.  export streams the body, then writes its sha256 into the header;
+import_candidate holds only the file's bytes, matches the body's separators
+against the fixed per-line pattern, decodes the digit runs and runs each
+check, and a fault names its first offending file line.
 """
 
 from __future__ import annotations
@@ -204,12 +204,11 @@ def _check(ok: bool, what: str) -> None:
 
 def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
              force: bool = False) -> HemisystemCandidate:
-    """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords."""
+    """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords.  force
+    changes nothing: verify's byte budget, not a guard here, refuses a size."""
     q = p ** h
     if q % 2 == 0:
         raise EvenCharacteristic("q must be odd")
-    if q > 7 and not force:
-        raise pg3.TooLarge(f"cp build at q={q} is heavy; pass force")
     ctx2 = make_field(p, 2 * h)
     # the least generator through (0,0,0,1) is <(0,0,0,1), (0,1,x0,0)>
     seed = pg3.generators_through(pg3.cp_frame(ctx2), (0, 0, 0, 1))[0]
@@ -310,22 +309,22 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
 # ---------------------------------------------------------------------------
 # exact verification
 
-CHUNK_LINES = 512                              # key rows per count step
+CHUNK_LINES = 16384                            # key rows per block of the count
+HIST_BLOCK = 2 ** 16                           # counts per block of the histogram
 
 
 def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
-    """Add the incidences of key rows, by pg3.line_surface_index, into counts in place."""
-    for idx in pg3.line_surface_index(frame, keys):
-        np.add.at(counts, idx.reshape(-1), np.uint8(1))
+    """Add the incidences of key rows into counts in place (verify's seam for tests)."""
+    pg3.count_incidences(frame, keys, counts)
 
 
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
-    """Bytes of each worker's uint8 counts and five int32 arrays of a chunk (its indices,
-    d, and start.take's result and int64 copy of its indices), then the tables: pg3's
-    three int32 Zech rows, int32 slot and start, int64 fibre and sol_at."""
+    """Bytes of each worker's uint8 counts and block workspace (under 200 bytes a line,
+    whatever q), pg3's tables (two int16 Zech rows, int32 slot and start, int64 fibre
+    and sol_at) and one histogram block's int64 cast."""
     n = frame.ctx.order
-    return (workers * frame.num_points + 4 * 5 * workers * CHUNK_LINES * (n + 1)
-            + 4 * (9 * n * (n - 1) + n * n + n) + 8 * (frame.q + 1) * n)
+    return (workers * (frame.num_points + 256 * CHUNK_LINES)
+            + 4 * (3 * n * (n - 1) + n * n + n) + 8 * (frame.q + 1) * n + 8 * HIST_BLOCK)
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
@@ -335,8 +334,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     if frame is None:
         frame = (pg3.cp_frame if cand.family == "cp" else pg3.ft_frame)(cand.ctx2())
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2)
-    chunks = [keys[lo:lo + CHUNK_LINES] for lo in range(0, len(keys), CHUNK_LINES)]
-    workers = max(1, min(threads, len(chunks)))
+    workers = max(1, min(threads, -(-len(keys) // CHUNK_LINES)))
     need = _verify_bytes(frame, workers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -348,12 +346,13 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         k = keys[int(bad[0])]
         raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
     frame.zech_rows                           # built once, read by the children copy-on-write
-    # row w of one shared mapping holds the counts of share w, chunks[w::workers]
+    # row w of one shared mapping holds the counts of share w, a contiguous run of keys
     rows = np.frombuffer(mmap.mmap(-1, workers * frame.num_points), np.uint8).reshape(workers, -1)
+    shares = np.array_split(keys, workers)
 
     def count(w):
-        for chunk in chunks[w::workers]:
-            _count_chunk(frame, chunk, rows[w])
+        for lo in range(0, len(shares[w]), CHUNK_LINES):
+            _count_chunk(frame, shares[w][lo:lo + CHUNK_LINES], rows[w])
 
     pids = {}
     try:
@@ -387,8 +386,8 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
             f"{frame.ctx.order + 1} points")
     point_count = int(np.count_nonzero(counts))
     # bincount casts its input to int64: blocks keep that copy small
-    hist = sum(np.bincount(counts[lo:lo + 2 ** 20], minlength=2 ** 8)
-               for lo in range(0, len(counts), 2 ** 20))
+    hist = sum(np.bincount(counts[lo:lo + HIST_BLOCK], minlength=2 ** 8)
+               for lo in range(0, len(counts), HIST_BLOCK))
     histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist[1:]) + 1}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
     expected_inc = (frame.q + 1) // 2
@@ -437,6 +436,7 @@ MALFORMED = ("malformed: want 2 points joined by ';', each 4 coordinates joined 
 
 
 def export(cand: HemisystemCandidate, path: str) -> None:
+    """Write a candidate file block by block, then its body's sha256 into the header."""
     ctx = cand.ctx2()
     n, p = ctx.order, ctx.p
     # a rank's base-p digits, most significant first, are the element's digits
@@ -444,16 +444,21 @@ def export(cand: HemisystemCandidate, path: str) -> None:
     table = np.array([[":".join(map(str, row)) + sep for sep in ",,,;,,,\n"]
                       for row in digs.tolist()], dtype=object)
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2, 1)
-    blocks = (table[(blk // n ** np.arange(3, -1, -1) % n).reshape(-1, 8), np.arange(8)]
-              for blk in np.split(keys, range(BLOCK_LINES, len(keys), BLOCK_LINES)))
-    body = b"".join("".join(blk.ravel().tolist()).encode() for blk in blocks)
     token = {v: k for k, v in SIGNS.items()}
-    head = [MAGIC, f"family={cand.family} p={cand.p} h={cand.h} "
-                   f"eps={token[cand.eps]} chi={token[cand.chi]}",
-            "poly2=" + ",".join(str(c) for c in ctx.poly),
-            f"count={len(keys)} sha256={hashlib.sha256(body).hexdigest()}"]
+    head = "\n".join([MAGIC, f"family={cand.family} p={cand.p} h={cand.h} "
+                             f"eps={token[cand.eps]} chi={token[cand.chi]}",
+                      "poly2=" + ",".join(str(c) for c in ctx.poly),
+                      f"count={len(keys)} sha256="]).encode()
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.writelines([("\n".join(head) + "\n").encode(), body])
+        fh.write(head + b"0" * 64 + b"\n")   # no body hashes to 64 zeros: a cut file fails
+        for blk in np.split(keys, range(BLOCK_LINES, len(keys), BLOCK_LINES)):
+            text = "".join(table[(blk // n ** np.arange(3, -1, -1) % n).reshape(-1, 8),
+                                 np.arange(8)].ravel().tolist()).encode()
+            digest.update(text)
+            fh.write(text)
+        fh.seek(len(head))
+        fh.write(digest.hexdigest().encode())
 
 
 def _block_digits(blk: np.ndarray, pat: np.ndarray, width: int) -> tuple:
@@ -506,9 +511,10 @@ def import_candidate(path: str) -> HemisystemCandidate:
     """Read a candidate file, rejecting any fault with a ParseError that names
     its first offending file line (ChecksumMismatch for the body's sha256)."""
     with open(path, "rb") as fh:
-        parts = fh.read().split(b"\n", 4)
-    head = [x.decode("utf-8", "replace") for x in parts[:4]]
-    body = np.frombuffer(parts[4] if len(parts) > 4 else b"", dtype=np.uint8)
+        data = fh.read()
+    at = m.end() if (m := re.match(rb"(?:[^\n]*\n){4}", data)) else len(data)   # 4 lines
+    head = [x.decode("utf-8", "replace") for x in data[:at].split(b"\n")[:4]]
+    body = np.frombuffer(data, dtype=np.uint8, offset=at)                       # no copy
     if len(head) < 4 or head[0] != MAGIC:
         raise ParseError("line 1: bad magic")
     try:
@@ -535,11 +541,15 @@ def import_candidate(path: str) -> HemisystemCandidate:
     if ctx.poly != poly2:
         raise ParseError(f"line 3: non-canonical polynomial {poly2}")
     pat = np.frombuffer("".join(":" * (ctx.d - 1) + s for s in ",,,;,,,\n").encode(), np.uint8)
-    newlines = np.flatnonzero(body == 10)
-    cuts = sorted({0, *(newlines[BLOCK_LINES - 1::BLOCK_LINES] + 1).tolist(), len(body)})
-    lines = np.empty((len(newlines), 2), dtype=np.int64)
+    cuts, rows = [0], 0                       # after every BLOCK_LINES-th newline
+    for lo in range(0, len(body), 2 ** 16):
+        nl = lo + np.flatnonzero(body[lo:lo + 2 ** 16] == 10)
+        cuts.extend((nl[(-rows - 1) % BLOCK_LINES::BLOCK_LINES] + 1).tolist())
+        rows += len(nl)
+    cuts = sorted({*cuts, len(body)})
+    lines = np.empty((rows, 2), dtype=np.int64)
     for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        first = min(b * BLOCK_LINES, len(newlines))
+        first = min(b * BLOCK_LINES, rows)
         dig, bad = _block_digits(body[lo:hi], pat, len(str(p - 1)))
         prev = lines[first - 1] if first else np.array([-1, -1])
         keys, row, why = _block_keys(ctx, dig.reshape(-1, 2, 4, ctx.d), prev)

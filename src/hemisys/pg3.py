@@ -18,20 +18,17 @@ per key (line_codes, and its inverse code_keys), which sorts exactly like
 the keys, so sets of lines are sorted 1-D arrays, handled by unique and
 member (numpy 2.4's np.unique, np.isin and np.setdiff1d import numpy.ma).
 
-line_surface_index indexes the points of many lines without packing any:
+count_incidences counts the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
 has rank r[R1[k] w + log R2[k] + t], r[a w + s] = rank(a + exp[s]),
 w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
-logarithms; Lidl and Niederreiter, Finite Fields).  Each such point has
-X0 = R1[0], as R2[0] = 0, so only the lines in the plane X0 = 0 take
-surface_index's X0 = 0 rule; the rest have index a q + d with
-a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r order,
-r and slot[r] as three int32 tables, so a is one add of two row reads and
-d one subtract (order w entries each: 1.0 MB at q = 17, 34 MB at q = 41).
-Every index is int32, which holds while num_points < 2^31, i.e. q <= 73
-(require_int32_indices).  The rows are built on first use on the frame,
-like index_tables (order^2): one-line callers (line_points_batch) never
-build them.
+logarithms; Lidl and Niederreiter, Finite Fields).  Such a point has
+X0 = R1[0], as R2[0] = 0; off the plane X0 = 0 it has index a q + d with
+a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r and
+slot[r] as two int16 rows (0.5 MB each at q = 17, 17 MB at q = 41), read
+step by step (step t reads entry base + t) in passes of 2^14 indices a
+coordinate, whatever q.  Indices fit int32 while num_points < 2^31, i.e.
+q <= 73 (require_int32_indices), and ranks int16.
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -121,15 +118,15 @@ class HermitianFrame:
         return int(ctx.rank_np[1]), fibre, slot, start.reshape(-1), sol_at
 
     @cached_property
-    def zech_rows(self) -> tuple:
-        """Windows (order w, order - 1) onto r * order, r and slot[r], int32, for
-        r[a * w + s] = rank(a + exp[s]), w = 3(order - 1) (see the module docstring)."""
+    def zech_rows(self) -> np.ndarray:
+        """(2, order w) int16 rows r and slot[r] (see the module docstring), by 64 a."""
         require_int32_indices(self)
-        ctx, n = self.ctx, self.ctx.order
-        a = np.arange(n, dtype=np.int64)[:, None]
-        r = ctx.rank_np.astype(np.int32)[vec_add(ctx, a, ctx.exp_np[:3 * (n - 1)])].reshape(-1)
-        return tuple(np.lib.stride_tricks.sliding_window_view(t, n - 1)
-                     for t in (r * n, r, self.index_tables[2][r]))
+        ctx, n, w = self.ctx, self.ctx.order, 3 * (self.ctx.order - 1)
+        rows = np.empty((2, n * w), dtype=np.int16)
+        for lo in range(0, n, 64):
+            r = ctx.rank_np[vec_add(ctx, np.arange(n)[lo:lo + 64, None], ctx.exp_np[:w])].ravel()
+            rows[:, lo * w:lo * w + len(r)] = r, self.index_tables[2][r]
+        return rows
 
 
 def require_int32_indices(frame: HermitianFrame) -> None:
@@ -451,13 +448,9 @@ def surface_index(frame: HermitianFrame, packed):
     among the q+1 solutions and the rank of x3.  Any other point raises
     NotOnSurface.
     """
-    return _rank_index(frame, *np.divmod(np.asarray(packed, dtype=np.int64), frame.ctx.order))
-
-
-def _rank_index(frame: HermitianFrame, hi, r3):
-    """surface_index of the points of ranks hi = (r0 * order + r1) * order + r2 and r3."""
     one, _, slot, start, sol_at = frame.index_tables
     n, q = frame.ctx.order, frame.q
+    hi, r3 = np.divmod(np.asarray(packed, dtype=np.int64), n)
     a = hi - one * n * n                      # rank x1 * n + rank x2 if X0 = 1
     tail = np.flatnonzero(a < 0)
     a.flat[tail] = 0
@@ -473,39 +466,50 @@ def _rank_index(frame: HermitianFrame, hi, r3):
         ok.flat[tail] = np.where(r1 == one, j >= 0, (r1 == 0) & (r2 == 0) & (x3 == one))
     if not ok.all():
         bad = np.argmin(ok)
-        packed = int(hi.flat[bad]) * n + int(r3.flat[bad])
-        raise NotOnSurface(f"{unpack(frame.ctx, packed)} is not on the surface")
+        raise NotOnSurface(f"{unpack(frame.ctx, int(hi.flat[bad]) * n + int(r3.flat[bad]))} "
+                           "is not on the surface")
     return idx
 
 
-def line_surface_index(frame: HermitianFrame, keys) -> tuple:
-    """surface_index of the points R1 + g^t R2 (t = 0 .. order-2), (n, order-1)
-    int32, and of the key rows (R2, R1), (n, 2), of the lines given by key rows."""
+def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
+    """Add 1 to counts[surface_index(P)] for each point P of each line of key rows, or
+    raise NotOnSurface.  The RREF rows R2, R1 and the lines in the plane X0 = 0 go
+    through surface_index packed, the points R1 + g^t R2 of the rest through zech_rows."""
     ctx, n, q = frame.ctx, frame.ctx.order, frame.q
     one, _, _, start, _ = frame.index_tables
-    x1n, x2, x3slot = frame.zech_rows
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     R2, R1 = (np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1))
     redo = np.flatnonzero(~is_rref_key(R2, R1))   # a canonical key is its own RREF
     if len(redo):
         R1[redo], R2[redo] = _rref(ctx, R2[redo], R1[redo])
-    base = R1 * (3 * (n - 1)) + ctx.log_np[R2]
-    a = x1n[base[:, 1]]                       # rank x1 * order + rank x2
-    a += x2[base[:, 2]]
-    tail = np.flatnonzero(R1[:, 0] == 0)      # lines in the plane X0 = 0
-    in_plane = _rank_index(frame, a[tail], x2[base[tail, 3]])
-    d = x3slot[base[:, 3]]
-    d -= start.take(a)                        # x3's place in its fibre if 0 <= d < q
-    d[tail] = 0
-    off = d.view(np.uint32) >= q              # d < 0 or d >= q as one unsigned compare
-    if off.any():
-        r, t = np.argwhere(off)[0]
-        packed = (one * n * n + int(a[r, t])) * n + int(x2[base[r, 3], t])
-        raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
-    a *= q
-    a += d
-    a[tail] = in_plane
-    return a, surface_index(frame, keys)
+    inc = counts.dtype.type(1)                # np.add.at is slow for a value of another type
+    np.add.at(counts, surface_index(frame, np.stack([_pack_rows(ctx, R) for R in (R2, R1)])), inc)
+    plane = np.flatnonzero(R1[:, 0] == 0)     # the q+1 lines through (0,0,0,1), or repeats
+    for sel in np.split(plane, range(step := -(-2 ** 12 // n), len(plane), step)):
+        inner = line_points_batch(ctx, R1[sel], R2[sel])[:, 1:-1]   # 2^12 points less R1, R2
+        np.add.at(counts, surface_index(frame, inner), inc)
+    R1, R2 = np.delete(R1, plane, axis=0), np.delete(R2, plane, axis=0)
+    flat, size = frame.zech_rows.reshape(-1), frame.zech_rows.shape[1]
+    # k | order - 1 steps a pass of 2^14 // k lines: as many as fill 2^14 indices a
+    # coordinate, or one per 4 MB of rows, so rows past the cache are read k at a time
+    k = max(j for j in range(1, n) if (n - 1) % j == 0
+            and j <= max(1, 2 ** 14 // max(len(R1), 1), flat.nbytes >> 22))
+    base = R1[:, 1:] * (3 * (n - 1)) + ctx.log_np[R2[:, 1:]] + size * np.array([0, 0, 1])
+    for lo in range(0, len(base), 2 ** 14 // k):
+        # entry (c, i, j) of b + t: coordinate c, line i, step t + j (intp: no casts)
+        b = (base[lo:lo + 2 ** 14 // k].T[:, :, None] + np.arange(k)).reshape(-1)
+        a = np.empty(m := len(b) // 3, dtype=np.intp)
+        for t in range(0, n - 1, k):
+            v = flat[t:].take(b)              # r1, r2 and slot[r3] of every point
+            np.multiply(v[:m], n, out=a, dtype=np.intp)
+            a += v[m:2 * m]                   # rank x1 * order + rank x2
+            d = start.take(a)
+            np.subtract(v[2 * m:], d, out=d)  # x3's place in its fibre if 0 <= d < q
+            if d.view(np.uint32).max(initial=0) >= q:   # some d < 0 or d >= q, as unsigned
+                i = int(np.argmax(d.view(np.uint32) >= q))
+                packed = (one * n * n + int(a[i])) * n + int(flat[b[2 * m + i] + t - size])
+                raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
+            np.add.at(counts, np.add(np.multiply(a, q, out=a), d, out=a), inc)
 
 
 def surface_point(frame: HermitianFrame, index):

@@ -105,9 +105,12 @@ def test_build_cp_q5():
     assert report.passed and report.histogram == {3: 3276}
 
 
-def test_build_cp_too_large_guard():
-    with pytest.raises(pg3.TooLarge):
-        hemisystem.build_cp(3, 2)
+def test_build_cp_q9_needs_no_force():
+    # cp has no size guard; verify's byte budget is the size refusal
+    cand = hemisystem.build_cp(3, 2)
+    report = hemisystem.verify(cand)
+    assert len(cand.lines) == cand.expected_size() == 3650
+    assert report.passed and report.histogram == {5: 59860}
 
 
 def test_complement_is_hemisystem_q3(cp3_build, F9):
@@ -391,6 +394,23 @@ def test_verify_peak_memory_grows_with_points_q17(ft17, ft17_build):
     assert peak < 300e6, peak
 
 
+@pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 7, 1), ("cp", 3, 2),
+                                        ("cp", 11, 1), ("cp", 13, 1), ("ft", 3, 2), ("ft", 17, 1)])
+def test_verify_peak_memory_is_within_its_budget(family, p, h, ft17_build):
+    # with its frame's tables built inside it, verify's traced peak stays within
+    # the bytes _verify_bytes refuses past physical memory (its uint8 counts are
+    # a mapping tracemalloc does not see, and are in the budget too)
+    if (family, p) == ("ft", 17):
+        cand = ft17_build[0]
+    elif family == "cp":
+        cand = hemisystem.build_cp(p, h)
+    else:
+        cand = hemisystem.build_ft(p, h, force=True)
+    frame = (pg3.cp_frame if family == "cp" else pg3.ft_frame)(cand.ctx2())
+    peak, _ = _traced_peak(lambda: hemisystem.verify(cand))
+    assert peak <= hemisystem._verify_bytes(frame, 1), peak
+
+
 def test_verify_threads_match(cp3_build):
     cand, rep1 = cp3_build
     rep4 = hemisystem.verify(cand, threads=4)
@@ -399,24 +419,27 @@ def test_verify_threads_match(cp3_build):
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_a_worker_fault_is_raised_as_in_process(monkeypatch, threads):
-    # the second chunk belongs to share 1 at 1, 2 and 3 workers; a child that
-    # meets it exits 1, and the parent's recount raises the same fault
+    # the first 7-line block of share 1, counted by a forked child, is a block
+    # at 1 worker too; the child that meets it exits 1, and the parent's
+    # recount raises the same fault
     cand = hemisystem.build_cp(5)
+    share0, share1 = np.array_split(cand.lines, threads)[:2]
+    assert len(share0) % 7 == 0
     count_chunk = hemisystem._count_chunk
 
-    def fault_in_chunk_1(frame, keys, counts):
-        if np.array_equal(keys, cand.lines[7:14]):
-            raise pg3.NotOnSurface("chunk 1 is off the surface")
+    def fault_in_share_1(frame, keys, counts):
+        if np.array_equal(keys, share1[:7]):
+            raise pg3.NotOnSurface("share 1 is off the surface")
         count_chunk(frame, keys, counts)
 
     monkeypatch.setattr(hemisystem, "CHUNK_LINES", 7)
-    monkeypatch.setattr(hemisystem, "_count_chunk", fault_in_chunk_1)
+    monkeypatch.setattr(hemisystem, "_count_chunk", fault_in_share_1)
     faults = []
     for n in (1, threads):
         with pytest.raises(pg3.NotOnSurface) as fault:
             hemisystem.verify(cand, threads=n)
         faults.append((fault.type, str(fault.value)))
-    assert faults[0] == faults[1] == (pg3.NotOnSurface, "chunk 1 is off the surface")
+    assert faults[0] == faults[1] == (pg3.NotOnSurface, "share 1 is off the surface")
     with pytest.raises(ChildProcessError):    # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -724,20 +747,54 @@ def test_export_sha256_pinned_ft17_eps_minus(tmp_path):
         "8693e8fdcc55002de0a85c5dc3951b5b834ff140bf626947008625da8480b515")
 
 
-def test_import_peak_memory_q17(ft17_build, tmp_path):
-    # the file's bytes (1.9 MB), its newline offsets and the keys (0.7 MB)
-    # span the body; everything else is the size of one block of lines
-    cand, _ = ft17_build
-    path = tmp_path / "h17.hs"
-    hemisystem.export(cand, str(path))
+def _traced_peak(f) -> tuple:
     tracemalloc.start()
     try:
-        back = hemisystem.import_candidate(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        out = f()
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
+
+
+def test_import_peak_memory_q17(ft17_build, tmp_path):
+    # only the file's bytes (1.6 MB) and the keys (0.7 MB) span the body; the
+    # rest is what a file of two blocks of lines (one block decoded while the
+    # previous block's digits are still held) needs beside its bytes and keys
+    cand, _ = ft17_build
+    path, two = tmp_path / "h17.hs", tmp_path / "two.hs"
+    hemisystem.export(cand, str(path))
+    hemisystem.export(dataclasses.replace(cand, lines=cand.lines[:2 * hemisystem.BLOCK_LINES]),
+                      str(two))
+    block, small = _traced_peak(lambda: hemisystem.import_candidate(str(two)))
+    block -= two.stat().st_size + small.lines.nbytes
+    peak, back = _traced_peak(lambda: hemisystem.import_candidate(str(path)))
     assert np.array_equal(back.lines, cand.lines)
-    assert peak < 20e6, peak
+    assert peak < path.stat().st_size + back.lines.nbytes + 1.05 * block, (peak, block)
+
+
+def test_export_peak_memory_q17(ft17_build, tmp_path):
+    # the body is streamed: writing 44,226 lines takes no more than writing one
+    # block of them (0.75 MB, mostly the table of coordinate strings)
+    cand, _ = ft17_build
+    one = dataclasses.replace(cand, lines=cand.lines[:hemisystem.BLOCK_LINES])
+    block, _ = _traced_peak(lambda: hemisystem.export(one, str(tmp_path / "one.hs")))
+    peak, _ = _traced_peak(lambda: hemisystem.export(cand, str(tmp_path / "h17.hs")))
+    assert peak < 1.25 * block < 1.5e6, (peak, block)
+
+
+def test_import_refuses_a_file_whose_digest_slot_was_never_filled(cp3_build, tmp_path):
+    # export writes 64 zeros in the digest slot and fills it after the body, so
+    # a file cut short before then, whole or not, fails its checksum
+    path = tmp_path / "h3.hs"
+    hemisystem.export(cp3_build[0], str(path))
+    raw = path.read_bytes()
+    at = raw.index(b"sha256=") + len("sha256=")
+    assert raw[at + 64:at + 65] == b"\n"
+    unfilled = raw[:at] + b"0" * 64 + raw[at + 64:]
+    for cut in (unfilled, unfilled[:len(unfilled) - 100]):
+        path.write_bytes(cut)
+        with pytest.raises(hemisystem.ChecksumMismatch):
+            hemisystem.import_candidate(str(path))
 
 
 def test_pinned_ft17_keys_round_trip_line_codes(ft17, ft17_build):

@@ -331,15 +331,33 @@ def test_index_tables_build_without_order_squared_int64_temporaries():
     assert final > 11e6 and peak < 2 * final, (peak, final)
 
 
-@pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 3, 2),
+def _packed_counts(frame, keys):
+    """Incidences of key rows by the packed path: surface_index of line_points_table."""
+    counts = np.zeros(frame.num_points, dtype=np.int64)
+    for lo in range(0, len(keys), 4096):
+        np.add.at(counts, pg3.surface_index(frame, pg3.line_points_table(frame.ctx,
+                                                                         keys[lo:lo + 4096])), 1)
+    return counts
+
+
+def _kernel_counts(frame, keys, block, workers):
+    """Incidences of key rows by count_incidences, over verify's contiguous shares."""
+    counts = np.zeros(frame.num_points, dtype=np.int64)
+    for share in np.array_split(keys, workers):
+        for lo in range(0, len(share), block):
+            pg3.count_incidences(frame, share[lo:lo + block], counts)
+    return counts
+
+
+@pytest.mark.parametrize("family,p,h", [("cp", 3, 1), ("cp", 5, 1), ("cp", 3, 2), ("cp", 13, 1),
                                         ("ft", 3, 2), ("ft", 17, 1)])
 def test_line_surface_index_matches_the_packed_path(family, p, h, request):
-    # the packed points of line_points_table are the reference; the kernel
-    # must give the same multiset of indices on every line
+    # the packed points of line_points_table are the reference; count_incidences
+    # must count every point of every line the same, in any block size and share
     if (family, p) == ("ft", 17):
         cand = request.getfixturevalue("ft17_build")[0]
     elif family == "cp":
-        cand = hemisystem.build_cp(p, h, force=True)
+        cand = hemisystem.build_cp(p, h)
     else:
         cand = hemisystem.build_ft(p, h, force=True)
     ctx = cand.ctx2()
@@ -348,17 +366,25 @@ def test_line_surface_index_matches_the_packed_path(family, p, h, request):
     rng = random.Random(p * h)
     pts = pg3.surface_point(frame, [rng.randrange(frame.num_points) for _ in range(60)])
     extra = [rng.choice(pg3.generators_through(frame, pg3.unpack(ctx, int(x)))) for x in pts]
-    keys = np.vstack([cand.lines, np.asarray(extra, dtype=np.int64)])
-    in_plane = 0
-    for lo in range(0, len(keys), 4096):
-        chunk = keys[lo:lo + 4096]
-        got = np.hstack(pg3.line_surface_index(frame, chunk))
-        want = pg3.surface_index(frame, pg3.line_points_table(ctx, chunk))
-        assert got.shape == want.shape == (len(chunk), q * q + 1)
-        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
-        in_plane += int((got[:max(0, len(cand.lines) - lo)] >= q ** 5).all(axis=1).sum())
-    # the candidate's lines in the X0 = 0 tangent plane take the tail branch
-    assert in_plane == (q + 1) // 2
+    # the candidate's lines in the X0 = 0 tangent plane take the packed branch
+    plane = np.flatnonzero(cand.lines[:, 1] < pg3.pack(ctx, (1, 0, 0, 0)))
+    assert len(plane) == (q + 1) // 2
+    # two other points of a line are a non-canonical key row, which the kernel redoes
+    some = np.concatenate([plane, rng.sample(range(len(cand.lines)), 30)])
+    other = pg3.line_points_table(ctx, cand.lines[some])[:, [3, 2]]
+    A, B = (np.stack(pg3.unpack_batch(ctx, other[:, k]), axis=1) for k in (0, 1))
+    assert not pg3.is_rref_key(A, B).any()
+    keys = np.vstack([cand.lines, np.asarray(extra, dtype=np.int64), other])
+    want = _packed_counts(frame, keys)
+    assert want.sum() == len(keys) * (q * q + 1)
+    for workers in (1, 2, 3):
+        assert np.array_equal(_kernel_counts(frame, keys, hemisystem.CHUNK_LINES, workers), want)
+    # blocks of 1 and 7 lines on every line but the candidate's bulk
+    few = np.vstack([cand.lines[some], np.asarray(extra, dtype=np.int64), other])
+    for block in (1, 7):
+        for workers in (1, 3):
+            assert np.array_equal(_kernel_counts(frame, few, block, workers),
+                                  _packed_counts(frame, few))
 
 
 @pytest.mark.parametrize("family", ["cp", "ft"])
@@ -371,8 +397,8 @@ def test_line_surface_index_raises_off_the_surface(family, F9):
     assert key == (pg3.pack(F9, (0, 0, 0, 1)), pg3.pack(F9, (1, 0, 0, 0)))
     assert len(pg3.surface_index(frame, key)) == 2
     assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
-    with pytest.raises(pg3.NotOnSurface):
-        pg3.line_surface_index(frame, [key])
+    with pytest.raises(pg3.NotOnSurface, match=r"^\(1, 0, 0, [0-9]+\) is not on the surface$"):
+        pg3.count_incidences(frame, [key], np.zeros(frame.num_points, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("family", ["cp", "ft"])
@@ -385,8 +411,8 @@ def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9):
     key = sorted([pg3.pack(F9, (0, 1, x, 0)), pg3.pack(F9, (0, 1, y, 0))])
     assert len(pg3.surface_index(frame, key)) == 2
     assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
-    with pytest.raises(pg3.NotOnSurface):
-        pg3.line_surface_index(frame, [key])
+    with pytest.raises(pg3.NotOnSurface, match=r"^\(0, [01], [0-9]+, 0\) is not on the surface$"):
+        pg3.count_incidences(frame, [key], np.zeros(frame.num_points, dtype=np.uint8))
 
 
 def test_enumerate_generators_counts(cp3, F25):
