@@ -320,11 +320,11 @@ def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
 
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
     """Bytes of each worker's uint8 counts and block workspace (under 200 bytes a line,
-    whatever q), pg3's tables (two int16 Zech rows, int32 slot and start, int64 fibre
-    and sol_at) and one histogram block's int64 cast."""
+    whatever q), pg3's tables (int16 and int32 Zech rows, int32 slot and start, int64
+    fibre and sol_at) and one histogram block's int64 cast."""
     n = frame.ctx.order
     return (workers * (frame.num_points + 256 * CHUNK_LINES)
-            + 4 * (3 * n * (n - 1) + n * n + n) + 8 * (frame.q + 1) * n + 8 * HIST_BLOCK)
+            + 6 * 3 * n * (n - 1) + 4 * (n * n + n) + 8 * (frame.q + 1) * n + 8 * HIST_BLOCK)
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,

@@ -24,11 +24,13 @@ has rank r[R1[k] w + log R2[k] + t], r[a w + s] = rank(a + exp[s]),
 w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
 logarithms; Lidl and Niederreiter, Finite Fields).  Such a point has
 X0 = R1[0], as R2[0] = 0; off the plane X0 = 0 it has index a q + d with
-a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r and
-slot[r] as two int16 rows (0.5 MB each at q = 17, 17 MB at q = 41), read
-step by step (step t reads entry base + t) in passes of 2^14 indices a
-coordinate, whatever q.  Indices fit int32 while num_points < 2^31, i.e.
-q <= 73 (require_int32_indices), and ranks int16.
+a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r as an
+int16 row (ranks < order) and slot[r] as an int32 row (slots < order q,
+past 2^15 from q = 49 on): 1.5 MB at q = 17, 51 MB at q = 41.  Row
+base of a sliding window view of length order-1 holds a line's
+coordinate at every step t, so one fancy index gathers a group of lines,
+of about 2^15 points whatever q.  Indices fit int32 while num_points < 2^31,
+i.e. q <= 73 (require_int32_indices).
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -118,15 +120,15 @@ class HermitianFrame:
         return int(ctx.rank_np[1]), fibre, slot, start.reshape(-1), sol_at
 
     @cached_property
-    def zech_rows(self) -> np.ndarray:
-        """(2, order w) int16 rows r and slot[r] (see the module docstring), by 64 a."""
+    def zech_rows(self) -> tuple:
+        """Rows r (int16) and slot[r] (int32) of the module docstring, filled by 64 a."""
         require_int32_indices(self)
         ctx, n, w = self.ctx, self.ctx.order, 3 * (self.ctx.order - 1)
-        rows = np.empty((2, n * w), dtype=np.int16)
+        rank, slot = np.empty(n * w, dtype=np.int16), np.empty(n * w, dtype=np.int32)
         for lo in range(0, n, 64):
             r = ctx.rank_np[vec_add(ctx, np.arange(n)[lo:lo + 64, None], ctx.exp_np[:w])].ravel()
-            rows[:, lo * w:lo * w + len(r)] = r, self.index_tables[2][r]
-        return rows
+            rank[lo * w:lo * w + len(r)], slot[lo * w:lo * w + len(r)] = r, self.index_tables[2][r]
+        return rank, slot
 
 
 def require_int32_indices(frame: HermitianFrame) -> None:
@@ -489,27 +491,22 @@ def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
         inner = line_points_batch(ctx, R1[sel], R2[sel])[:, 1:-1]   # 2^12 points less R1, R2
         np.add.at(counts, surface_index(frame, inner), inc)
     R1, R2 = np.delete(R1, plane, axis=0), np.delete(R2, plane, axis=0)
-    flat, size = frame.zech_rows.reshape(-1), frame.zech_rows.shape[1]
-    # k | order - 1 steps a pass of 2^14 // k lines: as many as fill 2^14 indices a
-    # coordinate, or one per 4 MB of rows, so rows past the cache are read k at a time
-    k = max(j for j in range(1, n) if (n - 1) % j == 0
-            and j <= max(1, 2 ** 14 // max(len(R1), 1), flat.nbytes >> 22))
-    base = R1[:, 1:] * (3 * (n - 1)) + ctx.log_np[R2[:, 1:]] + size * np.array([0, 0, 1])
-    for lo in range(0, len(base), 2 ** 14 // k):
-        # entry (c, i, j) of b + t: coordinate c, line i, step t + j (intp: no casts)
-        b = (base[lo:lo + 2 ** 14 // k].T[:, :, None] + np.arange(k)).reshape(-1)
-        a = np.empty(m := len(b) // 3, dtype=np.intp)
-        for t in range(0, n - 1, k):
-            v = flat[t:].take(b)              # r1, r2 and slot[r3] of every point
-            np.multiply(v[:m], n, out=a, dtype=np.intp)
-            a += v[m:2 * m]                   # rank x1 * order + rank x2
-            d = start.take(a)
-            np.subtract(v[2 * m:], d, out=d)  # x3's place in its fibre if 0 <= d < q
-            if d.view(np.uint32).max(initial=0) >= q:   # some d < 0 or d >= q, as unsigned
-                i = int(np.argmax(d.view(np.uint32) >= q))
-                packed = (one * n * n + int(a[i])) * n + int(flat[b[2 * m + i] + t - size])
-                raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
-            np.add.at(counts, np.add(np.multiply(a, q, out=a), d, out=a), inc)
+    # row base of a window holds a line's coordinate at every step: r1, r2, slot[r3]
+    rank, slot = (np.lib.stride_tricks.sliding_window_view(z, n - 1) for z in frame.zech_rows)
+    base = R1[:, 1:] * (3 * (n - 1)) + ctx.log_np[R2[:, 1:]]
+    for b in np.split(base, range(g := max(1, 2 ** 15 // (n - 1)), len(base), g)):
+        v = rank[b[:, :2].T]                  # (2, lines, order-1), 2^15 points at most
+        a = np.multiply(v[0], n, dtype=np.intp)
+        a += v[1]                             # rank x1 * order + rank x2
+        d = start.take(a)
+        np.subtract(slot[b[:, 2]], d, out=d)  # x3's place in its fibre if 0 <= d < q
+        if d.view(np.uint32).max(initial=0) >= q:   # some d < 0 or d >= q, as unsigned
+            i, t = np.unravel_index(np.argmax(d.view(np.uint32) >= q), d.shape)
+            packed = (one * n * n + int(a[i, t])) * n + int(rank[b[i, 2], t])
+            raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
+        a *= q
+        a += d
+        np.add.at(counts, a.reshape(-1), inc)
 
 
 def surface_point(frame: HermitianFrame, index):

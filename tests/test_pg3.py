@@ -387,6 +387,17 @@ def test_line_surface_index_matches_the_packed_path(family, p, h, request):
                                   _packed_counts(frame, few))
 
 
+def test_zech_rows_at_q49_whose_slots_pass_int16():
+    # at q = 49 the trace of x has a large element index, so slots run past 2^15:
+    # an int16 slot row would wrap, and the kernel raise NotOnSurface on generators
+    frame = pg3.cp_frame(gf.make_field(7, 4))
+    slot = frame.index_tables[2]
+    assert slot.max() >= 2 ** 15
+    rank, zslot = frame.zech_rows
+    for lo in range(0, len(rank), 2 ** 22):
+        assert np.array_equal(zslot[lo:lo + 2 ** 22], slot[rank[lo:lo + 2 ** 22]])
+
+
 @pytest.mark.parametrize("family", ["cp", "ft"])
 def test_line_surface_index_raises_off_the_surface(family, F9):
     # (0,0,0,1) and (1,0,0,0) lie on the surface and are the key of their
