@@ -39,7 +39,7 @@ def _hist_str(h: dict) -> str:
 
 
 def cmd_construct(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.family == "cp":
         cand = hemisystem.build_cp(args.p, args.h, seed_orbit=args.seed_orbit)
         report = hemisystem.verify(cand, threads=args.threads)
@@ -62,12 +62,12 @@ def cmd_construct(args) -> int:
         if k in cand.provenance:
             payload[k] = cand.provenance[k]
     _emit(payload, args.format)
-    print(f"construct: {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"construct: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cand = hemisystem.import_candidate(args.file)
     report = hemisystem.verify(cand, threads=args.threads)
     payload = {
@@ -78,7 +78,7 @@ def cmd_verify(args) -> int:
         "passed": report.passed,
     }
     _emit(payload, args.format)
-    print(f"verify: {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"verify: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -144,7 +144,7 @@ def cmd_eccount(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fr = curves.ft_frame_setup(args.p, args.h, eps=args.eps)
     sets = curves.ft_point_sets(fr.ctx2)
     groups.ft_group_gens(fr)                  # raises unless the generators preserve the form
@@ -172,7 +172,7 @@ def cmd_diagnose(args) -> int:
         "u_sign_matches_rule": prov["u_sign_matches_rule"],
     }
     _emit(payload, args.format)
-    print(f"diagnose: {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"diagnose: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
 

@@ -72,16 +72,17 @@ def _tower(ctx2: FieldCtx) -> tuple:
     return q, ctx2.frob_np(ctx2.d // 2), nu, ctx2.pow(nu, (q - 1) // 2)
 
 
-def _off_subfield(ctx2: FieldCtx) -> tuple:
-    """(a, b) over every a and one b of each pair +-b != 0.
+def _off_subfield(ctx2: FieldCtx):
+    """Blocks (a, b) of up to pg3.BLOCK_ROWS pairs (one b at least), over every a and
+    one b of each pair +-b != 0.
 
     a + b sqrt(nu) then runs over one element of each conjugate pair
     {t, t^(q^2)} of GF(q^4) off GF(q^2).
     """
-    bs = np.arange(1, ctx2.order, dtype=np.int64)
-    bs = bs[ctx2.rank_np[bs] < ctx2.rank_np[ctx2.neg_np[bs]]]
-    a, b = np.meshgrid(np.arange(ctx2.order, dtype=np.int64), bs, indexing="ij")
-    return a.ravel(), b.ravel()
+    a = np.arange(ctx2.order, dtype=np.int64)
+    bs = a[1:][ctx2.rank_np[a[1:]] < ctx2.rank_np[ctx2.neg_np[a[1:]]]]
+    for b in np.split(bs, range(step := max(1, pg3.BLOCK_ROWS // ctx2.order), len(bs), step)):
+        yield np.tile(a, len(b)), np.repeat(b, ctx2.order)
 
 
 def _tower_mul(ctx2: FieldCtx, nu: int, x: tuple, y: tuple) -> tuple:
@@ -102,14 +103,14 @@ def _tower_pow(ctx2: FieldCtx, nu: int, x: tuple, n: int) -> tuple:
 
 
 def join_keys(ctx2: FieldCtx, pencils, expect: int, what: str) -> np.ndarray:
-    """Sorted distinct keys of the lines <A, B> for each (A, B) of pencils, A and B
-    four coordinates (arrays or ints) that broadcast together, joined about 4096
-    pairs at a time: only the int64 line codes span all of them.  Raises
-    CurveInvariantFailed unless they are expect distinct lines."""
+    """Sorted distinct keys of the lines <A, B> for each (A, B) of pencils (any
+    iterable), A and B four coordinates (arrays or ints) that broadcast together,
+    joined about pg3.BLOCK_ROWS pairs at a time: only the int64 line codes span
+    all of them.  Raises CurveInvariantFailed unless they are expect distinct lines."""
     codes = []
     for A, B in pencils:
         cols = np.broadcast_arrays(*A, *B)
-        step = max(1, 4096 * len(cols[0]) // max(1, cols[0].size))   # leading rows a block
+        step = max(1, pg3.BLOCK_ROWS * len(cols[0]) // max(1, cols[0].size))   # leading rows
         for lo in range(0, len(cols[0]), step):
             rows = np.stack([c[lo:lo + step] for c in cols], axis=-1).reshape(-1, 8)
             codes.append(pg3.line_codes(ctx2, pg3.line_keys_batch(ctx2, rows[:, :4], rows[:, 4:])))
@@ -126,13 +127,15 @@ def cp_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
     B = (0, b, kappa b^q, kappa a b^q + a^q b).
     """
     q, frob, nu, kappa = _tower(ctx2)
-    a, b = _off_subfield(ctx2)
-    aq, bq = frob[a], frob[b]
-    kbq = vec_mul(ctx2, kappa, bq)
-    A = (1, a, aq, vec_add(ctx2, vec_mul(ctx2, a, aq), vec_mul(ctx2, vec_mul(ctx2, nu, kappa),
-                                                               vec_mul(ctx2, b, bq))))
-    B = (0, b, kbq, vec_add(ctx2, vec_mul(ctx2, a, kbq), vec_mul(ctx2, aq, b)))
-    return join_keys(ctx2, [(A, B)], (q * q + q) * (q * q - q) // 2, "imaginary chords")
+
+    def chords():
+        for a, b in _off_subfield(ctx2):
+            aq, kbq = frob[a], vec_mul(ctx2, kappa, frob[b])
+            yield ((1, a, aq, vec_add(ctx2, vec_mul(ctx2, a, aq),
+                                      vec_mul(ctx2, vec_mul(ctx2, nu, b), kbq))),
+                   (0, b, kbq, vec_add(ctx2, vec_mul(ctx2, a, kbq), vec_mul(ctx2, aq, b))))
+
+    return join_keys(ctx2, chords(), (q * q + q) * (q * q - q) // 2, "imaginary chords")
 
 
 def cp_half_orbits(ctx2: FieldCtx, x0: int) -> tuple:
@@ -255,22 +258,26 @@ def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
     lin_inv[lin] = ys
     _check((lin_inv >= 0).all(), "kappa y^q - y is not a bijection")
 
-    xa, xb = _off_subfield(ctx2)
-    c0, c1 = _tower_pow(ctx2, nu, (xa, xb), (q + 1) // 2)
-    lo = np.searchsorted(zs_sorted, c0, side="left")
-    counts = np.searchsorted(zs_sorted, c0, side="right") - lo
-    sel = counts > 0
-    _check((counts[sel] == q).all(),
-           "a value of y^q - y has other than q preimages")
-    ya = order[lo[sel, None] + np.arange(q)].ravel()
-    xa, xb, yb = (np.repeat(v[sel], q) for v in (xa, xb, lin_inv[c1]))
-    g = (q - 1) ** 2 // 4
-    expect_pts = (q * q + q) * (q * q - q - 2 * g)
-    _check(2 * len(ya) == expect_pts,
-           f"{len(ya)} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
-    A = (1, xa, ya, vec_add(ctx2, vec_mul(ctx2, ya, ya), vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb))))
-    B = (0, xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb)))
-    return join_keys(ctx2, [(A, B)], expect_pts // 2, "imaginary chords")
+    expect_pts = (q * q + q) * (q * q - q - (q - 1) ** 2 // 2)        # genus g = (q-1)^2/4
+
+    def chords():
+        pairs = 0
+        for xa, xb in _off_subfield(ctx2):
+            c0, c1 = _tower_pow(ctx2, nu, (xa, xb), (q + 1) // 2)
+            lo = np.searchsorted(zs_sorted, c0, side="left")
+            counts = np.searchsorted(zs_sorted, c0, side="right") - lo
+            sel = counts > 0
+            _check((counts[sel] == q).all(), "a value of y^q - y has other than q preimages")
+            ya = order[lo[sel, None] + np.arange(q)].ravel()
+            xa, xb, yb = (np.repeat(v[sel], q) for v in (xa, xb, lin_inv[c1]))
+            pairs += len(ya)
+            yield ((1, xa, ya, vec_add(ctx2, vec_mul(ctx2, ya, ya),
+                                       vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb)))),
+                   (0, xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb))))
+        _check(2 * pairs == expect_pts,
+               f"{pairs} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
+
+    return join_keys(ctx2, chords(), expect_pts // 2, "imaginary chords")
 
 
 def m2_half_orbit(fr: FTFrame, eps: int) -> np.ndarray:

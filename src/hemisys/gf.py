@@ -336,11 +336,11 @@ class FieldCtx:
             add = np.lib.stride_tricks.as_strided(
                 sums, (p, p), (step, step), writeable=False)
         else:
-            a, b = idx[:self.chunk, None], idx[None, :self.chunk]
-            add = np.zeros((self.chunk, self.chunk), dtype=np.int64)
+            a = idx[:self.chunk]
+            add = np.add.outer(a, a)              # i + j, less p^(k+1) where digit k carries
             for w in self._pp[:c]:
-                add += (a % p + b % p) % p * w
-                a, b = a // p, b // p
+                dig = (a // w % p).astype(np.int16)   # digits below p <= 2048: sums fit int16
+                np.subtract(add, p * w, out=add, where=np.add.outer(dig, dig) >= p)
         self.add_np = add
         self._frob_cache = {}
 

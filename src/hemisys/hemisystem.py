@@ -6,18 +6,18 @@ subgroup) together with all imaginary chords of the curve.  Verification
 is exact: every point of every candidate line is counted and the full
 incidence histogram must be (q+1)/2 at every one of the (q^3+1)(q^2+1)
 surface points.  Each worker adds pg3.count_incidences of its contiguous
-share of the keys, CHUNK_LINES at a time (a workspace that does not grow
-with q), in place into its own uint8 row of one shared mapping, so memory
-grows with the points, not the incidences.  Workers past the caller are
-forked (np.add.at holds the GIL); a failed child's share is recounted in
-process to raise its fault.  Repeated lines could wrap a uint8 counter (a
-point is on q+1 <= 74 distinct ones), making the int64 incidence total fall
-short.  A size whose arrays and tables would exceed physical memory, or
-whose surface indices would not fit an int32 (q >= 79), is refused with
-pg3.TooLarge first.
+share of the keys, pg3.BLOCK_ROWS at a time (as every stage works, so no
+workspace grows with q), in place into its own uint8 row of one shared
+mapping, so memory grows with the points, not the incidences.  Workers past
+the caller are forked (np.add.at holds the GIL); failed children's shares
+are recounted in process, in order, to raise the first fault.  Repeated
+lines could wrap a uint8 counter (a point is on q+1 <= 74 distinct ones),
+making the int64 incidence total fall short.  A size whose arrays and tables
+would exceed physical memory, or whose surface indices would not fit an
+int32 (q >= 79), is refused with pg3.TooLarge first.
 
-Candidate files are written and read by array code, BLOCK_LINES lines at a
-time.  export streams the body, then writes its sha256 into the header;
+Candidate files are written and read by array code, pg3.BLOCK_ROWS lines at
+a time.  export streams the body, then writes its sha256 into the header;
 import_candidate holds only the file's bytes, matches the body's separators
 against the fixed per-line pattern, decodes the digit runs and runs each
 check, and a fault names its first offending file line.
@@ -38,7 +38,7 @@ import numpy as np
 from .gf import EvenCharacteristic, FieldCtx, is_prime, make_field
 from . import pg3, curves, groups
 from .curves import FTFrame
-from .pg3 import HermitianFrame
+from .pg3 import HermitianFrame, NotGeneratorInSet
 
 
 class SeedInvariantFailed(RuntimeError):
@@ -50,10 +50,6 @@ class ConditionBFails(RuntimeError):
 
 
 class TieRR(RuntimeError):
-    pass
-
-
-class NotGeneratorInSet(ValueError):
     pass
 
 
@@ -236,7 +232,8 @@ def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
     """Sorted key rows of M1 = H(key0), one image per normal word of H
     (groups.ft_word_images): they must be |H| = q(q-1)(q+1)^2/4 distinct lines."""
     q = fr.q
-    codes = np.sort(groups.ft_word_images(fr, key0))
+    codes = groups.ft_word_images(fr, key0)
+    codes.sort()
     _check(len(codes) == q * (q - 1) * (q + 1) ** 2 // 4 and (codes[1:] != codes[:-1]).all(),
            f"{len(codes)} words of H give {len(pg3.unique(codes))} lines of M1")
     return pg3.code_keys(fr.ctx2, codes)
@@ -309,50 +306,36 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
 # ---------------------------------------------------------------------------
 # exact verification
 
-CHUNK_LINES = 16384                            # key rows per block of the count
-HIST_BLOCK = 2 ** 16                           # counts per block of the histogram
-
-
-def _count_chunk(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
-    """Add the incidences of key rows into counts in place (verify's seam for tests)."""
-    pg3.count_incidences(frame, keys, counts)
-
-
 def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
-    """Bytes of each worker's uint8 counts and block workspace (under 200 bytes a line,
-    whatever q), pg3's tables (int16 and int32 Zech rows, int32 slot and start, int64
-    fibre and sol_at) and one histogram block's int64 cast."""
+    """Bytes of each worker's uint8 counts and block workspace (256 bytes a block row and
+    32 a group point: 1 MB whatever q, 0.58 MB measured), pg3's tables (int16 and int32
+    Zech rows, int32 slot and start, int64 fibre and sol_at) and a histogram group's cast."""
     n = frame.ctx.order
-    return (workers * (frame.num_points + 256 * CHUNK_LINES)
-            + 6 * 3 * n * (n - 1) + 4 * (n * n + n) + 8 * (frame.q + 1) * n + 8 * HIST_BLOCK)
+    return (workers * (frame.num_points + 256 * pg3.BLOCK_ROWS + 32 * pg3.GROUP_SIZE)
+            + 6 * 3 * n * (n - 1) + 4 * (n * n + n) + 8 * (frame.q + 1) * n + 8 * pg3.GROUP_SIZE)
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
            frame: HermitianFrame | None = None) -> VerificationReport:
     """Exact incidence verification of a candidate line set."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if frame is None:
         frame = (pg3.cp_frame if cand.family == "cp" else pg3.ft_frame)(cand.ctx2())
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2)
-    workers = max(1, min(threads, -(-len(keys) // CHUNK_LINES)))
+    workers = max(1, min(threads, -(-len(keys) // pg3.BLOCK_ROWS)))
     need = _verify_bytes(frame, workers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise pg3.TooLarge(f"verify at q={frame.q} needs {need} bytes of counts and "
                            f"tables, over the {have} bytes of physical memory")
-    pg3.require_int32_indices(frame)
-    bad = pg3.check_generators_batch(frame, keys)   # its blocks end before the counts begin
-    if len(bad):
-        k = keys[int(bad[0])]
-        raise NotGeneratorInSet(f"line {(int(k[0]), int(k[1]))} is not a generator")
-    frame.zech_rows                           # built once, read by the children copy-on-write
+    frame.zech_rows                           # TooLarge past int32; built before any fork
     # row w of one shared mapping holds the counts of share w, a contiguous run of keys
     rows = np.frombuffer(mmap.mmap(-1, workers * frame.num_points), np.uint8).reshape(workers, -1)
     shares = np.array_split(keys, workers)
 
     def count(w):
-        for lo in range(0, len(shares[w]), CHUNK_LINES):
-            _count_chunk(frame, shares[w][lo:lo + CHUNK_LINES], rows[w])
+        for lo in range(0, len(shares[w]), block := pg3.BLOCK_ROWS):
+            pg3.count_incidences(frame, shares[w][lo:lo + block], rows[w])
 
     pids = {}
     try:
@@ -372,7 +355,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         raise
     finally:
         failed = [w for w, pid in pids.items() if os.waitpid(pid, 0)[1]]
-    for w in failed:                          # recount in process: re-raises the child's fault
+    for w in failed:                          # recount in share order: raises the first fault
         rows[w] = 0
         count(w)
     counts = rows[0]
@@ -386,8 +369,8 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
             f"{frame.ctx.order + 1} points")
     point_count = int(np.count_nonzero(counts))
     # bincount casts its input to int64: blocks keep that copy small
-    hist = sum(np.bincount(counts[lo:lo + HIST_BLOCK], minlength=2 ** 8)
-               for lo in range(0, len(counts), HIST_BLOCK))
+    hist = sum(np.bincount(counts[lo:lo + pg3.GROUP_SIZE], minlength=2 ** 8)
+               for lo in range(0, len(counts), pg3.GROUP_SIZE))
     histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist[1:]) + 1}
     expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
     expected_inc = (frame.q + 1) // 2
@@ -395,7 +378,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     passed = len(keys) == expected_lines and histogram == {expected_inc: frame.num_points}
     return VerificationReport(
         passed=passed, line_count=len(keys), point_count=point_count,
-        histogram=histogram, wall_time=time.time() - t0,
+        histogram=histogram, wall_time=time.perf_counter() - t0,
         expected_lines=expected_lines, expected_points=frame.num_points,
         expected_incidence=expected_inc)
 
@@ -430,7 +413,6 @@ def condition_checks(fr: FTFrame, m_keys, P,
 
 MAGIC = "#hemis v1"
 SIGNS = {"na": None, "+1": 1, "-1": -1}       # eps/chi header tokens
-BLOCK_LINES = 4096                             # body lines parsed per block
 MALFORMED = ("malformed: want 2 points joined by ';', each 4 coordinates joined by "
              "',', each {d} digits joined by ':', then a newline")
 
@@ -452,7 +434,7 @@ def export(cand: HemisystemCandidate, path: str) -> None:
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(head + b"0" * 64 + b"\n")   # no body hashes to 64 zeros: a cut file fails
-        for blk in np.split(keys, range(BLOCK_LINES, len(keys), BLOCK_LINES)):
+        for blk in np.split(keys, range(block := pg3.BLOCK_ROWS, len(keys), block)):
             text = "".join(table[(blk // n ** np.arange(3, -1, -1) % n).reshape(-1, 8),
                                  np.arange(8)].ravel().tolist()).encode()
             digest.update(text)
@@ -475,9 +457,9 @@ def _block_digits(blk: np.ndarray, pat: np.ndarray, width: int) -> tuple:
     bad = int(off.min()) if len(off) else None
     rows = len(sep) // len(pat) if bad is None else np.count_nonzero(blk[:bad] == 10)
     st, size = start[:rows * len(pat)], size[:rows * len(pat)]
-    val = np.zeros(len(st), dtype=np.int64)
-    for k in range(width):
-        more = size > k
+    val = blk[st] - np.int64(48)                             # every run has a first digit
+    for k in range(1, width):
+        more = np.flatnonzero(size > k)
         val[more] = val[more] * 10 + (blk[st[more] + k] - 48)
     return val.reshape(rows, len(pat)), bad
 
@@ -541,15 +523,15 @@ def import_candidate(path: str) -> HemisystemCandidate:
     if ctx.poly != poly2:
         raise ParseError(f"line 3: non-canonical polynomial {poly2}")
     pat = np.frombuffer("".join(":" * (ctx.d - 1) + s for s in ",,,;,,,\n").encode(), np.uint8)
-    cuts, rows = [0], 0                       # after every BLOCK_LINES-th newline
-    for lo in range(0, len(body), 2 ** 16):
-        nl = lo + np.flatnonzero(body[lo:lo + 2 ** 16] == 10)
-        cuts.extend((nl[(-rows - 1) % BLOCK_LINES::BLOCK_LINES] + 1).tolist())
+    block, cuts, rows = pg3.BLOCK_ROWS, [0], 0   # cuts after every block-th newline
+    for lo in range(0, len(body), pg3.GROUP_SIZE):
+        nl = lo + np.flatnonzero(body[lo:lo + pg3.GROUP_SIZE] == 10)
+        cuts.extend((nl[(-rows - 1) % block::block] + 1).tolist())
         rows += len(nl)
     cuts = sorted({*cuts, len(body)})
     lines = np.empty((rows, 2), dtype=np.int64)
     for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        first = min(b * BLOCK_LINES, rows)
+        first = min(b * block, rows)
         dig, bad = _block_digits(body[lo:hi], pat, len(str(p - 1)))
         prev = lines[first - 1] if first else np.array([-1, -1])
         keys, row, why = _block_keys(ctx, dig.reshape(-1, 2, 4, ctx.d), prev)

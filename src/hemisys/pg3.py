@@ -29,8 +29,8 @@ int16 row (ranks < order) and slot[r] as an int32 row (slots < order q,
 past 2^15 from q = 49 on): 1.5 MB at q = 17, 51 MB at q = 41.  Row
 base of a sliding window view of length order-1 holds a line's
 coordinate at every step t, so one fancy index gathers a group of lines,
-of about 2^15 points whatever q.  Indices fit int32 while num_points < 2^31,
-i.e. q <= 73 (require_int32_indices).
+of about GROUP_SIZE points whatever q.  Indices fit int32 while num_points
+< 2^31, i.e. q <= 73 (require_int32_indices).
 
 Two Hermitian frames are supported, both with Gram matrix G satisfying
 G = G^T with entries in the prime field:
@@ -62,12 +62,23 @@ class TooLarge(ValueError):
     pass
 
 
+class NotGeneratorInSet(ValueError):
+    pass
+
+
 class GeneratorCountMismatch(RuntimeError):
     """A generator count broke its invariant: a bug, not input."""
 
 
 class FrameInvariantFailed(RuntimeError):
     """A Hermitian frame broke an invariant of its field or Gram matrix: a bug."""
+
+
+# Rows (keys, point pairs, file lines) per block of every stage that walks a whole
+# set, and entries (points gathered, table entries, counts, bytes) per group: no
+# workspace outgrows about 2 MB, whatever q.
+BLOCK_ROWS = 2 ** 11
+GROUP_SIZE = 2 ** 14
 
 
 class HermitianFrame:
@@ -106,9 +117,9 @@ class HermitianFrame:
         trace = vec_add(ctx, xs, xq)
         norm = vec_mul(ctx, xs, xq)
         e_norm = vec_mul(ctx, self.gram[2][2], norm)
-        start = np.empty((n, n), dtype=np.int32)      # filled in blocks of rows: no n^2 int64
-        for lo in range(0, n, 64):
-            start[lo:lo + 64] = vec_add(ctx, norm[lo:lo + 64, None], e_norm[None, :]) * q
+        start = np.empty((n, n), dtype=np.int32)      # filled a group at a time: no n^2 int64
+        for lo in range(0, n, step := max(1, GROUP_SIZE // n)):
+            start[lo:lo + step] = vec_add(ctx, norm[lo:lo + step, None], e_norm[None, :]) * q
         pos = np.empty(n, dtype=np.int64)
         pos[np.argsort(trace, kind="stable")] = np.tile(np.arange(q), q)   # q fibres of q ranks
         slot = (trace * q + pos).astype(np.int32)
@@ -121,12 +132,12 @@ class HermitianFrame:
 
     @cached_property
     def zech_rows(self) -> tuple:
-        """Rows r (int16) and slot[r] (int32) of the module docstring, filled by 64 a."""
+        """Rows r (int16) and slot[r] (int32) of the module docstring, filled a group at a time."""
         require_int32_indices(self)
         ctx, n, w = self.ctx, self.ctx.order, 3 * (self.ctx.order - 1)
         rank, slot = np.empty(n * w, dtype=np.int16), np.empty(n * w, dtype=np.int32)
-        for lo in range(0, n, 64):
-            r = ctx.rank_np[vec_add(ctx, np.arange(n)[lo:lo + 64, None], ctx.exp_np[:w])].ravel()
+        for lo in range(0, n, step := max(1, GROUP_SIZE // w)):
+            r = ctx.rank_np[vec_add(ctx, np.arange(n)[lo:lo + step, None], ctx.exp_np[:w])].ravel()
             rank[lo * w:lo * w + len(r)], slot[lo * w:lo * w + len(r)] = r, self.index_tables[2][r]
         return rank, slot
 
@@ -319,17 +330,26 @@ def line_codes(ctx: FieldCtx, keys) -> np.ndarray:
     n, one, N = _code_base(ctx)
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     lead = one * n ** np.arange(4)            # the least point that leads at place 3 - k
-    k = np.searchsorted(lead, keys, side="right") - 1
-    dense = keys - lead[k] + (n ** k - 1) // (n - 1)
-    return dense[:, 0] * N + dense[:, 1]
+    out = np.empty(len(keys), dtype=np.int64)
+    for lo in range(0, len(keys), BLOCK_ROWS):
+        blk = keys[lo:lo + BLOCK_ROWS]
+        k = np.searchsorted(lead, blk, side="right") - 1
+        dense = blk - lead[k] + (n ** k - 1) // (n - 1)
+        out[lo:lo + BLOCK_ROWS] = dense[:, 0] * N + dense[:, 1]
+    return out
 
 
 def code_keys(ctx: FieldCtx, codes) -> np.ndarray:
     """Key rows (len(codes), 2) of line codes; the inverse of line_codes."""
     n, one, N = _code_base(ctx)
-    d = np.stack(np.divmod(np.asarray(codes, dtype=np.int64), N), axis=1)
-    k = np.searchsorted((n ** np.arange(4) - 1) // (n - 1), d, side="right") - 1
-    return d - (n ** k - 1) // (n - 1) + one * n ** k
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    first = (n ** np.arange(4) - 1) // (n - 1)   # dense rank of the least point leading at 3 - k
+    out = np.empty((len(codes), 2), dtype=np.int64)
+    for lo in range(0, len(codes), BLOCK_ROWS):
+        d = np.stack(np.divmod(codes[lo:lo + BLOCK_ROWS], N), axis=1)
+        k = np.searchsorted(first, d, side="right") - 1
+        out[lo:lo + BLOCK_ROWS] = d - first[k] + one * n ** k
+    return out
 
 
 def unique(a) -> np.ndarray:
@@ -347,10 +367,8 @@ def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
     """(n, q^2+1) packed point table of the lines given by key rows."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     out = []
-    for lo in range(0, len(keys), 4096):
-        chunk = keys[lo:lo + 4096]
-        a = np.stack(unpack_batch(ctx, chunk[:, 0]), axis=1)
-        b = np.stack(unpack_batch(ctx, chunk[:, 1]), axis=1)
+    for lo in range(0, len(keys), BLOCK_ROWS):
+        a, b = (np.stack(unpack_batch(ctx, keys[lo:lo + BLOCK_ROWS, k]), axis=1) for k in (0, 1))
         out.append(line_points_batch(ctx, a, b))
     return np.concatenate(out, axis=0)
 
@@ -372,19 +390,6 @@ def is_generator(frame: HermitianFrame, A, B):
     """Two-point criterion: both on the surface and mutually conjugate; A and B are
     four coordinates each, ints or arrays, and the answer is per entry."""
     return on_surface(frame, A) & on_surface(frame, B) & (herm_form(frame, A, B) == 0)
-
-
-CHECK_ROWS = 2 ** 16                           # key rows per check_generators_batch block
-
-
-def check_generators_batch(frame: HermitianFrame, keys):
-    """Indices of key rows that fail the generator criterion, checked CHECK_ROWS rows
-    at a time, so its temporaries stay those of one block (about 7 MB)."""
-    bad = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(keys), CHECK_ROWS):
-        a, b = (unpack_batch(frame.ctx, keys[lo:lo + CHECK_ROWS, k]) for k in (0, 1))
-        bad.append(lo + np.flatnonzero(~is_generator(frame, a, b)))
-    return np.concatenate(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +479,35 @@ def surface_index(frame: HermitianFrame, packed):
 
 
 def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
-    """Add 1 to counts[surface_index(P)] for each point P of each line of key rows, or
+    """Add 1 to counts[surface_index(P)] for each point P of each line of key rows, after
+    checking every row is a generator (NotGeneratorInSet names the first that is not), or
     raise NotOnSurface.  The RREF rows R2, R1 and the lines in the plane X0 = 0 go
     through surface_index packed, the points R1 + g^t R2 of the rest through zech_rows."""
     ctx, n, q = frame.ctx, frame.ctx.order, frame.q
     one, _, _, start, _ = frame.index_tables
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    R2, R1 = (np.stack(unpack_batch(ctx, keys[:, c]), axis=1) for c in (0, 1))
+    A, B = (unpack_batch(ctx, keys[:, c]) for c in (0, 1))
+    bad = np.flatnonzero(~is_generator(frame, A, B))
+    if len(bad):
+        raise NotGeneratorInSet(f"line {tuple(int(x) for x in keys[bad[0]])} is not a generator")
+    R2, R1 = np.stack(A, axis=1), np.stack(B, axis=1)
     redo = np.flatnonzero(~is_rref_key(R2, R1))   # a canonical key is its own RREF
     if len(redo):
         R1[redo], R2[redo] = _rref(ctx, R2[redo], R1[redo])
     inc = counts.dtype.type(1)                # np.add.at is slow for a value of another type
     np.add.at(counts, surface_index(frame, np.stack([_pack_rows(ctx, R) for R in (R2, R1)])), inc)
     plane = np.flatnonzero(R1[:, 0] == 0)     # the q+1 lines through (0,0,0,1), or repeats
-    for sel in np.split(plane, range(step := -(-2 ** 12 // n), len(plane), step)):
-        inner = line_points_batch(ctx, R1[sel], R2[sel])[:, 1:-1]   # 2^12 points less R1, R2
-        np.add.at(counts, surface_index(frame, inner), inc)
-    R1, R2 = np.delete(R1, plane, axis=0), np.delete(R2, plane, axis=0)
+    if len(plane):
+        for i in plane:                       # one line at a time, less R1 and R2
+            inner = line_points_batch(ctx, R1[i:i + 1], R2[i:i + 1])[0, 1:-1]
+            np.add.at(counts, surface_index(frame, inner), inc)
+        R1, R2 = np.delete(R1, plane, axis=0), np.delete(R2, plane, axis=0)
     # row base of a window holds a line's coordinate at every step: r1, r2, slot[r3]
     rank, slot = (np.lib.stride_tricks.sliding_window_view(z, n - 1) for z in frame.zech_rows)
     base = R1[:, 1:] * (3 * (n - 1)) + ctx.log_np[R2[:, 1:]]
-    for b in np.split(base, range(g := max(1, 2 ** 15 // (n - 1)), len(base), g)):
-        v = rank[b[:, :2].T]                  # (2, lines, order-1), 2^15 points at most
-        a = np.multiply(v[0], n, dtype=np.intp)
-        a += v[1]                             # rank x1 * order + rank x2
+    for b in np.split(base, range(g := max(1, GROUP_SIZE // (n - 1)), len(base), g)):
+        a = np.multiply(rank[b[:, 0]], n, dtype=np.intp)   # (lines, order-1), a group at most
+        a += rank[b[:, 1]]                    # rank x1 * order + rank x2
         d = start.take(a)
         np.subtract(slot[b[:, 2]], d, out=d)  # x3's place in its fibre if 0 <= d < q
         if d.view(np.uint32).max(initial=0) >= q:   # some d < 0 or d >= q, as unsigned
@@ -507,6 +517,7 @@ def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
         a *= q
         a += d
         np.add.at(counts, a.reshape(-1), inc)
+        del a, d                              # before the next group's arrays are made
 
 
 def surface_point(frame: HermitianFrame, index):

@@ -209,14 +209,15 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
         curve = np.asarray(sorted(int(x) for x in oracles.cp_curve_points(ctx2)))
         rows = pg3.line_points_table(ctx2, chords)
         parts[f"cp_chords_q{p}"] = (
-            len(pg3.check_generators_batch(frame, np.asarray(chords))) == 0
+            pg3.is_generator(frame, *(pg3.unpack_batch(ctx2, chords[:, c]) for c in (0, 1))).all()
             and not np.isin(rows.reshape(-1), curve).any())
     keys17 = np.asarray(ft17_chords, dtype=np.int64)
     rows17 = pg3.line_points_table(ft17.ctx2, keys17)
     rational = np.concatenate([ft17_sets.omega, ft17_sets.delta_plus,
                                ft17_sets.delta_minus])
     parts["ft_chords_q17"] = (
-        len(pg3.check_generators_batch(ft17.frame, keys17)) == 0
+        pg3.is_generator(ft17.frame, *(pg3.unpack_batch(ft17.ctx2, keys17[:, c])
+                                       for c in (0, 1))).all()
         and not np.isin(rows17.reshape(-1), np.sort(rational)).any())
 
     # quadruple action vs matrix action on 10^3 samples

@@ -190,7 +190,7 @@ def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: verify at q=233 needs {need} bytes")
     # ft q=41 --force at 2 workers needs 0.30 GB: one 0.12 GB uint8 row and one
-    # 4 MB block workspace per worker, and 63 MB of tables
+    # 1 MB block workspace per worker, and 63 MB of tables
     assert 2.9e8 < hemisystem._verify_bytes(pg3.ft_frame(gf.make_field(41, 2)), 2) < 3.2e8
 
 

@@ -225,7 +225,7 @@ def test_ft_chord_count_q17(ft17_chords):
 def test_ft_chords_generators_disjoint_exhaustive_q17(ft17, ft17_sets, ft17_chords):
     frame = ft17.frame
     keys = np.asarray(ft17_chords, dtype=np.int64)
-    assert len(pg3.check_generators_batch(frame, keys)) == 0
+    assert pg3.is_generator(frame, *(pg3.unpack_batch(ft17.ctx2, keys[:, c]) for c in (0, 1))).all()
     rows = pg3.line_points_table(ft17.ctx2, keys)
     rational = np.concatenate([ft17_sets.omega, ft17_sets.delta_plus,
                                ft17_sets.delta_minus])

@@ -290,45 +290,46 @@ def test_verify_rejects_non_generator(ft17, ft17_build):
 
 
 def test_generator_check_blocks_name_the_first_bad_line(ft17, ft17_build, monkeypatch):
+    # lines 20,000 and 40,001 of 44,228: in share 0 of 1 or 2 and in shares 1
+    # and 2 of 3, where both children fail and the recount names share 1's
     cand, _ = ft17_build
     bad = [np.asarray([_non_generator(ft17, s)]) for s in (1, 2)]
-    lines = np.concatenate([cand.lines[:5000], bad[0], cand.lines[5000:20000], bad[1],
-                            cand.lines[20000:]])
+    lines = np.concatenate([cand.lines[:20000], bad[0], cand.lines[20000:40000], bad[1],
+                            cand.lines[40000:]])
     mut = hemisystem.HemisystemCandidate("ft", 17, 1, 1, cand.chi, lines)
     messages = []
-    for rows in (pg3.CHECK_ROWS, 512):
-        monkeypatch.setattr(pg3, "CHECK_ROWS", rows)
-        with pytest.raises(hemisystem.NotGeneratorInSet) as e:
-            hemisystem.verify(mut, frame=ft17.frame)
-        messages.append(str(e.value))
-    assert messages[0] == messages[1] == f"line {tuple(bad[0][0].tolist())} is not a generator"
+    for rows in (pg3.BLOCK_ROWS, 512):
+        monkeypatch.setattr(pg3, "BLOCK_ROWS", rows)
+        for threads in (1, 2, 3):
+            with pytest.raises(hemisystem.NotGeneratorInSet) as e:
+                hemisystem.verify(mut, threads=threads, frame=ft17.frame)
+            messages.append(str(e.value))
+    assert set(messages) == {f"line {tuple(bad[0][0].tolist())} is not a generator"}
 
 
 def test_generator_check_peak_memory_is_one_block(ft17, ft17_build, monkeypatch):
-    # 44,226 keys in one block peak near 4.6 MB of temporaries, 512 keys near 60 kB
-    keys = np.asarray(ft17_build[0].lines)
-    monkeypatch.setattr(pg3, "CHECK_ROWS", 512)
+    # each block of keys is checked as it is counted: all 44,226 keys take no
+    # more than one block of 512 (checking them at once took 4.6 MB)
+    cand = ft17_build[0]
+    ft17.frame.zech_rows                      # tables built outside the traced calls
+    monkeypatch.setattr(pg3, "BLOCK_ROWS", 512)
     peaks = []
-    for rows in (512, len(keys)):
-        tracemalloc.start()
-        try:
-            assert len(pg3.check_generators_batch(ft17.frame, keys[:rows])) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    for rows in (512, len(cand.lines)):
+        part = dataclasses.replace(cand, lines=cand.lines[:rows])
+        peaks.append(_traced_peak(lambda: hemisystem.verify(part, frame=ft17.frame))[0])
     one_block, all_blocks = peaks
     assert all_blocks < 2 * one_block, peaks
 
 
 def test_verify_raises_on_a_lost_incidence(cp3_build, monkeypatch):
     cand, _ = cp3_build
-    count_chunk = hemisystem._count_chunk
+    count_incidences = pg3.count_incidences
 
     def drop_one(frame, keys, counts):
-        count_chunk(frame, keys, counts)
+        count_incidences(frame, keys, counts)
         counts[np.argmax(counts)] -= 1
 
-    monkeypatch.setattr(hemisystem, "_count_chunk", drop_one)
+    monkeypatch.setattr(pg3, "count_incidences", drop_one)
     with pytest.raises(hemisystem.IncidenceSumMismatch):
         hemisystem.verify(cand)
     # an internal fault, not a usage error the CLI would report as exit 2
@@ -425,15 +426,15 @@ def test_a_worker_fault_is_raised_as_in_process(monkeypatch, threads):
     cand = hemisystem.build_cp(5)
     share0, share1 = np.array_split(cand.lines, threads)[:2]
     assert len(share0) % 7 == 0
-    count_chunk = hemisystem._count_chunk
+    count_incidences = pg3.count_incidences
 
     def fault_in_share_1(frame, keys, counts):
         if np.array_equal(keys, share1[:7]):
             raise pg3.NotOnSurface("share 1 is off the surface")
-        count_chunk(frame, keys, counts)
+        count_incidences(frame, keys, counts)
 
-    monkeypatch.setattr(hemisystem, "CHUNK_LINES", 7)
-    monkeypatch.setattr(hemisystem, "_count_chunk", fault_in_share_1)
+    monkeypatch.setattr(pg3, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(pg3, "count_incidences", fault_in_share_1)
     faults = []
     for n in (1, threads):
         with pytest.raises(pg3.NotOnSurface) as fault:
@@ -462,8 +463,8 @@ def test_verify_report_does_not_depend_on_chunks_or_workers(family, histogram, m
     else:
         cand = hemisystem.build_ft(3, 2, force=True)
     reports = []
-    for chunk in (1, 7, hemisystem.CHUNK_LINES):
-        monkeypatch.setattr(hemisystem, "CHUNK_LINES", chunk)
+    for chunk in (1, 7, pg3.BLOCK_ROWS):
+        monkeypatch.setattr(pg3, "BLOCK_ROWS", chunk)
         for threads in (1, 3):
             report = dataclasses.asdict(hemisystem.verify(cand, threads=threads))
             del report["wall_time"]
@@ -604,9 +605,9 @@ def _mutants(cand, body: list, k: int) -> dict:
                                   "zero point", "not normalized", "a >= b", "unsorted",
                                   "non-canonical", "count"])
 @pytest.mark.parametrize("p, h, k", [(13, 1, 55), (3, 2, 55),
-                                     (13, 1, hemisystem.BLOCK_LINES)])
+                                     (13, 1, 2 * pg3.BLOCK_ROWS)])
 def test_import_names_the_first_offending_line(cp_built, p, h, k, kind, tmp_path):
-    # k = BLOCK_LINES is the first line of the second block of lines
+    # k = 2 * BLOCK_ROWS (4096) is the first line of the third block of lines
     cand = cp_built(p, h)
     path, bad = tmp_path / "c.hs", tmp_path / "bad.hs"
     hemisystem.export(cand, str(path))
@@ -763,7 +764,7 @@ def test_import_peak_memory_q17(ft17_build, tmp_path):
     cand, _ = ft17_build
     path, two = tmp_path / "h17.hs", tmp_path / "two.hs"
     hemisystem.export(cand, str(path))
-    hemisystem.export(dataclasses.replace(cand, lines=cand.lines[:2 * hemisystem.BLOCK_LINES]),
+    hemisystem.export(dataclasses.replace(cand, lines=cand.lines[:2 * pg3.BLOCK_ROWS]),
                       str(two))
     block, small = _traced_peak(lambda: hemisystem.import_candidate(str(two)))
     block -= two.stat().st_size + small.lines.nbytes
@@ -776,10 +777,50 @@ def test_export_peak_memory_q17(ft17_build, tmp_path):
     # the body is streamed: writing 44,226 lines takes no more than writing one
     # block of them (0.75 MB, mostly the table of coordinate strings)
     cand, _ = ft17_build
-    one = dataclasses.replace(cand, lines=cand.lines[:hemisystem.BLOCK_LINES])
+    one = dataclasses.replace(cand, lines=cand.lines[:pg3.BLOCK_ROWS])
     block, _ = _traced_peak(lambda: hemisystem.export(one, str(tmp_path / "one.hs")))
     peak, _ = _traced_peak(lambda: hemisystem.export(cand, str(tmp_path / "h17.hs")))
     assert peak < 1.25 * block < 1.5e6, (peak, block)
+
+
+# one block's workspace: 1 kB for each of pg3.BLOCK_ROWS rows (2 MB); at ft q=17 the
+# whole-set temporaries of the chords, the union, the check and the decode ran to 2.5-4.6 MB
+BLOCK_WORKSPACE = 2 ** 10 * pg3.BLOCK_ROWS
+
+
+def _transient(f, held: int = 0) -> int:
+    """Bytes f's traced peak takes above what it leaves allocated and held bytes."""
+    tracemalloc.start()
+    try:
+        out = f()                             # its output stays allocated while measured
+        live, peak = tracemalloc.get_traced_memory()
+        del out
+    finally:
+        tracemalloc.stop()
+    return peak - live - held
+
+
+@pytest.mark.parametrize("family,p", [("ft", 17), ("cp", 13)])
+def test_every_stage_peaks_at_its_output_plus_one_block(family, p, ft17_build, tmp_path):
+    # each stage that built a whole-set temporary (the addition table, the chords,
+    # the line codes and keys of a union, the generator check and the count, the
+    # file decode) peaks at what it leaves allocated plus one block's workspace
+    cand = ft17_build[0] if family == "ft" else hemisystem.build_cp(p)
+    ctx = cand.ctx2()
+    frame = (pg3.ft_frame if family == "ft" else pg3.cp_frame)(ctx)
+    frame.zech_rows                           # the frame's tables are no stage here
+    chords = curves.ft_imaginary_chords if family == "ft" else curves.cp_imaginary_chords
+    path = tmp_path / "c.hs"
+    hemisystem.export(cand, str(path))
+    over = {"addition table": _transient(lambda: gf.make_field(p, 2)),
+            "chords": _transient(lambda: chords(ctx)),
+            "union": _transient(lambda: hemisystem._sorted_lines(ctx, cand.lines[::2],
+                                                                 cand.lines[1::2])),
+            "check and count": _transient(lambda: hemisystem.verify(cand, frame=frame)),
+            # import holds the file's bytes while it decodes them
+            "decode": _transient(lambda: hemisystem.import_candidate(str(path)),
+                                 path.stat().st_size)}
+    assert max(over.values()) <= BLOCK_WORKSPACE, over
 
 
 def test_import_refuses_a_file_whose_digest_slot_was_never_filled(cp3_build, tmp_path):

@@ -378,7 +378,7 @@ def test_line_surface_index_matches_the_packed_path(family, p, h, request):
     want = _packed_counts(frame, keys)
     assert want.sum() == len(keys) * (q * q + 1)
     for workers in (1, 2, 3):
-        assert np.array_equal(_kernel_counts(frame, keys, hemisystem.CHUNK_LINES, workers), want)
+        assert np.array_equal(_kernel_counts(frame, keys, pg3.BLOCK_ROWS, workers), want)
     # blocks of 1 and 7 lines on every line but the candidate's bulk
     few = np.vstack([cand.lines[some], np.asarray(extra, dtype=np.int64), other])
     for block in (1, 7):
@@ -398,22 +398,31 @@ def test_zech_rows_at_q49_whose_slots_pass_int16():
         assert np.array_equal(zslot[lo:lo + 2 ** 22], slot[rank[lo:lo + 2 ** 22]])
 
 
+def _counted_past_the_generator_check(frame, key, monkeypatch):
+    """count_incidences of one key row that its generator check rejects, then of the
+    same row with the check passing everything, so the kernel's own check must fire."""
+    counts = np.zeros(frame.num_points, dtype=np.uint8)
+    with pytest.raises(pg3.NotGeneratorInSet, match=rf"^line \({key[0]}, {key[1]}\) is not"):
+        pg3.count_incidences(frame, [key], counts)
+    monkeypatch.setattr(pg3, "is_generator", lambda frame, A, B: np.ones(len(A[0]), dtype=bool))
+    pg3.count_incidences(frame, [key], counts)
+
+
 @pytest.mark.parametrize("family", ["cp", "ft"])
-def test_line_surface_index_raises_off_the_surface(family, F9):
+def test_line_surface_index_raises_off_the_surface(family, F9, monkeypatch):
     # (0,0,0,1) and (1,0,0,0) lie on the surface and are the key of their
     # line, but (1,0,0,lam) with lam + lam^q != 0 do not: the kernel's own
-    # check must fire, not only check_generators_batch
+    # check must fire, not only the generator check
     frame = pg3.cp_frame(F9) if family == "cp" else pg3.ft_frame(F9)
     key = pg3.line_key(F9, (1, 0, 0, 0), (0, 0, 0, 1))
     assert key == (pg3.pack(F9, (0, 0, 0, 1)), pg3.pack(F9, (1, 0, 0, 0)))
     assert len(pg3.surface_index(frame, key)) == 2
-    assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
     with pytest.raises(pg3.NotOnSurface, match=r"^\(1, 0, 0, [0-9]+\) is not on the surface$"):
-        pg3.count_incidences(frame, [key], np.zeros(frame.num_points, dtype=np.uint8))
+        _counted_past_the_generator_check(frame, key, monkeypatch)
 
 
 @pytest.mark.parametrize("family", ["cp", "ft"])
-def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9):
+def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9, monkeypatch):
     # (0,1,x,0) and (0,1,x',0) with 1 + e N(x) = 0 lie on the surface, but the
     # line they span is no generator: the points (0,1,lam,0) with 1 + e N(lam)
     # != 0 must fail the X0 = 0 rule, as the key points pass it
@@ -421,9 +430,8 @@ def test_line_surface_index_raises_off_the_surface_in_the_x0_plane(family, F9):
     x, y = [x for x in range(9) if pg3.on_surface(frame, (0, 1, x, 0))][:2]
     key = sorted([pg3.pack(F9, (0, 1, x, 0)), pg3.pack(F9, (0, 1, y, 0))])
     assert len(pg3.surface_index(frame, key)) == 2
-    assert len(pg3.check_generators_batch(frame, np.asarray([key]))) == 1
     with pytest.raises(pg3.NotOnSurface, match=r"^\(0, [01], [0-9]+, 0\) is not on the surface$"):
-        pg3.count_incidences(frame, [key], np.zeros(frame.num_points, dtype=np.uint8))
+        _counted_past_the_generator_check(frame, key, monkeypatch)
 
 
 def test_enumerate_generators_counts(cp3, F25):
