@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: construct, verify, survey, primes, eccount, diagnose.
-Exit codes: 0 success / completed report, 1 verification failure,
-2 usage or configuration error, 3 internal error (any other exception,
-with its traceback on stderr).  Stdout is deterministic for fixed
-inputs; timing goes to stderr.
+Exit codes: 0 success / completed report, 1 verification failure
+(gf.CandidateError: a candidate that is no hemisystem), 2 usage or
+configuration error (gf.UsageError, or a path that cannot be opened),
+3 internal error (gf.InvariantFailed or any other exception, with its
+traceback on stderr).  Stdout is deterministic for fixed inputs; timing
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 import time
 import traceback
 
-from . import curves, groups, hemisystem, numbers, pg3
-from .gf import NotPrime, EvenCharacteristic, FieldTooLarge
+from . import curves, groups, hemisystem, numbers
+from .gf import CandidateError, UsageError
 
 
 def _emit(report: dict, fmt: str, out=None) -> None:
@@ -227,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-USAGE_ERRORS = (NotPrime, EvenCharacteristic, FieldTooLarge,
-                curves.BadCongruence, curves.TwoNotSquare,
-                numbers.NotOneModFour, numbers.NotPrimePower, numbers.OmegaIsSquare,
-                hemisystem.ConditionBFails, pg3.TooLarge)
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -244,11 +240,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (hemisystem.ParseError, hemisystem.ChecksumMismatch,
-            hemisystem.NotGeneratorInSet) as e:
+    except CandidateError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except USAGE_ERRORS as e:
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:                # or a path the user must correct
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -23,8 +23,8 @@ kappa = nu^((q-1)/2):
 * a curve point A + sqrt(nu) B, A and B over GF(q^2), and its conjugate
   A - sqrt(nu) B span the GF(q^2)-line <A, B>: that line is the chord.
 
-Broken internal identities raise CurveInvariantFailed, which python -O
-keeps, unlike assert.
+A broken internal identity raises gf.InvariantFailed through gf.check,
+which python -O keeps, unlike assert.
 """
 
 from __future__ import annotations
@@ -33,27 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldCtx, make_field, vec_add, vec_mul, vec_neg
+from .gf import FieldCtx, UsageError, check, make_field, vec_add, vec_mul, vec_neg
 from . import pg3
 from .pg3 import HermitianFrame
-
-
-class BadCongruence(ValueError):
-    pass
-
-
-class TwoNotSquare(ValueError):
-    pass
-
-
-class CurveInvariantFailed(RuntimeError):
-    """A curve, chord or frame identity failed: a bug, not input."""
-
-
-def _check(ok: bool, what: str) -> None:
-    """Raise CurveInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
-    if not ok:
-        raise CurveInvariantFailed(what)
 
 
 RATIONAL_SUBPLANE = "RATIONAL_SUBPLANE"
@@ -106,7 +88,7 @@ def join_keys(ctx2: FieldCtx, pencils, expect: int, what: str) -> np.ndarray:
     """Sorted distinct keys of the lines <A, B> for each (A, B) of pencils (any
     iterable), A and B four coordinates (arrays or ints) that broadcast together,
     joined about pg3.BLOCK_ROWS pairs at a time: only the int64 line codes span
-    all of them.  Raises CurveInvariantFailed unless they are expect distinct lines."""
+    all of them.  Raises gf.InvariantFailed unless they are expect distinct lines."""
     codes = []
     for A, B in pencils:
         cols = np.broadcast_arrays(*A, *B)
@@ -115,7 +97,7 @@ def join_keys(ctx2: FieldCtx, pencils, expect: int, what: str) -> np.ndarray:
             rows = np.stack([c[lo:lo + step] for c in cols], axis=-1).reshape(-1, 8)
             codes.append(pg3.line_codes(ctx2, pg3.line_keys_batch(ctx2, rows[:, :4], rows[:, 4:])))
     out = pg3.code_keys(ctx2, pg3.unique(np.concatenate(codes)))
-    _check(len(out) == expect, f"{len(out)} {what}, expected {expect}")
+    check(len(out) == expect, f"{len(out)} {what}, expected {expect}")
     return out
 
 
@@ -192,7 +174,7 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
     h = ctx2.d // 2
     q = ctx2.p ** h
     if q % 4 != 1:
-        raise BadCongruence(f"q = {q} is not 1 mod 4")
+        raise UsageError(f"q = {q} is not 1 mod 4")
     m = (q + 1) // 2
     sub = subfield_elements(ctx2)
     ys = sub
@@ -200,7 +182,7 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
         ctx2, np.ones_like(ys), np.zeros_like(ys), ys, vec_mul(ctx2, ys, ys))
     omega = pg3.unique(np.concatenate(
         [omega, [pg3.pack_point(ctx2, (0, 0, 0, 1))]]))
-    _check(len(omega) == q + 1, f"{len(omega)} points in Omega")
+    check(len(omega) == q + 1, f"{len(omega)} points in Omega")
 
     frob_h = ctx2.frob_np(h)
     plus_rows = []
@@ -211,13 +193,13 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
             continue
         c = ctx2.sub(int(frob_h[v]), v)           # v^q - v
         us = ctx2.power_residue_solutions(c, m)
-        _check(len(us) == m, "u^((q+1)/2) = v^q - v has not (q+1)/2 solutions")
+        check(len(us) == m, "u^((q+1)/2) = v^q - v has not (q+1)/2 solutions")
         v2 = ctx2.mul(v, v)
         for u in us:
             plus_rows.append((1, u, v, v2))
         cs = ctx2.neg(c)                          # t - t^q with t = v
         ss = ctx2.power_residue_solutions(cs, m)
-        _check(len(ss) == m, "s^((q+1)/2) = v - v^q has not (q+1)/2 solutions")
+        check(len(ss) == m, "s^((q+1)/2) = v - v^q has not (q+1)/2 solutions")
         for s in ss:
             minus_rows.append((1, s, v, v2))
     plus_arr = np.asarray(plus_rows, dtype=np.int64)
@@ -229,11 +211,11 @@ def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
     dp = pg3.unique(dp)
     dm = pg3.unique(dm)
     expect = (q ** 3 - q) // 2
-    _check(len(dp) == expect and len(dm) == expect,
-           f"{len(dp)} and {len(dm)} points in Delta+ and Delta-, expected {expect}")
+    check(len(dp) == expect and len(dm) == expect,
+          f"{len(dp)} and {len(dm)} points in Delta+ and Delta-, expected {expect}")
     sets = CurvePointSets(omega, dp, dm)
-    _check(not (sets.omega_set & sets.plus_set or sets.omega_set & sets.minus_set
-                or sets.plus_set & sets.minus_set), "Omega, Delta+ and Delta- overlap")
+    check(not (sets.omega_set & sets.plus_set or sets.omega_set & sets.minus_set
+               or sets.plus_set & sets.minus_set), "Omega, Delta+ and Delta- overlap")
     return sets
 
 
@@ -256,7 +238,7 @@ def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
     lin = vec_add(ctx2, vec_mul(ctx2, kappa, frob), vec_neg(ctx2, ys))  # kappa y^q - y
     lin_inv = np.full(ctx2.order, -1, dtype=np.int64)
     lin_inv[lin] = ys
-    _check((lin_inv >= 0).all(), "kappa y^q - y is not a bijection")
+    check((lin_inv >= 0).all(), "kappa y^q - y is not a bijection")
 
     expect_pts = (q * q + q) * (q * q - q - (q - 1) ** 2 // 2)        # genus g = (q-1)^2/4
 
@@ -267,15 +249,15 @@ def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
             lo = np.searchsorted(zs_sorted, c0, side="left")
             counts = np.searchsorted(zs_sorted, c0, side="right") - lo
             sel = counts > 0
-            _check((counts[sel] == q).all(), "a value of y^q - y has other than q preimages")
+            check((counts[sel] == q).all(), "a value of y^q - y has other than q preimages")
             ya = order[lo[sel, None] + np.arange(q)].ravel()
             xa, xb, yb = (np.repeat(v[sel], q) for v in (xa, xb, lin_inv[c1]))
             pairs += len(ya)
             yield ((1, xa, ya, vec_add(ctx2, vec_mul(ctx2, ya, ya),
                                        vec_mul(ctx2, nu, vec_mul(ctx2, yb, yb)))),
                    (0, xb, yb, vec_mul(ctx2, 2 % ctx2.p, vec_mul(ctx2, ya, yb))))
-        _check(2 * pairs == expect_pts,
-               f"{pairs} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
+        check(2 * pairs == expect_pts,
+              f"{pairs} conjugate pairs of points of X+ off GF(q^2), expected {expect_pts // 2}")
 
     return join_keys(ctx2, chords(), expect_pts // 2, "imaginary chords")
 
@@ -322,7 +304,7 @@ def classify_point_type(ctx2: FieldCtx, P) -> str:
         if not any(R):
             R = tuple(ctx2.sub(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
                       for a in proj)
-        _check(all(ctx2.frobenius(x, h) == x for x in R), "a Baer line point is not over GF(q)")
+        check(all(ctx2.frobenius(x, h) == x for x in R), "a Baer line point is not over GF(q)")
         if ctx2.sub(ctx2.mul(R[0], R[2]), ctx2.mul(R[1], R[1])) == 0:
             hits += 1
     return {0: TYPE_I, 2: TYPE_II, 1: TYPE_III}[hits]
@@ -365,7 +347,7 @@ class FTFrame:
         v = self.ctx2.pow(x, (self.q - 1) // 2)
         if v == 1:
             return 1
-        _check(v == self.ctx2.neg(1), f"x^((q-1)/2) = {v} is not +-1 for x = {x}")
+        check(v == self.ctx2.neg(1), f"x^((q-1)/2) = {v} is not +-1 for x = {x}")
         return -1
 
     def p_eps(self, eps: int = None) -> tuple:
@@ -384,11 +366,11 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
         raise ValueError("eps must be +1 or -1")
     q = p ** h
     if q % 4 != 1:
-        raise BadCongruence(f"q = {q} is not 1 mod 4")
+        raise UsageError(f"q = {q} is not 1 mod 4")
     ctx2 = make_field(p, 2 * h)
     two = 2 % p
     if ctx2.pow(two, (q - 1) // 2) != 1:
-        raise TwoNotSquare(f"2 is a non-square in GF({q})")
+        raise UsageError(f"2 is a non-square in GF({q})")
     # smallest non-square of GF(q) in digit-lex order
     omega = None
     neg1 = ctx2.neg(1)
@@ -397,14 +379,14 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
             omega = x
             break
     b = ctx2.sqrt(omega)
-    _check(b is not None and ctx2.mul(b, b) == omega and ctx2.frobenius(b, h) == ctx2.neg(b),
-           "b = sqrt(omega) is not a square root with b^q = -b")
+    check(b is not None and ctx2.mul(b, b) == omega and ctx2.frobenius(b, h) == ctx2.neg(b),
+          "b = sqrt(omega) is not a square root with b^q = -b")
     j = ctx2.pow(b, (q - 1) // 2)
-    _check(ctx2.mul(j, j) == neg1 and ctx2.frobenius(j, h) == j, "j is not a sqrt(-1) in GF(q)")
+    check(ctx2.mul(j, j) == neg1 and ctx2.frobenius(j, h) == j, "j is not a sqrt(-1) in GF(q)")
     sqrt2 = ctx2.sqrt(two)
-    _check(ctx2.frobenius(sqrt2, h) == sqrt2, "sqrt(2) is not in GF(q)")
+    check(ctx2.frobenius(sqrt2, h) == sqrt2, "sqrt(2) is not in GF(q)")
     sqrtm2 = ctx2.mul(j, sqrt2)
-    _check(ctx2.mul(sqrtm2, sqrtm2) == ctx2.neg(two), "sqrt(-2)^2 is not -2")
+    check(ctx2.mul(sqrtm2, sqrtm2) == ctx2.neg(two), "sqrt(-2)^2 is not -2")
     frame = pg3.ft_frame(ctx2)
 
     # chi solves chi = eps * (2 - chi*sqrt2)^((q-1)/2); exactly one value works
@@ -414,6 +396,6 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
 
     chis = [c for c in (1, -1)
             if eps * char(ctx2.sub(two, sqrt2 if c == 1 else ctx2.neg(sqrt2))) == c]
-    _check(len(chis) == 1, f"{len(chis)} values of chi satisfy the sign identity")
+    check(len(chis) == 1, f"{len(chis)} values of chi satisfy the sign identity")
     return FTFrame(p=p, h=h, eps=eps, ctx2=ctx2, frame=frame, b=b, omega=omega, j=j,
                    sqrt2=sqrt2, sqrtm2=sqrtm2, chi=chis[0])

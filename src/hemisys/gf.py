@@ -26,6 +26,12 @@ and the array functions vec_*:
 
 The tables are built with array operations, and make_field refuses a
 field whose tables would take more than TABLE_BYTES_CAP bytes.
+
+Every module imports this one, so the program's error policy lives here:
+UsageError (a refused input or size), CandidateError (a candidate that is
+not a hemisystem) and InvariantFailed (a bug, raised by check), one per
+exit code of the command line.  Misuse of the API that no command reaches
+raises the builtin ValueError or ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -40,39 +46,29 @@ TABLE_BYTES_CAP = 2 ** 30    # refuse fields whose tables need more bytes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class NotPrime(ValueError):
-    pass
+class UsageError(ValueError):
+    """A refused input, field or size, named by its message: exit code 2."""
 
 
-class EvenCharacteristic(ValueError):
-    pass
+class CandidateError(ValueError):
+    """A candidate file or line set that cannot be a hemisystem: exit code 1."""
 
 
-class FieldTooLarge(ValueError):
-    pass
+class InvariantFailed(RuntimeError):
+    """A broken internal identity: a bug, not input (exit code 3)."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    pass
-
-
-class ZeroInput(ValueError):
-    pass
-
-
-class BadExponent(ValueError):
-    pass
-
-
-class TableInvariantFailed(RuntimeError):
-    """A field table broke an invariant: a bug, not input."""
+def check(ok: bool, what: str) -> None:
+    """Raise InvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
+    if not ok:
+        raise InvariantFailed(what)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24 with these bases)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -193,7 +189,7 @@ def smallest_irreducible(p: int, d: int) -> tuple:
             coeffs[i] = 0
             i -= 1
         if i < 0:
-            raise RuntimeError("no irreducible polynomial found")
+            raise InvariantFailed("no irreducible polynomial found")
         coeffs[i] += 1
 
 
@@ -209,7 +205,7 @@ def _smallest_generator(p: int, d: int, f) -> list:
         g = [r // p ** (d - 1 - i) % p for i in range(d)]
         if all(_poly_powmod(g, n1 // ell, f, p) != [1] for ell in fac):
             return g
-    raise RuntimeError("no generator found")
+    raise InvariantFailed("no generator found")
 
 
 def _mul_matrix(h, f, p):
@@ -312,13 +308,12 @@ class FieldCtx:
         for lo in range(0, n1 + 1, B):
             exp[lo:lo + B] = weights @ block
             block = step @ block % p
-        if exp[n1] != 1:
-            raise TableInvariantFailed(f"gen^{n1} != 1 in GF({p}^{d})")
+        check(exp[n1] == 1, f"gen^{n1} != 1 in GF({p}^{d})")
         exp[n1:2 * n1] = exp[:n1]
         log = np.full(self.order, 2 * n1, dtype=np.int64)
         log[exp[:n1]] = np.arange(n1, dtype=np.int64)
-        if not np.array_equal(log[exp[:n1]], np.arange(n1)):
-            raise TableInvariantFailed(f"powers of the generator of GF({p}^{d}) repeat")
+        check(np.array_equal(log[exp[:n1]], np.arange(n1)),
+              f"powers of the generator of GF({p}^{d}) repeat")
         self.exp_np = exp
         self.log_np = log
 
@@ -375,7 +370,7 @@ class FieldCtx:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("inverse of zero")
+            raise ZeroDivisionError("inverse of zero")
         return int(self.inv_np[a])
 
     def div(self, a: int, b: int) -> int:
@@ -386,7 +381,7 @@ class FieldCtx:
             if n == 0:
                 return 1
             if n < 0:
-                raise DivisionByZero("negative power of zero")
+                raise ZeroDivisionError("negative power of zero")
             return 0
         e = (self.log_np[a] * n) % (self.order - 1)
         return int(self.exp_np[e])
@@ -425,10 +420,10 @@ class FieldCtx:
     def power_residue_solutions(self, c: int, m: int) -> list:
         """All x with x^m = c, via discrete logs; empty if c is no m-th power."""
         if c == 0:
-            raise ZeroInput("c must be nonzero")
+            raise ValueError("c must be nonzero")
         n1 = self.order - 1
         if m <= 0 or n1 % m:
-            raise BadExponent(f"exponent {m} does not divide order-1")
+            raise ValueError(f"exponent {m} does not divide order-1")
         lc = int(self.log_np[c])
         if lc % m:
             return []
@@ -446,14 +441,14 @@ class FieldCtx:
 def make_field(p: int, d: int) -> FieldCtx:
     """GF(p^d) with the canonical (digit-lex smallest) construction data."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     if p == 2:
-        raise EvenCharacteristic("characteristic 2 is not supported")
+        raise UsageError("characteristic 2 is not supported")
     if d < 1:
-        raise BadExponent(f"field degree {d} is not positive")
+        raise ValueError(f"field degree {d} is not positive")
     need = _table_bytes(p, d)
     if need > TABLE_BYTES_CAP:
-        raise FieldTooLarge(
+        raise UsageError(
             f"GF({p}^{d}) needs {need} bytes of tables, over the cap {TABLE_BYTES_CAP}")
     poly = smallest_irreducible(p, d)
     return FieldCtx(p, d, poly)

@@ -32,20 +32,10 @@ import random
 
 import numpy as np
 
-from .gf import FieldCtx, vec_add, vec_mul
+from .gf import FieldCtx, InvariantFailed, check, vec_add, vec_mul
 from . import pg3
 from .pg3 import HermitianFrame
 from .curves import FTFrame
-
-
-class GroupInvariantFailed(RuntimeError):
-    """A group generator broke an invariant: a bug, not input."""
-
-
-def _check(ok: bool, what: str) -> None:
-    """Raise GroupInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
-    if not ok:
-        raise GroupInvariantFailed(what)
 
 
 def apply(ctx: FieldCtx, M, cols) -> list:
@@ -167,20 +157,20 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     rho0 = ctx.mul(eta, eta)
     sigma0 = ctx.pow(ctx.gen, q - 1)            # sigma0^((q+1)/2) = -1
     lam0 = ctx.pow(ctx.gen, 2 * (q - 1))        # order (q+1)/2
-    _check(ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1), "sigma0^((q+1)/2) is not -1")
-    _check(ctx.pow(lam0, (q + 1) // 2) == 1, "lam0^((q+1)/2) is not 1")
+    check(ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1), "sigma0^((q+1)/2) is not -1")
+    check(ctx.pow(lam0, (q + 1) // 2) == 1, "lam0^((q+1)/2) is not 1")
     H = [mat_T(ctx, 1), mat_T(ctx, eta), mat_M(ctx, rho0), mat_N(ctx, sigma0),
          mat_L(ctx, lam0)]
     G = H + [mat_R(ctx, eta)]
     for M in G:
-        _check(preserves_form(fr.frame, M) is not None, "an ft generator breaks the form")
+        check(preserves_form(fr.frame, M) is not None, "an ft generator breaks the form")
     w = mat_W(ctx)
-    _check(preserves_form(fr.frame, w) is not None, "w breaks the form")
-    _check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, w).ravel())
-           == pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel()), "w^2 is not 1")
+    check(preserves_form(fr.frame, w) is not None, "w breaks the form")
+    check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, w).ravel())
+          == pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel()), "w^2 is not 1")
     for M in G:
-        _check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, M).ravel())
-               == pg3.normalize(ctx, pg3.mat_mul(ctx, M, w).ravel()), "w does not commute")
+        check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, M).ravel())
+              == pg3.normalize(ctx, pg3.mat_mul(ctx, M, w).ravel()), "w does not commute")
     return G, H, w
 
 
@@ -268,7 +258,7 @@ def base_quadruple(fr: FTFrame) -> tuple:
             quad = (u, v, s, t)
             if quad_relations_hold(fr, quad):
                 return quad
-    raise RuntimeError("no base quadruple found")
+    raise InvariantFailed("no base quadruple found")
 
 
 def _random_square(ctx, q, rng):

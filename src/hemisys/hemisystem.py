@@ -10,11 +10,13 @@ share of the keys, pg3.BLOCK_ROWS at a time (as every stage works, so no
 workspace grows with q), in place into its own uint8 row of one shared
 mapping, so memory grows with the points, not the incidences.  Workers past
 the caller are forked (np.add.at holds the GIL); failed children's shares
-are recounted in process, in order, to raise the first fault.  Repeated
-lines could wrap a uint8 counter (a point is on q+1 <= 74 distinct ones),
-making the int64 incidence total fall short.  A size whose arrays and tables
+are recounted in process, in order, to raise the first fault.  The caller
+then folds each child's row into its own one pg3.GROUP_SIZE span at a time
+and unmaps each folded span, so it never maps a child's whole row.
+Repeated lines could wrap a uint8 counter (a point is on q+1 <= 74
+distinct ones), making the int64 incidence total fall short.  A size whose arrays and tables
 would exceed physical memory, or whose surface indices would not fit an
-int32 (q >= 79), is refused with pg3.TooLarge first.
+int32 (q >= 79), is refused with a UsageError first.
 
 Candidate files are written and read by array code, pg3.BLOCK_ROWS lines at
 a time.  export streams the body, then writes its sha256 into the header;
@@ -35,38 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import EvenCharacteristic, FieldCtx, is_prime, make_field
+from .gf import CandidateError, FieldCtx, UsageError, check, is_prime, make_field
 from . import pg3, curves, groups
 from .curves import FTFrame
-from .pg3 import HermitianFrame, NotGeneratorInSet
-
-
-class SeedInvariantFailed(RuntimeError):
-    pass
-
-
-class ConditionBFails(RuntimeError):
-    pass
-
-
-class TieRR(RuntimeError):
-    pass
-
-
-class IncidenceSumMismatch(RuntimeError):
-    pass
-
-
-class BuildInvariantFailed(RuntimeError):
-    """An orbit, half-orbit or candidate has the wrong size: a bug, not input."""
-
-
-class ParseError(ValueError):
-    pass
-
-
-class ChecksumMismatch(ValueError):
-    pass
+from .pg3 import HermitianFrame
 
 
 @dataclass
@@ -86,10 +60,6 @@ class HemisystemCandidate:
 
     def ctx2(self) -> FieldCtx:
         return make_field(self.p, 2 * self.h) if self.ctx is None else self.ctx
-
-    def expected_size(self) -> int:
-        q = self.q
-        return (q ** 3 + 1) * (q + 1) // 2
 
     def key_set(self) -> set:
         return {(int(a), int(b)) for a, b in self.lines}
@@ -149,8 +119,7 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
             u0 = cand
             u_sign = sgn
             break
-    if u0 is None:
-        raise SeedInvariantFailed("no sign makes u0^((q+1)/2) = v0^q - v0")
+    check(u0 is not None, "no sign makes u0^((q+1)/2) = v0^q - v0")
     d = ctx.sub(t0, ctx.frobenius(v0, fr.h))
     s0 = ctx.div(ctx.mul(d, d), ctx.frobenius(u0, fr.h))
     quad = (u0, v0, s0, t0)
@@ -161,17 +130,14 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
         ctx.add(v0, t0) == ctx.mul(ctx.neg(4 % ctx.p), b),
         ctx.mul(v0, t0) == ctx.mul(ctx.neg(4 % ctx.p), ctx.mul(b, b)),
     ]
-    if not all(checks):
-        raise SeedInvariantFailed(f"structural checks failed: {checks}")
+    check(all(checks), f"structural checks failed: {checks}")
     key = groups.quad_line(fr, quad)
     A, B = pg3.key_points(ctx, key)
-    if not pg3.is_generator(fr.frame, A, B):
-        raise SeedInvariantFailed("seed line is not a generator")
+    check(pg3.is_generator(fr.frame, A, B), "seed line is not a generator")
     pts = set(int(x) for x in pg3.line_points(ctx, A, B))
     through = [e for e in (1, -1)
                if pg3.pack_point(ctx, fr.p_eps(e)) in pts]
-    if len(through) != 1:
-        raise SeedInvariantFailed(f"seed meets {len(through)} tangency points")
+    check(len(through) == 1, f"seed meets {len(through)} tangency points")
     # the closed-form sign rule picks + exactly when sqrt2 is itself a square
     rule_sign = 1 if fr.chi_q(fr.sqrt2) == 1 else -1
     prov = {"chi_used": chi, "u_sign": u_sign,
@@ -192,26 +158,19 @@ def count_r_rprime(fr: FTFrame, m1_keys, which_point: str = "plus") -> tuple:
 # ---------------------------------------------------------------------------
 # builders
 
-def _check(ok: bool, what: str) -> None:
-    """Raise BuildInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
-    if not ok:
-        raise BuildInvariantFailed(what)
-
-
 def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
              force: bool = False) -> HemisystemCandidate:
     """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords.  force
     changes nothing: verify's byte budget, not a guard here, refuses a size."""
     q = p ** h
-    if q % 2 == 0:
-        raise EvenCharacteristic("q must be odd")
     ctx2 = make_field(p, 2 * h)
+    frame = pg3.cp_frame(ctx2)
     # the least generator through (0,0,0,1) is <(0,0,0,1), (0,1,x0,0)>
-    seed = pg3.generators_through(pg3.cp_frame(ctx2), (0, 0, 0, 1))[0]
+    seed = pg3.generators_through(frame, (0, 0, 0, 1))[0]
     plus, minus = curves.cp_half_orbits(ctx2, pg3.unpack(ctx2, seed[1])[2])
-    _check(len(plus) == len(minus) == (q + 1) * (q * q + 1) // 2
-           and not pg3.member(pg3.line_codes(ctx2, minus), pg3.line_codes(ctx2, plus)).any(),
-           "index-2 split failed")
+    check(len(plus) == len(minus) == (q + 1) * (q * q + 1) // 2
+          and not pg3.member(pg3.line_codes(ctx2, minus), pg3.line_codes(ctx2, plus)).any(),
+          "index-2 split failed")
     M = plus if seed_orbit == "plus" else minus
     chords = curves.cp_imaginary_chords(ctx2)
     lines = _sorted_lines(ctx2, M, chords)
@@ -219,7 +178,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
         family="cp", p=p, h=h, eps=None, chi=None, lines=lines, ctx=ctx2,
         provenance={"seed": list(seed), "seed_orbit": seed_orbit,
                     "orbit_size": len(M), "chords": int(len(chords))})
-    _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
+    check(len(lines) == frame.num_generators // 2, f"{len(lines)} lines in the candidate")
     return cand
 
 
@@ -234,8 +193,8 @@ def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
     q = fr.q
     codes = groups.ft_word_images(fr, key0)
     codes.sort()
-    _check(len(codes) == q * (q - 1) * (q + 1) ** 2 // 4 and (codes[1:] != codes[:-1]).all(),
-           f"{len(codes)} words of H give {len(pg3.unique(codes))} lines of M1")
+    check(len(codes) == q * (q - 1) * (q + 1) ** 2 // 4 and (codes[1:] != codes[:-1]).all(),
+          f"{len(codes)} words of H give {len(pg3.unique(codes))} lines of M1")
     return pg3.code_keys(fr.ctx2, codes)
 
 
@@ -252,27 +211,26 @@ def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     from . import numbers
     q = p ** h
     if not force and not numbers.condition_B_holds(q, fr.ctx2):
-        raise ConditionBFails(
+        raise UsageError(
             f"the point-count criterion fails at q={q}; pass force to build anyway")
     key0, _, seed_prov = seed_generator_g0(fr)
     m1 = m1_half_orbit(fr, key0)
     r, rp = count_r_rprime(fr, m1, "plus")
-    if r == rp:
-        raise TieRR(f"r = r' = {r}")
+    check(r != rp, f"r = r' = {r}")
     pick_eps = 1 if r < rp else -1
     m2 = curves.m2_half_orbit(fr, pick_eps)
     chords = curves.ft_imaginary_chords(fr.ctx2)
     lines = _sorted_lines(fr.ctx2, m1, m2, chords)
     n_rational = (q ** 3 + q + 2) // 2
-    _check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
-           f"{len(m1)} + {len(m2)} curve-meeting lines")
+    check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
+          f"{len(m1)} + {len(m2)} curve-meeting lines")
     cand = HemisystemCandidate(
         family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
         provenance={"seed": list(key0), "r": r, "r_prime": rp,
                     "m1_size": len(m1), "m2_size": len(m2),
                     "m2_point": "plus" if pick_eps == 1 else "minus",
                     "chords": int(len(chords)), **seed_prov})
-    _check(len(lines) == cand.expected_size(), f"{len(lines)} lines in the candidate")
+    check(len(lines) == fr.frame.num_generators // 2, f"{len(lines)} lines in the candidate")
     return cand, m2
 
 
@@ -326,11 +284,14 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     need = _verify_bytes(frame, workers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise pg3.TooLarge(f"verify at q={frame.q} needs {need} bytes of counts and "
-                           f"tables, over the {have} bytes of physical memory")
-    frame.zech_rows                           # TooLarge past int32; built before any fork
-    # row w of one shared mapping holds the counts of share w, a contiguous run of keys
-    rows = np.frombuffer(mmap.mmap(-1, workers * frame.num_points), np.uint8).reshape(workers, -1)
+        raise UsageError(f"verify at q={frame.q} needs {need} bytes of counts and "
+                         f"tables, over the {have} bytes of physical memory")
+    frame.zech_rows                           # UsageError past int32; built before any fork
+    # row w of one shared mapping, at a page-aligned stride, holds the counts of share w,
+    # a contiguous run of keys
+    stride = -(-frame.num_points // mmap.PAGESIZE) * mmap.PAGESIZE
+    shared = mmap.mmap(-1, workers * stride)
+    rows = np.frombuffer(shared, np.uint8).reshape(workers, stride)[:, :frame.num_points]
     shares = np.array_split(keys, workers)
 
     def count(w):
@@ -358,26 +319,26 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     for w in failed:                          # recount in share order: raises the first fault
         rows[w] = 0
         count(w)
-    counts = rows[0]
-    for more in rows[1:]:
-        counts += more
+    # fold the children's rows into row 0 a span at a time, unmapping each folded span
+    # from this process; bincount casts its input to int64, so spans keep that copy small
+    counts, span = rows[0], max(pg3.GROUP_SIZE, mmap.PAGESIZE)
+    hist = np.zeros(2 ** 8, dtype=np.int64)
+    for lo in range(0, len(counts), span):
+        for w in range(1, workers):
+            counts[lo:lo + span] += rows[w, lo:lo + span]
+            shared.madvise(mmap.MADV_DONTNEED, w * stride + lo, min(span, stride - lo))
+        hist += np.bincount(counts[lo:lo + span], minlength=2 ** 8)
     # a wrapped counter (over 255 incidences) can only make the total fall short
-    total = int(counts.sum(dtype=np.int64))
-    if total != len(keys) * (frame.ctx.order + 1):
-        raise IncidenceSumMismatch(
-            f"{total} incidences counted for {len(keys)} lines of "
-            f"{frame.ctx.order + 1} points")
-    point_count = int(np.count_nonzero(counts))
-    # bincount casts its input to int64: blocks keep that copy small
-    hist = sum(np.bincount(counts[lo:lo + pg3.GROUP_SIZE], minlength=2 ** 8)
-               for lo in range(0, len(counts), pg3.GROUP_SIZE))
+    total = int(hist @ np.arange(2 ** 8))
+    check(total == len(keys) * (frame.ctx.order + 1),
+          f"{total} incidences counted for {len(keys)} lines of {frame.ctx.order + 1} points")
     histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist[1:]) + 1}
-    expected_lines = (frame.q ** 3 + 1) * (frame.q + 1) // 2
+    expected_lines = frame.num_generators // 2
     expected_inc = (frame.q + 1) // 2
     # the histogram leaves out count 0, so it also says every point is covered
     passed = len(keys) == expected_lines and histogram == {expected_inc: frame.num_points}
     return VerificationReport(
-        passed=passed, line_count=len(keys), point_count=point_count,
+        passed=passed, line_count=len(keys), point_count=frame.num_points - int(hist[0]),
         histogram=histogram, wall_time=time.perf_counter() - t0,
         expected_lines=expected_lines, expected_points=frame.num_points,
         expected_incidence=expected_inc)
@@ -490,38 +451,38 @@ def _block_keys(ctx: FieldCtx, dig: np.ndarray, prev: np.ndarray) -> tuple:
 
 
 def import_candidate(path: str) -> HemisystemCandidate:
-    """Read a candidate file, rejecting any fault with a ParseError that names
-    its first offending file line (ChecksumMismatch for the body's sha256)."""
+    """Read a candidate file, rejecting any fault with a CandidateError that names
+    its first offending file line, or else the body's sha256 mismatch."""
     with open(path, "rb") as fh:
         data = fh.read()
     at = m.end() if (m := re.match(rb"(?:[^\n]*\n){4}", data)) else len(data)   # 4 lines
     head = [x.decode("utf-8", "replace") for x in data[:at].split(b"\n")[:4]]
     body = np.frombuffer(data, dtype=np.uint8, offset=at)                       # no copy
     if len(head) < 4 or head[0] != MAGIC:
-        raise ParseError("line 1: bad magic")
+        raise CandidateError("line 1: bad magic")
     try:
         kv = dict(part.split("=", 1) for part in head[1].split())
         family, p, h = kv["family"], int(kv["p"]), int(kv["h"])
         eps, chi = SIGNS[kv["eps"]], SIGNS[kv["chi"]]
     except (KeyError, ValueError):
-        raise ParseError("line 2: bad header")
+        raise CandidateError("line 2: bad header")
     # packed points must fit an int64: p^(8h) < 2^63, so h < 8 as p >= 3
     if (family not in ("cp", "ft") or p == 2 or not is_prime(p) or not 1 <= h < 8
             or p ** (8 * h) >= 2 ** 63):
-        raise ParseError(f"line 2: family={family} p={p} h={h}: want cp or ft over an "
-                         "odd prime power with 64-bit packed points")
+        raise CandidateError(f"line 2: family={family} p={p} h={h}: want cp or ft over an "
+                             "odd prime power with 64-bit packed points")
     if not re.fullmatch("poly2=[0-9]+(,[0-9]+)*", head[2]):
-        raise ParseError("line 3: bad poly2")
+        raise CandidateError("line 3: bad poly2")
     poly2 = tuple(int(c) for c in head[2][len("poly2="):].split(","))
     line4 = re.fullmatch("count=([0-9]+) sha256=([0-9a-f]+)", head[3])
     if not line4:
-        raise ParseError("line 4: bad count/checksum header")
+        raise CandidateError("line 4: bad count/checksum header")
     count, digest = int(line4[1]), line4[2]
     if hashlib.sha256(body).hexdigest() != digest:
-        raise ChecksumMismatch("body checksum does not match header")
+        raise CandidateError("body checksum does not match header")
     ctx = make_field(p, 2 * h)
     if ctx.poly != poly2:
-        raise ParseError(f"line 3: non-canonical polynomial {poly2}")
+        raise CandidateError(f"line 3: non-canonical polynomial {poly2}")
     pat = np.frombuffer("".join(":" * (ctx.d - 1) + s for s in ",,,;,,,\n").encode(), np.uint8)
     block, cuts, rows = pg3.BLOCK_ROWS, [0], 0   # cuts after every block-th newline
     for lo in range(0, len(body), pg3.GROUP_SIZE):
@@ -537,8 +498,8 @@ def import_candidate(path: str) -> HemisystemCandidate:
         keys, row, why = _block_keys(ctx, dig.reshape(-1, 2, 4, ctx.d), prev)
         lines[first:first + row] = keys
         if why or bad is not None:
-            raise ParseError(f"line {5 + first + row}: {why or MALFORMED.format(d=ctx.d)}")
+            raise CandidateError(f"line {5 + first + row}: {why or MALFORMED.format(d=ctx.d)}")
     if len(lines) != count:
-        raise ParseError(f"line 4: count={count} but body has {len(lines)} lines")
+        raise CandidateError(f"line 4: count={count} but body has {len(lines)} lines")
     return HemisystemCandidate(family=family, p=p, h=h, eps=eps, chi=chi, lines=lines,
                                provenance={"imported_from": path}, ctx=ctx)

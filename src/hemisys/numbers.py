@@ -25,29 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .gf import FieldCtx, make_field, is_prime
-
-
-class OmegaIsSquare(ValueError):
-    pass
-
-
-class NotOneModFour(ValueError):
-    pass
-
-
-class NotPrimePower(ValueError):
-    pass
-
-
-class CountInvariantFailed(RuntimeError):
-    """A number-theoretic identity failed: a bug, not input."""
-
-
-def _check(ok: bool, what: str) -> None:
-    """Raise CountInvariantFailed(what) unless ok; python -O keeps it, unlike assert."""
-    if not ok:
-        raise CountInvariantFailed(what)
+from .gf import FieldCtx, InvariantFailed, UsageError, check, is_prime, make_field
 
 
 def _chi(ctx: FieldCtx, x: int) -> int:
@@ -101,7 +79,7 @@ class CountRecord:
 def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
     """Counts of the quartic/cubic pair for a non-square omega."""
     if ctx_q.is_square(omega):
-        raise OmegaIsSquare(f"{omega} is a square")
+        raise UsageError(f"{omega} is a square")
     q = ctx_q.order
     w2 = ctx_q.mul(omega, omega)
     c24 = ctx_q.mul(24 % ctx_q.p, omega)
@@ -112,7 +90,7 @@ def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
         x2 = ctx_q.mul(x, x)
         f = ctx_q.add(ctx_q.sub(ctx_q.mul(x2, x2), ctx_q.mul(c24, x2)), c16)
         ch = _chi(ctx_q, f)
-        _check(f != 0, "the quartic has a rational root at a non-square omega")
+        check(f != 0, "the quartic has a rational root at a non-square omega")
         if ch == 1:
             n_q += 1
             n_c4_affine += 2
@@ -147,7 +125,7 @@ def prime_power(q: int):
 def _field_of_order(q: int) -> FieldCtx:
     ph = prime_power(q)
     if ph is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise UsageError(f"{q} is not a prime power")
     return make_field(*ph)
 
 
@@ -181,7 +159,7 @@ def gauss_alpha1(p: int) -> GaussDecomp:
     Y^2 = X^3 - X over GF(p).
     """
     if p % 4 != 1 or not is_prime(p):
-        raise NotOneModFour(f"{p} is not a prime = 1 mod 4")
+        raise UsageError(f"{p} is not a prime = 1 mod 4")
     base = None
     for a in range(1, math.isqrt(p) + 1):
         b2 = p - a * a
@@ -189,13 +167,13 @@ def gauss_alpha1(p: int) -> GaussDecomp:
         if b * b == b2:
             base = (a, b)
             break
-    _check(base is not None, f"no two-square decomposition of {p}")
+    check(base is not None, f"no two-square decomposition of {p}")
     a, b = base
     for re, im in ((a, b), (a, -b), (-a, b), (-a, -b),
                    (b, a), (b, -a), (-b, a), (-b, -a)):
         if _divisible_in_zi((re - 1, im), (-2, 2)):
             return GaussDecomp(p=p, alpha1=re, alpha2=im)
-    raise CountInvariantFailed(f"no normalized Gaussian factor for {p}")
+    raise InvariantFailed(f"no normalized Gaussian factor for {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,5 +212,5 @@ def survey(q_list) -> list:
     qs = list(q_list)
     for q in qs:
         if q % 4 != 1:
-            raise NotOneModFour(f"survey requires q = 1 mod 4, got {q}")
+            raise UsageError(f"survey requires q = 1 mod 4, got {q}")
     return [survey_row(q) for q in qs]

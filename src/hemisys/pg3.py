@@ -47,31 +47,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .gf import FieldCtx, vec_add, vec_mul
-
-
-class EqualPoints(ValueError):
-    pass
-
-
-class NotOnSurface(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
-
-class NotGeneratorInSet(ValueError):
-    pass
-
-
-class GeneratorCountMismatch(RuntimeError):
-    """A generator count broke its invariant: a bug, not input."""
-
-
-class FrameInvariantFailed(RuntimeError):
-    """A Hermitian frame broke an invariant of its field or Gram matrix: a bug."""
+from .gf import CandidateError, FieldCtx, UsageError, check, vec_add, vec_mul
 
 
 # Rows (keys, point pairs, file lines) per block of every stage that walks a whole
@@ -85,17 +61,15 @@ class HermitianFrame:
     """Hermitian surface frame: field, Gram matrix and derived counts."""
 
     def __init__(self, tag: str, ctx: FieldCtx, gram):
-        if ctx.d % 2:
-            raise FrameInvariantFailed(f"GF({ctx.p}^{ctx.d}) is not a field of order q^2")
+        check(ctx.d % 2 == 0, f"GF({ctx.p}^{ctx.d}) is not a field of order q^2")
         self.tag = tag
         self.ctx = ctx
         self.q = ctx.p ** (ctx.d // 2)
         self.gram = tuple(tuple(int(x) for x in row) for row in gram)
         self.sparse = [(i, j, self.gram[i][j])
                        for i in range(4) for j in range(4) if self.gram[i][j]]
-        if any(ctx.pow(self.gram[i][j], self.q) != self.gram[j][i]
-               for i in range(4) for j in range(4)):
-            raise FrameInvariantFailed("Gram not Hermitian")
+        check(all(ctx.pow(self.gram[i][j], self.q) == self.gram[j][i]
+                  for i in range(4) for j in range(4)), "Gram not Hermitian")
         self.num_points = (self.q ** 3 + 1) * (self.q ** 2 + 1)
         self.num_generators = (self.q ** 3 + 1) * (self.q + 1)
 
@@ -143,10 +117,10 @@ class HermitianFrame:
 
 
 def require_int32_indices(frame: HermitianFrame) -> None:
-    """Raise TooLarge unless every surface index fits an int32, as at q <= 73."""
+    """Raise UsageError unless every surface index fits an int32, as at q <= 73."""
     if frame.num_points >= 2 ** 31:
-        raise TooLarge(f"q={frame.q} has {frame.num_points} surface points; "
-                       "int32 surface indices need fewer than 2**31")
+        raise UsageError(f"q={frame.q} has {frame.num_points} surface points; "
+                         "int32 surface indices need fewer than 2**31")
 
 
 def cp_frame(ctx: FieldCtx) -> HermitianFrame:
@@ -258,7 +232,7 @@ def mat_mul(ctx: FieldCtx, A, B) -> np.ndarray:
 
 def _rref(ctx: FieldCtx, A, B):
     """Reduced row-echelon form [R1; R2] of each [A; B]: leading 1s at i < j,
-    R1[j] = 0.  A row whose A and B are proportional raises EqualPoints."""
+    R1[j] = 0.  A row whose A and B are proportional raises ValueError."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     rows = np.arange(len(A))
@@ -271,7 +245,7 @@ def _rref(ctx: FieldCtx, A, B):
     R2 = vec_mul(ctx, Q, ctx.inv_np[Q[rows, j]][:, None])
     R1 = vec_add(ctx, P, vec_mul(ctx, ctx.neg_np[P[rows, j]][:, None], R2))
     if not ((R1[rows, i] == 1) & (R2[rows, j] == 1)).all():
-        raise EqualPoints("line through equal points")
+        raise ValueError("line through equal points")
     return R1, R2
 
 
@@ -314,13 +288,13 @@ def line_keys_batch(ctx: FieldCtx, A, B):
 def _code_base(ctx: FieldCtx) -> tuple:
     """(n = order, one = rank of 1, N = n^3 + n^2 + n + 1 points of PG(3, n)).
 
-    Raises TooLarge unless every line code fits an int64: a key's first point
+    Raises UsageError unless every line code fits an int64: a key's first point
     is 0 where its second leads, so its dense rank is below n^2 + n + 1.
     """
     n = ctx.order
     N = n ** 3 + n ** 2 + n + 1
     if (n * n + n + 1) * N >= 2 ** 63:
-        raise TooLarge(f"line codes at order {n} overflow int64")
+        raise UsageError(f"line codes at order {n} overflow int64")
     return n, int(ctx.rank_np[1]), N
 
 
@@ -416,7 +390,7 @@ def generators_through_batch(frame: HermitianFrame, P) -> np.ndarray:
     rows = np.arange(len(P))
     off = np.flatnonzero(~on_surface(frame, P.T))
     if len(off):
-        raise NotOnSurface(f"{tuple(int(x) for x in P[off[0]])} is not on the surface")
+        raise ValueError(f"{tuple(int(x) for x in P[off[0]])} is not on the surface")
     eye = np.eye(4, dtype=np.int64)
     c = np.stack([herm_form(frame, eye[i], P.T) for i in range(4)], axis=1)   # G P^q
     piv = (c != 0).argmax(axis=1)
@@ -430,13 +404,12 @@ def generators_through_batch(frame: HermitianFrame, P) -> np.ndarray:
         span.append(v)
     pts = line_points_batch(ctx, *span)
     hit = on_surface(frame, unpack_batch(ctx, pts))
-    if (hit.sum(axis=1) != q + 1).any():
-        raise GeneratorCountMismatch(f"a transversal has other than {q + 1} surface points")
+    check((hit.sum(axis=1) == q + 1).all(), f"a transversal has other than {q + 1} surface points")
     partners = np.stack(unpack_batch(ctx, pts[hit]), axis=1)
     keys = line_keys_batch(ctx, np.repeat(P, q + 1, axis=0), partners)
     codes = np.sort(line_codes(ctx, keys).reshape(-1, q + 1), axis=1)
-    if (codes[:, 1:] == codes[:, :-1]).any():
-        raise GeneratorCountMismatch(f"fewer than {q + 1} distinct generators through a point")
+    check((codes[:, 1:] != codes[:, :-1]).all(),
+          f"fewer than {q + 1} distinct generators through a point")
     return code_keys(ctx, codes.reshape(-1)).reshape(-1, q + 1, 2)
 
 
@@ -453,7 +426,7 @@ def surface_index(frame: HermitianFrame, packed):
     fibre, read off the packed int.  The X0 = 0 points follow from q^5
     on: (0,0,0,1), then (0,1,x2,x3) with 1 + e N(x2) = 0, by x2's place
     among the q+1 solutions and the rank of x3.  Any other point raises
-    NotOnSurface.
+    ValueError.
     """
     one, _, slot, start, sol_at = frame.index_tables
     n, q = frame.ctx.order, frame.q
@@ -473,15 +446,15 @@ def surface_index(frame: HermitianFrame, packed):
         ok.flat[tail] = np.where(r1 == one, j >= 0, (r1 == 0) & (r2 == 0) & (x3 == one))
     if not ok.all():
         bad = np.argmin(ok)
-        raise NotOnSurface(f"{unpack(frame.ctx, int(hi.flat[bad]) * n + int(r3.flat[bad]))} "
-                           "is not on the surface")
+        raise ValueError(f"{unpack(frame.ctx, int(hi.flat[bad]) * n + int(r3.flat[bad]))} "
+                         "is not on the surface")
     return idx
 
 
 def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
     """Add 1 to counts[surface_index(P)] for each point P of each line of key rows, after
-    checking every row is a generator (NotGeneratorInSet names the first that is not), or
-    raise NotOnSurface.  The RREF rows R2, R1 and the lines in the plane X0 = 0 go
+    checking every row is a generator (a CandidateError names the first that is not), or
+    raise ValueError.  The RREF rows R2, R1 and the lines in the plane X0 = 0 go
     through surface_index packed, the points R1 + g^t R2 of the rest through zech_rows."""
     ctx, n, q = frame.ctx, frame.ctx.order, frame.q
     one, _, _, start, _ = frame.index_tables
@@ -489,7 +462,7 @@ def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
     A, B = (unpack_batch(ctx, keys[:, c]) for c in (0, 1))
     bad = np.flatnonzero(~is_generator(frame, A, B))
     if len(bad):
-        raise NotGeneratorInSet(f"line {tuple(int(x) for x in keys[bad[0]])} is not a generator")
+        raise CandidateError(f"line {tuple(int(x) for x in keys[bad[0]])} is not a generator")
     R2, R1 = np.stack(A, axis=1), np.stack(B, axis=1)
     redo = np.flatnonzero(~is_rref_key(R2, R1))   # a canonical key is its own RREF
     if len(redo):
@@ -513,7 +486,7 @@ def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
         if d.view(np.uint32).max(initial=0) >= q:   # some d < 0 or d >= q, as unsigned
             i, t = np.unravel_index(np.argmax(d.view(np.uint32) >= q), d.shape)
             packed = (one * n * n + int(a[i, t])) * n + int(rank[b[i, 2], t])
-            raise NotOnSurface(f"{unpack(ctx, packed)} is not on the surface")
+            raise ValueError(f"{unpack(ctx, packed)} is not on the surface")
         a *= q
         a += d
         np.add.at(counts, a.reshape(-1), inc)

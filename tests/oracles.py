@@ -49,7 +49,7 @@ def cp_curve_points(ctx2: FieldCtx) -> np.ndarray:
     tq = ctx2.frob_np(h)[ts]
     pts = pg3.norm_pack_batch(ctx2, np.ones_like(ts), ts, tq, gf.vec_mul(ctx2, ts, tq))
     out = pg3.unique(np.concatenate([pts, [pg3.pack_point(ctx2, (0, 0, 0, 1))]]))
-    curves._check(len(out) == ctx2.order + 1, f"{len(out)} points on the rational curve")
+    gf.check(len(out) == ctx2.order + 1, f"{len(out)} points on the rational curve")
     return out
 
 
@@ -101,12 +101,12 @@ def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSe
     n_om = len(pts & sets.omega_set)
     n_p = len(pts & sets.plus_set)
     n_m = len(pts & sets.minus_set)
-    curves._check(n_om + n_p <= 1 and n_om + n_m <= 1,
-                  "two rational curve points on one generator")
+    gf.check(n_om + n_p <= 1 and n_om + n_m <= 1,
+             "two rational curve points on one generator")
     if n_om:
         return G2_MEETS_OMEGA
     if n_p or n_m:
-        curves._check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
+        gf.check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
         return G1_MEETS_DELTAS
     return DISJOINT
 
@@ -114,7 +114,7 @@ def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSe
 def tangent_plane(frame: pg3.HermitianFrame, P) -> tuple:
     """Coefficients (a0..a3) of the tangent plane sum a_i X_i = 0 at P."""
     if not pg3.on_surface(frame, P):
-        raise pg3.NotOnSurface(f"{P} is not on the surface")
+        raise ValueError(f"{P} is not on the surface")
     ctx = frame.ctx
     h = ctx.d // 2
     Pq = [ctx.frobenius(x, h) for x in P]
@@ -163,7 +163,7 @@ def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list
     transversal scan at its surface points reaches every generator.
     """
     if frame.q > 7 and not force:
-        raise pg3.TooLarge(f"full generator enumeration at q={frame.q} is heavy; pass force")
+        raise gf.UsageError(f"full generator enumeration at q={frame.q} is heavy; pass force")
     ctx = frame.ctx
     pairs_a = []
     pairs_b = []
@@ -175,9 +175,8 @@ def enumerate_generators(frame: pg3.HermitianFrame, force: bool = False) -> list
             pairs_b.append(R)
     keys = pg3.line_keys_batch(ctx, pairs_a, pairs_b)
     out = sorted({(int(a), int(b)) for a, b in keys})
-    if len(out) != frame.num_generators:
-        raise pg3.GeneratorCountMismatch(
-            f"{len(out)} generators, expected {frame.num_generators}")
+    gf.check(len(out) == frame.num_generators,
+             f"{len(out)} generators, expected {frame.num_generators}")
     return out
 
 

@@ -1,12 +1,15 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hemisys
 from hemisys import cli, curves, gf, hemisystem, numbers, pg3
 
 
@@ -49,7 +52,7 @@ def test_construct_output_deterministic(capsys, tmp_path):
     _, out2, _ = run(capsys, "construct", "--family", "cp", "--p", "3",
                      "--out", p2, "--format", "json")
     assert json.loads(out1)["histogram"] == json.loads(out2)["histogram"]
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_verify_threads_same_output(capsys, tmp_path):
@@ -68,7 +71,7 @@ def test_construct_cp_seed_orbit_override(capsys, tmp_path):
                          "--seed-orbit", "minus", "--out", p2, "--format", "json")
     assert code1 == 0 and code2 == 0
     assert json.loads(out2)["seed_orbit"] == "minus"
-    assert open(p1).read() != open(p2).read()
+    assert Path(p1).read_text() != Path(p2).read_text()
 
 
 def test_construct_ft13_is_config_error(capsys):
@@ -86,14 +89,14 @@ def test_construct_ft9_without_force_is_config_error(capsys):
 def test_verification_failure_exit_code(capsys, tmp_path):
     path = str(tmp_path / "h3.hs")
     run(capsys, "construct", "--family", "cp", "--p", "3", "--out", path)
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     # drop one body line and fix the header so the file parses
     import hashlib
     body = [ln for ln in lines[4:] if ln][1:]
     body_text = "\n".join(body) + "\n"
     digest = hashlib.sha256(body_text.encode()).hexdigest()
     lines[3] = f"count=55 sha256={digest}"
-    open(path, "w").write("\n".join(lines[:4]) + "\n" + body_text)
+    Path(path).write_text("\n".join(lines[:4]) + "\n" + body_text)
     code, out, _ = run(capsys, "verify", path)
     assert code == 1
 
@@ -101,10 +104,10 @@ def test_verification_failure_exit_code(capsys, tmp_path):
 def test_tampered_file_exit_code(capsys, tmp_path):
     path = str(tmp_path / "h3.hs")
     run(capsys, "construct", "--family", "cp", "--p", "3", "--out", path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     pos = raw.index(b"\n", raw.index(b"sha256=")) + 2
     flip = b"1" if raw[pos:pos + 1] != b"1" else b"2"
-    open(path, "wb").write(raw[:pos] + flip + raw[pos + 1:])
+    Path(path).write_bytes(raw[:pos] + flip + raw[pos + 1:])
     code, _, err = run(capsys, "verify", path)
     assert code == 1 and "checksum" in err
 
@@ -164,16 +167,35 @@ def test_threads_is_a_usage_error_where_it_does_not_act(capsys, argv):
         assert run(capsys, "--threads", "1", *argv)[0] == 0
 
 
-def test_bad_user_input_exit_code(capsys):
-    for argv in (["survey", "--q-list", "12"], ["survey", "--q-list", "x"],
-                 ["survey", "--q-list", "21"], ["eccount", "--p", "21"],
-                 ["construct", "--family", "cp", "--p", "2"],
-                 ["construct", "--family", "cp", "--p", "3", "--h", "0"],
-                 ["diagnose", "--p", "17", "--h", "0"],
-                 ["diagnose", "--p", "17", "--samples", "0"],
-                 ["diagnose", "--p", "17", "--samples", "-5"]):
+def test_bad_user_input_exit_code(capsys, tmp_path):
+    # every refusal a command can reach, and every path it cannot open, exits 2
+    # with its message and no traceback
+    (tmp_path / "a.hs").write_text("")
+    missing, folder, under_a_file = tmp_path / "no.hs", tmp_path, tmp_path / "a.hs" / "x.hs"
+    for argv, fragment in (
+            (["survey", "--q-list", "12"], "error: survey requires q = 1 mod 4, got 12"),
+            (["survey", "--q-list", "x"], "invalid q_list value: 'x'"),
+            (["survey", "--q-list", "21"], "error: 21 is not a prime power"),
+            (["eccount", "--p", "21"], "error: 21 is not a prime power"),
+            (["eccount", "--p", "3", "--h", "20"], "bytes of tables, over the cap"),
+            (["construct", "--family", "cp", "--p", "2"], "error: characteristic 2 is not"),
+            (["construct", "--family", "cp", "--p", "4"], "error: 4 is not prime"),
+            (["construct", "--family", "cp", "--p", "9"], "error: 9 is not prime"),
+            (["construct", "--family", "cp", "--p", "3", "--h", "0"], "invalid positive_int"),
+            (["construct", "--family", "cp", "--p", "3", "--out", str(missing / "x.hs")],
+             "error: [Errno 2] No such file or directory"),
+            (["construct", "--family", "cp", "--p", "3", "--out", str(folder)],
+             "error: [Errno 21] Is a directory"),
+            (["verify", str(missing)], "error: [Errno 2] No such file or directory"),
+            (["verify", str(folder)], "error: [Errno 21] Is a directory"),
+            (["verify", str(under_a_file)], "error: [Errno 20] Not a directory"),
+            (["diagnose", "--p", "7"], "error: q = 7 is not 1 mod 4"),
+            (["diagnose", "--p", "17", "--h", "0"], "invalid positive_int value: '0'"),
+            (["diagnose", "--p", "17", "--samples", "0"], "invalid positive_int value: '0'"),
+            (["diagnose", "--p", "17", "--samples", "-5"], "invalid positive_int value: '-5'")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert fragment in err, (argv, err)
 
 
 def test_verify_refuses_a_size_past_physical_memory(capsys, tmp_path):
@@ -248,13 +270,25 @@ def test_construct_builds_one_field(capsys, monkeypatch, argv, field):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def equal_points(*args, **kwargs):
-        raise pg3.EqualPoints("line through equal points")
+    # misuse of the API (a builtin ValueError) and a broken invariant are bugs, not input
+    for fault in (ValueError("line through equal points"), gf.InvariantFailed("index-2 split")):
+        def raise_fault(*args, **kwargs):
+            raise fault
 
-    monkeypatch.setattr(hemisystem, "verify", equal_points)
-    code, out, err = run(capsys, "construct", "--family", "cp", "--p", "3")
-    assert code == 3 and out == ""
-    assert "Traceback" in err and "EqualPoints" in err
+        monkeypatch.setattr(hemisystem, "verify", raise_fault)
+        code, out, err = run(capsys, "construct", "--family", "cp", "--p", "3")
+        assert code == 3 and out == ""
+        assert "Traceback" in err and f"{type(fault).__name__}: {fault}" in err
+
+
+def test_every_exception_class_is_one_of_the_three_types():
+    # one type per exit code the command line tells apart: a new refusal cannot
+    # fall through to exit 3 for want of a place on a list
+    defined = {obj for info in pkgutil.iter_modules(hemisys.__path__)
+               for obj in vars(importlib.import_module(f"hemisys.{info.name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("hemisys")}
+    assert defined == {gf.UsageError, gf.CandidateError, gf.InvariantFailed}
 
 
 def test_survey_csv_header(capsys):

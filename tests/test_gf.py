@@ -28,14 +28,14 @@ def test_make_field_gf289_generator_order(F289):
 
 
 def test_make_field_errors():
-    with pytest.raises(gf.NotPrime):
+    with pytest.raises(gf.UsageError, match="^15 is not prime$"):
         gf.make_field(15, 1)
-    with pytest.raises(gf.EvenCharacteristic):
+    with pytest.raises(gf.UsageError, match="^characteristic 2 is not supported$"):
         gf.make_field(2, 4)
-    with pytest.raises(gf.FieldTooLarge):
+    with pytest.raises(gf.UsageError, match=r"^GF\(101\^5\) needs [0-9]+ bytes of tables, over"):
         gf.make_field(101, 5)
     for d in (0, -1):
-        with pytest.raises(gf.BadExponent):
+        with pytest.raises(ValueError, match=f"^field degree {d} is not positive$"):
             gf.make_field(3, d)
 
 
@@ -47,7 +47,7 @@ def test_make_field_refuses_by_table_bytes_before_allocating(monkeypatch):
         pytest.fail("field tables were allocated")
 
     monkeypatch.setattr(gf, "FieldCtx", no_tables)
-    with pytest.raises(gf.FieldTooLarge):
+    with pytest.raises(gf.UsageError, match=r"^GF\(3\^16\) needs [0-9]+ bytes of tables, over"):
         gf.make_field(3, 16)
 
 
@@ -76,9 +76,9 @@ def test_prime_above_the_dense_table_side_adds_in_small_tables(p):
 def test_tables_refuse_a_generator_of_low_order(monkeypatch):
     # -1 has order 2 in GF(9)*, so its powers repeat
     monkeypatch.setattr(gf, "_smallest_generator", lambda p, d, f: [2, 0])
-    with pytest.raises(gf.TableInvariantFailed):
+    with pytest.raises(gf.InvariantFailed, match=r"^powers of the generator of GF\(3\^2\) repeat$"):
         gf.make_field(3, 2)
-    assert not issubclass(gf.TableInvariantFailed, ValueError)
+    assert not issubclass(gf.InvariantFailed, ValueError)
 
 
 def test_field_axioms_random(F9, F289):
@@ -156,7 +156,7 @@ def test_subfield_sizes(F289):
 
 
 def test_division_by_zero(F9):
-    with pytest.raises(gf.DivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
         F9.inv(0)
 
 
@@ -186,9 +186,9 @@ def test_power_residue_solutions(F289, F9):
     assert all(F289.pow(x, 9) == c for x in sols)
     assert F289.power_residue_solutions(F289.mul(c, F289.gen), 9) == []
     assert F9.power_residue_solutions(F9.gen, 2) == []
-    with pytest.raises(gf.ZeroInput):
+    with pytest.raises(ValueError, match="^c must be nonzero$"):
         F289.power_residue_solutions(0, 9)
-    with pytest.raises(gf.BadExponent):
+    with pytest.raises(ValueError, match="^exponent 7 does not divide order-1$"):
         F289.power_residue_solutions(1, 7)
 
 

@@ -170,11 +170,11 @@ def test_w_is_commuting_involution(ft17, ft17_gens):
 
 
 BUILD_GROUPS_WITH_A_BROKEN_FORM = """
-from hemisys import curves, groups
+from hemisys import curves, gf, groups
 groups.preserves_form = lambda frame, col: None
 try:
     groups.ft_group_gens(curves.ft_frame_setup(3, 2, 1))
-except groups.GroupInvariantFailed as e:
+except gf.InvariantFailed as e:
     print(__debug__, e)
 """
 
