@@ -12,18 +12,18 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 import time
 import traceback
 
-from . import curves, groups, hemisystem, numbers
 from .gf import CandidateError, UsageError
 
 
 def _emit(report: dict, fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "json":
+        import json
         out.write(json.dumps(report, sort_keys=True) + "\n")
     elif "rows" in report and "columns" in report:
         cols, sep = report["columns"], "," if fmt == "csv" else "  "
@@ -41,7 +41,11 @@ def _hist_str(h: dict) -> str:
 
 
 def cmd_construct(args) -> int:
+    from . import hemisystem
     t0 = time.perf_counter()
+    out = args.out                  # before building, raise what export's open(out, "wb") would
+    if out and (os.path.exists(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        os.close(os.open(out, os.O_WRONLY))   # neither creates nor truncates
     if args.family == "cp":
         cand = hemisystem.build_cp(args.p, args.h, seed_orbit=args.seed_orbit)
         report = hemisystem.verify(cand, threads=args.threads)
@@ -69,6 +73,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import hemisystem
     t0 = time.perf_counter()
     cand = hemisystem.import_candidate(args.file)
     report = hemisystem.verify(cand, threads=args.threads)
@@ -95,15 +100,10 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _survey_list(args):
-    if args.q_list:
-        return args.q_list
-    return [q for q in range(5, args.q_max + 1)
-            if q % 4 == 1 and numbers.prime_power(q)]
-
-
 def cmd_survey(args) -> int:
-    qs = _survey_list(args)
+    from . import numbers
+    qs = args.q_list or [q for q in range(5, args.q_max + 1)
+                         if q % 4 == 1 and numbers.prime_power(q)]
     rows = numbers.survey(qs)
     report = {
         "columns": ["q", "N_E3", "conditionB", "p_mod8", "q_square"],
@@ -117,6 +117,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_primes(args) -> int:
+    from . import numbers
     ps = numbers.search_primes(args.max)
     report = {"columns": ["n", "p"],
               "rows": [{"n": i + 1, "p": p} for i, p in enumerate(ps)]}
@@ -125,6 +126,7 @@ def cmd_primes(args) -> int:
 
 
 def cmd_eccount(args) -> int:
+    from . import numbers
     q = args.p ** args.h
     ctx = numbers._field_of_order(q)
     n_e3 = numbers.count_E3(ctx)
@@ -146,6 +148,7 @@ def cmd_eccount(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import curves, groups, hemisystem, numbers
     t0 = time.perf_counter()
     fr = curves.ft_frame_setup(args.p, args.h, eps=args.eps)
     sets = curves.ft_point_sets(fr.ctx2)

@@ -22,25 +22,28 @@ Candidate files are written and read by array code, pg3.BLOCK_ROWS lines at
 a time.  export streams the body, then writes its sha256 into the header;
 import_candidate holds only the file's bytes, matches the body's separators
 against the fixed per-line pattern, decodes the digit runs and runs each
-check, and a fault names its first offending file line.
+check, and a fault names its first offending file line.  Only gf and pg3 load
+with this module, and the verify command loads no more; a cp construct adds
+curves, an ft one groups and numbers too, and hashlib (OpenSSL) loads in the
+file functions alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 import os
 import re
-import signal
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gf import CandidateError, FieldCtx, UsageError, check, is_prime, make_field
-from . import pg3, curves, groups
-from .curves import FTFrame
-from .pg3 import HermitianFrame
+from . import pg3
+
+if TYPE_CHECKING:
+    from .curves import CurvePointSets, FTFrame
 
 
 @dataclass
@@ -98,6 +101,7 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
     members, which is what the half-orbit choice rule keys on.
     Returns (key, quadruple, provenance).
     """
+    from . import groups
     ctx = fr.ctx2
     q = fr.q
     m = (q + 1) // 2
@@ -162,6 +166,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
              force: bool = False) -> HemisystemCandidate:
     """Rational-curve hemisystem: a PSL(2,q^2) half-orbit plus all chords.  force
     changes nothing: verify's byte budget, not a guard here, refuses a size."""
+    from . import curves
     q = p ** h
     ctx2 = make_field(p, 2 * h)
     frame = pg3.cp_frame(ctx2)
@@ -184,12 +189,14 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
 
 def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False) -> HemisystemCandidate:
     """Fuhrmann-Torres hemisystem candidate (orbit rule, no verification)."""
+    from . import curves
     return _build_ft(p, h, eps, force, curves.ft_frame_setup(p, h, eps))[0]
 
 
 def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
     """Sorted key rows of M1 = H(key0), one image per normal word of H
     (groups.ft_word_images): they must be |H| = q(q-1)(q+1)^2/4 distinct lines."""
+    from . import groups
     q = fr.q
     codes = groups.ft_word_images(fr, key0)
     codes.sort()
@@ -201,6 +208,7 @@ def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
 def g_orbit(fr: FTFrame, m1) -> np.ndarray:
     """Sorted key rows of G(key0) = M1 u R M1 for M1 = H(key0): H has index 2 in
     G, and R = mat_R(eta), eta = g^(q+1), lies in G outside H."""
+    from . import groups
     ctx = fr.ctx2
     R = groups.mat_R(ctx, ctx.pow(ctx.gen, fr.q + 1))
     return _sorted_lines(ctx, m1, groups.apply_to_keys(ctx, R, m1))
@@ -208,7 +216,7 @@ def g_orbit(fr: FTFrame, m1) -> np.ndarray:
 
 def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     """build_ft's candidate and its M2 half-orbit."""
-    from . import numbers
+    from . import curves, numbers
     q = p ** h
     if not force and not numbers.condition_B_holds(q, fr.ctx2):
         raise UsageError(
@@ -241,6 +249,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     Verification is ground truth for the half-orbit choice; the fallback
     outcome is recorded in the provenance.  Returns (candidate, report).
     """
+    from . import curves
     fr = curves.ft_frame_setup(p, h, eps)
     cand, m2_old = _build_ft(p, h, eps, force, fr)
     report = verify(cand, threads=threads, frame=fr.frame)
@@ -264,7 +273,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
 # ---------------------------------------------------------------------------
 # exact verification
 
-def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
+def _verify_bytes(frame: pg3.HermitianFrame, workers: int) -> int:
     """Bytes of each worker's uint8 counts and block workspace (256 bytes a block row and
     32 a group point: 1 MB whatever q, 0.58 MB measured), pg3's tables (int16 and int32
     Zech rows, int32 slot and start, int64 fibre and sol_at) and a histogram group's cast."""
@@ -274,7 +283,7 @@ def _verify_bytes(frame: HermitianFrame, workers: int) -> int:
 
 
 def verify(cand: HemisystemCandidate, threads: int = 1,
-           frame: HermitianFrame | None = None) -> VerificationReport:
+           frame: pg3.HermitianFrame | None = None) -> VerificationReport:
     """Exact incidence verification of a candidate line set."""
     t0 = time.perf_counter()
     if frame is None:
@@ -311,6 +320,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
             pids[w] = pid
         count(0)
     except BaseException:
+        import signal
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
         raise
@@ -347,9 +357,9 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
 # ---------------------------------------------------------------------------
 # per-point condition diagnostics
 
-def condition_checks(fr: FTFrame, m_keys, P,
-                     sets: curves.CurvePointSets) -> dict:
+def condition_checks(fr: FTFrame, m_keys, P, sets: CurvePointSets) -> dict:
     """Balance record for one surface point against the curve-meeting half-set."""
+    from . import curves
     ctx = fr.ctx2
     P = pg3.normalize(ctx, P)
     rational = sets.rational_plus
@@ -380,6 +390,7 @@ MALFORMED = ("malformed: want 2 points joined by ';', each 4 coordinates joined 
 
 def export(cand: HemisystemCandidate, path: str) -> None:
     """Write a candidate file block by block, then its body's sha256 into the header."""
+    import hashlib
     ctx = cand.ctx2()
     n, p = ctx.order, ctx.p
     # a rank's base-p digits, most significant first, are the element's digits
@@ -411,7 +422,7 @@ def _block_digits(blk: np.ndarray, pat: np.ndarray, width: int) -> tuple:
     sep = np.flatnonzero((blk < 48) | (blk > 57))           # every non-digit byte
     start = np.concatenate(([0], sep + 1))[:-1]             # run i is blk[start[i]:sep[i]]
     size = sep - start
-    off = np.concatenate([sep[blk[sep] != np.resize(pat, len(sep))][:1],
+    off = np.concatenate([sep[blk[sep] != np.tile(pat, len(sep) // len(pat) + 1)[:len(sep)]][:1],
                           sep[size == 0][:1],
                           start[(size > width) | ((size > 1) & (blk[start] == 48))][:1],
                           [len(blk) - 1] if len(blk) and blk[-1] != 10 else []])
@@ -453,6 +464,7 @@ def _block_keys(ctx: FieldCtx, dig: np.ndarray, prev: np.ndarray) -> tuple:
 def import_candidate(path: str) -> HemisystemCandidate:
     """Read a candidate file, rejecting any fault with a CandidateError that names
     its first offending file line, or else the body's sha256 mismatch."""
+    import hashlib
     with open(path, "rb") as fh:
         data = fh.read()
     at = m.end() if (m := re.match(rb"(?:[^\n]*\n){4}", data)) else len(data)   # 4 lines

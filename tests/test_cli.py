@@ -269,6 +269,32 @@ def test_construct_builds_one_field(capsys, monkeypatch, argv, field):
     assert calls == [field]
 
 
+def test_construct_refuses_an_unusable_out_before_building(capsys, monkeypatch, tmp_path):
+    # the error export's open(out, "wb") would raise, raised before any build and
+    # leaving no file behind
+    def build(*args, **kwargs):
+        raise AssertionError("built before --out was checked")
+
+    for name in ("build_cp", "build_ft_verified"):
+        monkeypatch.setattr(hemisystem, name, build)
+    (tmp_path / "a.hs").write_text("")
+    for out in (str(tmp_path / "no" / "x.hs"), str(tmp_path), str(tmp_path / "a.hs" / "x.hs")):
+        with pytest.raises(OSError) as late:
+            open(out, "wb")
+        for family, p in (("cp", "3"), ("ft", "17")):
+            code, stdout, err = run(capsys, "construct", "--family", family, "--p", p, "--out", out)
+            assert (code, stdout, err) == (2, "", f"error: {late.value}\n"), out
+    assert list(tmp_path.rglob("*")) == [tmp_path / "a.hs"]
+
+
+def test_construct_writes_a_failing_candidate_over_a_file(capsys, tmp_path):
+    out = tmp_path / "ft9.hs"
+    out.write_text("")
+    code, _, _ = run(capsys, "construct", "--family", "ft", "--p", "3", "--h", "2", "--force",
+                     "--out", str(out))
+    assert code == 1 and len(hemisystem.import_candidate(str(out)).lines) == 3650
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # misuse of the API (a builtin ValueError) and a broken invariant are bugs, not input
     for fault in (ValueError("line through equal points"), gf.InvariantFailed("index-2 split")):
@@ -378,3 +404,40 @@ def test_cli_never_imports_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", CLI_RUNS_WITHOUT_NUMPY_MA], cwd=tmp_path,
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[0, 1, 0] False"
+
+
+CLI_LOADS = """
+import json, sys
+from hemisys import cli
+alone = "_hashlib" in sys.modules
+from hemisys import pg3
+count, hashed = pg3.count_incidences, set()
+
+def counting(*args):
+    hashed.add("_hashlib" in sys.modules)
+    return count(*args)
+
+pg3.count_incidences = counting
+code = cli.main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.startswith("hemisys.") or m == "_hashlib"]
+print(json.dumps([code, alone, sorted(hashed), sorted(loaded)]))
+"""
+VERIFY = ["_hashlib", "hemisys.cli", "hemisys.gf", "hemisys.hemisystem", "hemisys.pg3"]
+CP = VERIFY[1:] + ["hemisys.curves"]
+FT = CP + ["hemisys.groups", "hemisys.numbers"]
+FT9 = ["construct", "--family", "ft", "--p", "3", "--h", "2", "--force"]
+
+
+@pytest.mark.parametrize("argv, code, hashed, loaded", [
+    (["verify", "cp5.hs"], 0, [True], VERIFY),      # the sha256 is checked before counting
+    (["construct", "--family", "cp", "--p", "5"], 0, [False], CP),
+    (FT9, 1, [False], FT),
+    (FT9 + ["--out", "ft9.hs"], 1, [False], FT + ["_hashlib"]),   # OpenSSL comes with export
+], ids=["verify", "cp", "ft", "ft-out"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, hashed, loaded):
+    hemisystem.export(hemisystem.build_cp(5), str(tmp_path / "cp5.hs"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", CLI_LOADS, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [code, False, hashed, sorted(loaded)]
