@@ -44,8 +44,11 @@ def cmd_construct(args) -> int:
     from . import hemisystem
     t0 = time.perf_counter()
     out = args.out                  # before building, raise what export's open(out, "wb") would
-    if out and (os.path.exists(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
-        os.close(os.open(out, os.O_WRONLY))   # neither creates nor truncates
+    if out and (os.path.exists(out) or out.endswith(os.sep)
+                or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        # no truncation, and no such out is created; O_CREAT makes a trailing
+        # separator raise open's IsADirectoryError
+        os.close(os.open(out, os.O_WRONLY | os.O_CREAT))
     if args.family == "cp":
         cand = hemisystem.build_cp(args.p, args.h, seed_orbit=args.seed_orbit)
         report = hemisystem.verify(cand, threads=args.threads)

@@ -15,14 +15,14 @@ Two total orders on elements are used:
 Each operation has one formula, shared by the scalar methods of FieldCtx
 and the array functions vec_*:
 
-* a + b adds the digit vectors mod p.  One 2-D table adds two chunks of
-  c digits, c the largest (at most d) with p^c <= ADD_TABLE_MAX; a prime
-  above that adds one digit through a (p, p) view of its 2p - 1 sums.
-  A field takes one lookup per chunk: one up to order ADD_TABLE_MAX,
-  two for GF(17^4).
-* a * b is exp[log a + log b] for the powers of a fixed generator.  The
-  log of zero points past every sum of two true logs into a zero tail of
-  exp, so zero needs no mask.
+* a * b is exp[log a + log b] for the powers g^k of a fixed generator g.
+* a + b is exp[log a + zech[log b - log a + 2(order-1)]], with
+  zech[k + 2(order-1)] = log(1 + g^k) the Zech logarithm (Lidl and
+  Niederreiter, Finite Fields); 1 + x steps only the constant digit.
+
+The log of zero, 2(order-1), points past every sum of two true logs into
+a zero tail of exp, and the ends of zech take a zero operand to the other
+one, so zero needs no mask in either formula.
 
 The tables are built with array operations, and make_field refuses a
 field whose tables would take more than TABLE_BYTES_CAP bytes.
@@ -40,7 +40,6 @@ import math
 
 import numpy as np
 
-ADD_TABLE_MAX = 2048         # largest side of a dense 2-D addition table
 TABLE_BYTES_CAP = 2 ** 30    # refuse fields whose tables need more bytes
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -218,43 +217,36 @@ def _mul_matrix(h, f, p):
     return out
 
 
-def _chunk_digits(p: int, d: int) -> int:
-    """Digits per addition-table chunk: largest c <= d with p^c <= ADD_TABLE_MAX, or 1."""
-    c = 1
-    while c < d and p ** (c + 1) <= ADD_TABLE_MAX:
-        c += 1
-    return c
-
-
 def _table_bytes(p: int, d: int) -> int:
-    """Bytes of the int64 tables a FieldCtx of GF(p^d) holds at most.
+    """Bytes of the tables a FieldCtx of GF(p^d) holds at most.
 
     rank, unrank, log, neg, inv and up to d-1 cached Frobenius tables of
-    one entry per element; exp of 4(order-1)+1 entries; the addition table,
-    dense up to ADD_TABLE_MAX^2 entries and else the 2p - 1 sums it views.
+    one int64 entry per element; exp of 4(order-1)+1 int64 entries and
+    zech of as many int32 ones.
     """
     order = p ** d
-    m = p ** _chunk_digits(p, d)
-    add = m * m if m <= ADD_TABLE_MAX else 2 * p - 1
-    return 8 * ((4 + d) * order + 4 * (order - 1) + 1 + add)
+    return 8 * (4 + d) * order + 12 * (4 * (order - 1) + 1)
 
 
 class FieldCtx:
-    """GF(p^d) with exp/log tables of a fixed multiplicative generator.
+    """GF(p^d) with exp/log/Zech tables of a fixed multiplicative generator.
 
-    Attributes: p, d, order, poly (monic, constant first), gen, and int64
-    numpy tables:
+    Attributes: p, d, order, poly (monic, constant first), gen, and numpy
+    tables, int64 unless marked:
 
     * rank_np/unrank_np: index <-> digit-lex rank;
     * exp_np: exp_np[k] = gen^k for 0 <= k < 2(order-1), then a zero tail
       up to index 4(order-1);
     * log_np: log_np[x] = k with gen^k = x for x != 0; log_np[0] is the
       sentinel 2(order-1), so any sum with it lands in the zero tail;
-    * neg_np, inv_np (inv_np[0] = 0), frob_np(k) on demand;
-    * add_np: digit-wise sums of two elements below chunk = p^c (the
-      addition formula, c = _chunk_digits(p, d)); for a prime p above
-      ADD_TABLE_MAX a read-only (p, p) view with add_np[a, b] = sums[a + b]
-      of the 2p - 1 entries sums[k] = k mod p.
+    * zech_np (int32), 4(order-1)+1 entries: zech_np[k + 2(order-1)] =
+      log(1 + gen^k) for |k| < order-1; entry i < order holds
+      i - 2(order-1), which gives b when a = 0, and the top order-1
+      entries hold 0, which gives a when b = 0;
+    * neg_np, inv_np (inv_np[0] = 0), frob_np(k) on demand.
+
+    a * b = exp[log a + log b] and a + b = exp[log a + zech[log b - log a
+    + 2(order-1)]]; 0 + 0 and a + (-a) land in exp's zero tail.
     """
 
     def __init__(self, p: int, d: int, poly: tuple):
@@ -322,33 +314,20 @@ class FieldCtx:
         inv[nz] = exp[(n1 - log[nz]) % n1]
         self.inv_np = inv
 
-        c = _chunk_digits(p, d)
-        self.chunk = p ** c
-        if self.chunk > ADD_TABLE_MAX:
-            # one digit per chunk: entry (a, b) of the view is sums[a + b]
-            sums = np.arange(2 * p - 1, dtype=np.int64) % p
-            step = sums.strides[0]
-            add = np.lib.stride_tricks.as_strided(
-                sums, (p, p), (step, step), writeable=False)
-        else:
-            a = idx[:self.chunk]
-            add = np.add.outer(a, a)              # i + j, less p^(k+1) where digit k carries
-            for w in self._pp[:c]:
-                dig = (a // w % p).astype(np.int16)   # digits below p <= 2048: sums fit int16
-                np.subtract(add, p * w, out=add, where=np.add.outer(dig, dig) >= p)
-        self.add_np = add
+        # 1 + g^k for |k| < n1 steps the constant digit of exp[k + n1], mod p
+        x = exp[1:2 * n1]
+        zech = np.zeros(4 * n1 + 1, dtype=np.int32)
+        zech[:n1 + 1] = np.arange(n1 + 1) - 2 * n1
+        zech[n1 + 1:3 * n1] = log[x + 1 - p * (x % p == p - 1)]
+        self.zech_np = zech
         self._frob_cache = {}
 
     # -- the two formulas, on ints or int64 arrays ----------------------------
 
-    def _sum(self, a, b, n=None):
-        """a + b for elements below n (default: all): the low chunk of digits
-        takes one add_np lookup and the higher chunks recurse."""
-        n = self.order if n is None else n
-        m = self.chunk
-        if n <= m:
-            return self.add_np[a, b]
-        return self.add_np[a % m, b % m] + m * self._sum(a // m, b // m, n // m)
+    def _sum(self, a, b):
+        """a + b = a (1 + b/a); a zero operand takes an end entry of zech."""
+        la = self.log_np[a]
+        return self.exp_np[la + self.zech_np[self.log_np[b] - la + 2 * (self.order - 1)]]
 
     def _prod(self, a, b):
         """a * b; a zero factor's log sends the sum into the zero tail of exp."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 import mmap
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -74,7 +73,6 @@ class VerificationReport:
     line_count: int
     point_count: int
     histogram: dict
-    wall_time: float
     expected_lines: int
     expected_points: int
     expected_incidence: int
@@ -144,10 +142,8 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
     check(len(through) == 1, f"seed meets {len(through)} tangency points")
     # the closed-form sign rule picks + exactly when sqrt2 is itself a square
     rule_sign = 1 if fr.chi_q(fr.sqrt2) == 1 else -1
-    prov = {"chi_used": chi, "u_sign": u_sign,
-            "u_sign_matches_rule": u_sign == rule_sign,
-            "tangency_point": "plus" if through[0] == 1 else "minus",
-            "through_p_eps": through[0] == fr.eps}
+    prov = {"chi_used": chi, "u_sign_matches_rule": u_sign == rule_sign,
+            "tangency_point": "plus" if through[0] == 1 else "minus"}
     return key, quad, prov
 
 
@@ -285,7 +281,6 @@ def _verify_bytes(frame: pg3.HermitianFrame, workers: int) -> int:
 def verify(cand: HemisystemCandidate, threads: int = 1,
            frame: pg3.HermitianFrame | None = None) -> VerificationReport:
     """Exact incidence verification of a candidate line set."""
-    t0 = time.perf_counter()
     if frame is None:
         frame = (pg3.cp_frame if cand.family == "cp" else pg3.ft_frame)(cand.ctx2())
     keys = np.asarray(cand.lines, dtype=np.int64).reshape(-1, 2)
@@ -349,8 +344,7 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     passed = len(keys) == expected_lines and histogram == {expected_inc: frame.num_points}
     return VerificationReport(
         passed=passed, line_count=len(keys), point_count=frame.num_points - int(hist[0]),
-        histogram=histogram, wall_time=time.perf_counter() - t0,
-        expected_lines=expected_lines, expected_points=frame.num_points,
+        histogram=histogram, expected_lines=expected_lines, expected_points=frame.num_points,
         expected_incidence=expected_inc)
 
 

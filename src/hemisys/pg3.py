@@ -21,8 +21,8 @@ member (numpy 2.4's np.unique, np.isin and np.setdiff1d import numpy.ma).
 count_incidences counts the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
 has rank r[R1[k] w + log R2[k] + t], r[a w + s] = rank(a + exp[s]),
-w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail (Zech
-logarithms; Lidl and Niederreiter, Finite Fields).  Such a point has
+w = 3(order-1) so that log 0 = 2(order-1) stays in exp's zero tail: the
+field's own Zech-logarithm sum (gf), laid out per (a, s).  Such a point has
 X0 = R1[0], as R2[0] = 0; off the plane X0 = 0 it has index a q + d with
 a = r1 order + r2 and d = slot[r3] - start[a].  zech_rows holds r as an
 int16 row (ranks < order) and slot[r] as an int32 row (slots < order q,
@@ -471,8 +471,8 @@ def count_incidences(frame: HermitianFrame, keys, counts: np.ndarray) -> None:
     np.add.at(counts, surface_index(frame, np.stack([_pack_rows(ctx, R) for R in (R2, R1)])), inc)
     plane = np.flatnonzero(R1[:, 0] == 0)     # the q+1 lines through (0,0,0,1), or repeats
     if len(plane):
-        for i in plane:                       # one line at a time, less R1 and R2
-            inner = line_points_batch(ctx, R1[i:i + 1], R2[i:i + 1])[0, 1:-1]
+        for rows in np.split(plane, range(g := max(1, GROUP_SIZE // n), len(plane), g)):
+            inner = line_points_batch(ctx, R1[rows], R2[rows])[:, 1:-1]   # less R1 and R2
             np.add.at(counts, surface_index(frame, inner), inc)
         R1, R2 = np.delete(R1, plane, axis=0), np.delete(R2, plane, axis=0)
     # row base of a window holds a line's coordinate at every step: r1, r2, slot[r3]

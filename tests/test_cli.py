@@ -278,7 +278,8 @@ def test_construct_refuses_an_unusable_out_before_building(capsys, monkeypatch, 
     for name in ("build_cp", "build_ft_verified"):
         monkeypatch.setattr(hemisystem, name, build)
     (tmp_path / "a.hs").write_text("")
-    for out in (str(tmp_path / "no" / "x.hs"), str(tmp_path), str(tmp_path / "a.hs" / "x.hs")):
+    for out in (str(tmp_path / "no" / "x.hs"), str(tmp_path), str(tmp_path / "a.hs" / "x.hs"),
+                str(tmp_path / "new") + os.sep, str(tmp_path / "a.hs") + os.sep):
         with pytest.raises(OSError) as late:
             open(out, "wb")
         for family, p in (("cp", "3"), ("ft", "17")):

@@ -51,26 +51,59 @@ def test_make_field_refuses_by_table_bytes_before_allocating(monkeypatch):
         gf.make_field(3, 16)
 
 
-@pytest.mark.parametrize("p", [2053, 12289])
-def test_prime_above_the_dense_table_side_adds_in_small_tables(p):
-    # a dense p x p addition table would take 8 p^2 bytes: 34 MB at p = 2053,
-    # 1.2 GB at p = 12289
+def _digitwise(ctx, A, B, sign=1):
+    """A + sign B added digit by digit mod p: the definition of addition."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
+    return sum((A // ctx.p ** i + sign * (B // ctx.p ** i)) % ctx.p * ctx.p ** i
+               for i in range(ctx.d))
+
+
+@pytest.mark.parametrize("p,d", [(2053, 1), (12289, 1), (17, 2), (41, 2), (43, 2)],
+                         ids=["2053", "12289", "17^2", "41^2", "43^2"])
+def test_field_tables_take_bytes_linear_in_the_order(p, d):
+    # a 2-D addition table takes 8 order^2 bytes (27.5 MB for GF(43^2)); the tables
+    # hold about 90 bytes an element (0.03 MB for GF(17^2), 0.16 MB for GF(43^2))
+    # and peak at about 170 while they are built
     tracemalloc.start()
     try:
-        ctx = gf.make_field(p, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        ctx = gf.make_field(p, d)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * gf.ADD_TABLE_MAX ** 2
-    assert gf._table_bytes(p, 1) < 8 * gf.ADD_TABLE_MAX ** 2
+    assert max(held, gf._table_bytes(p, d)) < 100 * ctx.order, (held, peak)
+    assert peak < 200 * ctx.order, (held, peak)
     rng = np.random.default_rng(p)
-    A = np.append(rng.integers(0, p, 300), [0, p - 1])
-    B = np.append(rng.integers(0, p, 300), [p - 1, p - 1])
+    A = np.append(rng.integers(0, ctx.order, 300), [0, 0, ctx.order - 1, 1])
+    B = np.append(rng.integers(0, ctx.order, 300), [0, ctx.order - 1, ctx.order - 1, p - 1])
     assert np.array_equal(gf.vec_add(ctx, A[:, None], B[None, :]),
-                          (A[:, None] + B[None, :]) % p)
+                          _digitwise(ctx, A[:, None], B[None, :]))
     for a, b in zip(A.tolist(), B.tolist()):
-        assert ctx.add(a, b) == (a + b) % p
-        assert ctx.sub(a, b) == (a - b) % p
+        assert ctx.add(a, b) == _digitwise(ctx, a, b)
+        assert ctx.sub(a, b) == _digitwise(ctx, a, b, -1)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3), (3, 4), (17, 2)])
+def test_addition_is_digitwise_on_every_pair(p, d):
+    # zero rows and columns included: the ends of the Zech table stand in for a mask
+    ctx = gf.make_field(p, d)
+    xs = np.arange(ctx.order)
+    A, B = (z.ravel() for z in np.meshgrid(xs, xs, indexing="ij"))
+    want, diff = _digitwise(ctx, A, B), _digitwise(ctx, A, B, -1)
+    assert np.array_equal(gf.vec_add(ctx, A, B), want)
+    assert [ctx.add(a, b) for a, b in zip(A.tolist(), B.tolist())] == want.tolist()
+    assert [ctx.sub(a, b) for a, b in zip(A.tolist(), B.tolist())] == diff.tolist()
+
+
+@pytest.mark.parametrize("p,d", [(17, 4), (73, 2), (3, 8)])
+def test_addition_is_digitwise_on_random_pairs(p, d):
+    ctx = gf.make_field(p, d)
+    rng = np.random.default_rng(ctx.order)
+    A = np.append(rng.integers(0, ctx.order, 20000), [0, 0, 1, 1])
+    B = np.append(rng.integers(0, ctx.order, 20000), [0, 1, 0, ctx.neg(1)])
+    assert np.array_equal(gf.vec_add(ctx, A, B), _digitwise(ctx, A, B))
+    for a, b in zip(A[-1000:].tolist(), B[-1000:].tolist()):
+        assert ctx.add(a, b) == _digitwise(ctx, a, b)
+        assert ctx.sub(a, b) == _digitwise(ctx, a, b, -1)
 
 
 def test_tables_refuse_a_generator_of_low_order(monkeypatch):
