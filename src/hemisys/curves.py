@@ -7,9 +7,11 @@ Two families:
   curves y^q z - y z^q = +-x^((q+1)/2) under (z^2, xz, yz, y^2).
 
 GF(q^2)-rational points split into Omega (the conic section in the plane
-X1 = 0) and Delta+/Delta-.  Imaginary chords join a GF(q^4)-point of the
-curve to its q^2-Frobenius conjugate; they are generators of the surface
-disjoint from the rational points and supply the H part of a hemisystem.
+X1 = 0) and Delta+/Delta-, found by array code over every v off GF(q) at
+once: the roots of u^((q+1)/2) = +-(v^q - v) are read off the log table.
+Imaginary chords join a GF(q^4)-point of the curve to its q^2-Frobenius
+conjugate; they are generators of the surface disjoint from the rational
+points and supply the H part of a hemisystem.
 The curve-meeting half-orbits are unions of pencils: the half-orbit's
 lines through one base point of the curve, moved to every other point by
 one group element each (cp_half_orbits, m2_half_orbit).  join_keys turns
@@ -36,12 +38,6 @@ import numpy as np
 from .gf import FieldCtx, UsageError, check, make_field, vec_add, vec_mul, vec_neg
 from . import pg3
 from .pg3 import HermitianFrame
-
-
-RATIONAL_SUBPLANE = "RATIONAL_SUBPLANE"
-TYPE_I = "TYPE_I"
-TYPE_II = "TYPE_II"
-TYPE_III = "TYPE_III"
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +149,6 @@ class CurvePointSets:
     delta_plus: np.ndarray
     delta_minus: np.ndarray
 
-    def __post_init__(self):
-        self.omega_set = frozenset(int(x) for x in self.omega)
-        self.plus_set = frozenset(int(x) for x in self.delta_plus)
-        self.minus_set = frozenset(int(x) for x in self.delta_minus)
-
-    @property
-    def rational_plus(self) -> frozenset:
-        return self.omega_set | self.plus_set
-
 
 def subfield_elements(ctx2: FieldCtx) -> np.ndarray:
     h = ctx2.d // 2
@@ -170,53 +157,43 @@ def subfield_elements(ctx2: FieldCtx) -> np.ndarray:
 
 
 def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
-    """Omega, Delta+ and Delta- for q = p^h = sqrt(|ctx2|), q = 1 mod 4."""
+    """Omega, Delta+ and Delta- for q = p^h = sqrt(|ctx2|), q = 1 mod 4, as sorted
+    packed arrays.
+
+    Delta+ holds (1, u, v, v^2) for v off GF(q) and the (q+1)/2 roots u of
+    u^((q+1)/2) = c = v^q - v; they are g^(log c / m + k (|ctx2| - 1) / m),
+    m = (q+1)/2, and Delta- takes the roots for -c.
+    """
     h = ctx2.d // 2
     q = ctx2.p ** h
     if q % 4 != 1:
         raise UsageError(f"q = {q} is not 1 mod 4")
     m = (q + 1) // 2
-    sub = subfield_elements(ctx2)
-    ys = sub
+    n1 = ctx2.order - 1
+    xs = np.arange(ctx2.order, dtype=np.int64)
+    frob = ctx2.frob_np(h)
+    ys, v = xs[frob == xs], xs[frob != xs]
     omega = pg3.norm_pack_batch(
         ctx2, np.ones_like(ys), np.zeros_like(ys), ys, vec_mul(ctx2, ys, ys))
     omega = pg3.unique(np.concatenate(
         [omega, [pg3.pack_point(ctx2, (0, 0, 0, 1))]]))
     check(len(omega) == q + 1, f"{len(omega)} points in Omega")
 
-    frob_h = ctx2.frob_np(h)
-    plus_rows = []
-    minus_rows = []
-    sub_set = set(int(x) for x in sub)
-    for v in range(ctx2.order):
-        if v in sub_set:
-            continue
-        c = ctx2.sub(int(frob_h[v]), v)           # v^q - v
-        us = ctx2.power_residue_solutions(c, m)
-        check(len(us) == m, "u^((q+1)/2) = v^q - v has not (q+1)/2 solutions")
-        v2 = ctx2.mul(v, v)
-        for u in us:
-            plus_rows.append((1, u, v, v2))
-        cs = ctx2.neg(c)                          # t - t^q with t = v
-        ss = ctx2.power_residue_solutions(cs, m)
-        check(len(ss) == m, "s^((q+1)/2) = v - v^q has not (q+1)/2 solutions")
-        for s in ss:
-            minus_rows.append((1, s, v, v2))
-    plus_arr = np.asarray(plus_rows, dtype=np.int64)
-    minus_arr = np.asarray(minus_rows, dtype=np.int64)
-    dp = pg3.norm_pack_batch(ctx2, plus_arr[:, 0], plus_arr[:, 1],
-                             plus_arr[:, 2], plus_arr[:, 3])
-    dm = pg3.norm_pack_batch(ctx2, minus_arr[:, 0], minus_arr[:, 1],
-                             minus_arr[:, 2], minus_arr[:, 3])
-    dp = pg3.unique(dp)
-    dm = pg3.unique(dm)
+    c = vec_add(ctx2, frob[v], vec_neg(ctx2, v))                     # v^q - v
+    v, v2 = np.repeat(v, m), np.repeat(vec_mul(ctx2, v, v), m)
+    deltas = []
+    for rhs, what in ((c, "u^((q+1)/2) = v^q - v"), (vec_neg(ctx2, c), "s^((q+1)/2) = v - v^q")):
+        lc = ctx2.log_np[rhs]
+        check(bool((lc % m == 0).all()), f"{what} has not (q+1)/2 solutions")
+        u = ctx2.exp_np[(lc[:, None] // m + n1 // m * np.arange(m)) % n1].ravel()
+        deltas.append(pg3.unique(pg3.norm_pack_batch(ctx2, np.ones_like(u), u, v, v2)))
+    dp, dm = deltas
     expect = (q ** 3 - q) // 2
     check(len(dp) == expect and len(dm) == expect,
           f"{len(dp)} and {len(dm)} points in Delta+ and Delta-, expected {expect}")
-    sets = CurvePointSets(omega, dp, dm)
-    check(not (sets.omega_set & sets.plus_set or sets.omega_set & sets.minus_set
-               or sets.plus_set & sets.minus_set), "Omega, Delta+ and Delta- overlap")
-    return sets
+    check(not (pg3.member(dp, omega).any() or pg3.member(dm, omega).any()
+               or pg3.member(dm, dp).any()), "Omega, Delta+ and Delta- overlap")
+    return CurvePointSets(omega, dp, dm)
 
 
 def ft_imaginary_chords(ctx2: FieldCtx) -> np.ndarray:
@@ -279,35 +256,6 @@ def m2_half_orbit(fr: FTFrame, eps: int) -> np.ndarray:
     return join_keys(ctx2, [((1, 0, a, vec_mul(ctx2, a, a)), (0, y, 1, two_a)),
                             ((0, 0, 0, 1), (0, vec_mul(ctx2, ctx2.exp_np[q - 1], y), 1, 0))],
                      (q + 1) ** 2 // 2, "lines in the M2 half-orbit")
-
-
-def classify_point_type(ctx2: FieldCtx, P) -> str:
-    """Type of a surface point w.r.t. the conic X0 X3 = X2^2 in the plane X1=0.
-
-    Projects from (0,1,0,0); off the Baer subplane the unique GF(q)-line
-    through the projection meets the rational conic in 0, 2 or 1 points
-    (types I, II, III).
-    """
-    h = ctx2.d // 2
-    q = ctx2.p ** h
-    proj = pg3.normalize(ctx2, (P[0], P[2], P[3]))
-    if all(ctx2.frobenius(x, h) == x for x in proj):
-        return RATIONAL_SUBPLANE
-    conj = tuple(ctx2.frobenius(x, h) for x in proj)
-    # GF(q)-rational points of the Baer line through proj and conj
-    reps = ctx2.exp_np[: q + 1]
-    hits = 0
-    for mu in reps:
-        mu = int(mu)
-        R = tuple(ctx2.add(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
-                  for a in proj)
-        if not any(R):
-            R = tuple(ctx2.sub(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
-                      for a in proj)
-        check(all(ctx2.frobenius(x, h) == x for x in R), "a Baer line point is not over GF(q)")
-        if ctx2.sub(ctx2.mul(R[0], R[2]), ctx2.mul(R[1], R[1])) == 0:
-            hits += 1
-    return {0: TYPE_I, 2: TYPE_II, 1: TYPE_III}[hits]
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,13 @@ class FieldCtx:
         inv[nz] = exp[(n1 - log[nz]) % n1]
         self.inv_np = inv
 
-        # 1 + g^k for |k| < n1 steps the constant digit of exp[k + n1], mod p
-        x = exp[1:2 * n1]
+        # 1 + g^k for 0 <= k < n1 steps the constant digit of exp[k], mod p;
+        # Z(k) has period n1, so -n1 < k < 0 copies that period
+        x = exp[:n1]
         zech = np.zeros(4 * n1 + 1, dtype=np.int32)
         zech[:n1 + 1] = np.arange(n1 + 1) - 2 * n1
-        zech[n1 + 1:3 * n1] = log[x + 1 - p * (x % p == p - 1)]
+        zech[2 * n1:3 * n1] = log[x + 1 - p * (x % p == p - 1)]
+        zech[n1 + 1:2 * n1] = zech[2 * n1 + 1:3 * n1]
         self.zech_np = zech
         self._frob_cache = {}
 
@@ -410,8 +412,9 @@ class FieldCtx:
         return sorted(int(self.exp_np[(lc // m + i * step) % n1]) for i in range(m))
 
     def elements_by_rank(self):
-        """All elements in digit-lex order."""
-        return [int(x) for x in self.unrank_np]
+        """All elements in digit-lex order, as an iterator: the searches over it stop
+        early, so no command makes a Python int of every element."""
+        return map(int, self.unrank_np)
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.d}), poly={list(self.poly)})"

@@ -22,7 +22,9 @@ Candidate files are written and read by array code, pg3.BLOCK_ROWS lines at
 a time.  export streams the body, then writes its sha256 into the header;
 import_candidate holds only the file's bytes, matches the body's separators
 against the fixed per-line pattern, decodes the digit runs and runs each
-check, and a fault names its first offending file line.  Only gf and pg3 load
+check, and a fault names its first offending file line.  build_cp's inert
+force and HemisystemCandidate.key_set stay only because the benchmark
+harness (perfbench/run.py) calls both.  Only gf and pg3 load
 with this module, and the verify command loads no more; a cp construct adds
 curves, an ft one groups and numbers too, and hashlib (OpenSSL) loads in the
 file functions alone.
@@ -42,7 +44,7 @@ from .gf import CandidateError, FieldCtx, UsageError, check, is_prime, make_fiel
 from . import pg3
 
 if TYPE_CHECKING:
-    from .curves import CurvePointSets, FTFrame
+    from .curves import FTFrame
 
 
 @dataclass
@@ -346,31 +348,6 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
         passed=passed, line_count=len(keys), point_count=frame.num_points - int(hist[0]),
         histogram=histogram, expected_lines=expected_lines, expected_points=frame.num_points,
         expected_incidence=expected_inc)
-
-
-# ---------------------------------------------------------------------------
-# per-point condition diagnostics
-
-def condition_checks(fr: FTFrame, m_keys, P, sets: CurvePointSets) -> dict:
-    """Balance record for one surface point against the curve-meeting half-set."""
-    from . import curves
-    ctx = fr.ctx2
-    P = pg3.normalize(ctx, P)
-    rational = sets.rational_plus
-    on_curve = pg3.pack(ctx, P) in rational
-    gens = pg3.generators_through(fr.frame, P)
-    rows = pg3.line_points_table(ctx, np.asarray(gens, dtype=np.int64))
-    meeting = [k for k, pts in zip(gens, rows)
-               if set(int(x) for x in pts) & rational]
-    m_codes = pg3.unique(pg3.line_codes(ctx, m_keys))
-    in_m = int(pg3.member(pg3.line_codes(ctx, meeting), m_codes).sum())
-    if on_curve:
-        tag = "CURVE_POINT"
-        passed = in_m == (fr.q + 1) // 2
-    else:
-        tag = curves.classify_point_type(ctx, P)
-        passed = 2 * in_m == len(meeting)
-    return {"n_P": len(meeting), "in_M": in_m, "type": tag, "passed": passed}
 
 
 # ---------------------------------------------------------------------------

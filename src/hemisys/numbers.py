@@ -2,8 +2,10 @@
 
 The existence criterion for the ft family at q is that the elliptic
 curve Y^2 = X^3 - X has q-1 or q+3 points over GF(q).  Counts here are
-exact brute force via the quadratic character; the quartic
-Y^2 = X^4 - 24w X^2 + 16w^2 (w a non-square) and the cubic
+exact character sums, one array expression over every x of GF(q): a
+nonzero y is a square in GF(q) when its log is a multiple of step (2 in
+GF(q) itself, 2 (|ctx| - 1) / (q - 1) in a field ctx containing it).  The
+quartic Y^2 = X^4 - 24w X^2 + 16w^2 (w a non-square) and the cubic
 (1/2w) Y^2 = X^3 - X tie the criterion to the generator balance at the
 exceptional surface points.
 
@@ -25,30 +27,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .gf import FieldCtx, InvariantFailed, UsageError, check, is_prime, make_field
+import numpy as np
+
+from .gf import (FieldCtx, InvariantFailed, UsageError, check, factorize, is_prime, make_field,
+                 vec_add, vec_mul, vec_neg)
 
 
-def _chi(ctx: FieldCtx, x: int) -> int:
-    """Quadratic character with chi(0) = 0."""
-    if x == 0:
-        return 0
-    return 1 if ctx.is_square(x) else -1
+def _chi(ctx: FieldCtx, y: np.ndarray, step: int = 2) -> np.ndarray:
+    """Quadratic character, chi(0) = 0, on an array of ctx's elements that lie in the
+    subfield whose nonzero squares have logs divisible by step."""
+    return np.where(y == 0, 0, np.where(ctx.log_np[y] % step == 0, 1, -1))
+
+
+def _cubic(ctx: FieldCtx, x: np.ndarray) -> np.ndarray:
+    """x^3 - x over the elements x of ctx."""
+    return vec_add(ctx, vec_mul(ctx, x, vec_mul(ctx, x, x)), vec_neg(ctx, x))
 
 
 def count_E3(ctx: FieldCtx, q: int | None = None) -> int:
-    """Projective |{Y^2 = X^3 - X}| over the subfield GF(q) of ctx (default: ctx).
-
-    A y in GF(q)* is a square there iff its log in ctx is a multiple of
-    2 (|ctx| - 1) / (q - 1).
-    """
+    """Projective |{Y^2 = X^3 - X}| = 1 + q + sum chi(x^3 - x) over the subfield GF(q)
+    of ctx (default: ctx), whose units are the powers of g^((|ctx| - 1) / (q - 1))."""
     q = ctx.order if q is None else q
-    step = 2 * (ctx.order - 1) // (q - 1)
-    n = 1
-    for x in range(ctx.order):
-        if ctx.pow(x, q) == x:
-            x3x = ctx.sub(ctx.mul(x, ctx.mul(x, x)), x)
-            n += 1 if x3x == 0 else 2 * int(ctx.log_np[x3x] % step == 0)   # 1 + chi
-    return n
+    n1 = ctx.order - 1
+    xs = np.append(ctx.exp_np[:n1:n1 // (q - 1)], 0)
+    return 1 + q + int(_chi(ctx, _cubic(ctx, xs), 2 * n1 // (q - 1)).sum())
 
 
 @dataclass
@@ -81,28 +83,17 @@ def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
     if ctx_q.is_square(omega):
         raise UsageError(f"{omega} is a square")
     q = ctx_q.order
-    w2 = ctx_q.mul(omega, omega)
+    x = np.arange(q, dtype=np.int64)
+    x2 = vec_mul(ctx_q, x, x)
     c24 = ctx_q.mul(24 % ctx_q.p, omega)
-    c16 = ctx_q.mul(16 % ctx_q.p, w2)
-    n_q = 0
-    n_c4_affine = 0
-    for x in range(q):
-        x2 = ctx_q.mul(x, x)
-        f = ctx_q.add(ctx_q.sub(ctx_q.mul(x2, x2), ctx_q.mul(c24, x2)), c16)
-        ch = _chi(ctx_q, f)
-        check(f != 0, "the quartic has a rational root at a non-square omega")
-        if ch == 1:
-            n_q += 1
-            n_c4_affine += 2
+    c16 = ctx_q.mul(16 % ctx_q.p, ctx_q.mul(omega, omega))
+    f = vec_add(ctx_q, vec_mul(ctx_q, x2, vec_add(ctx_q, x2, ctx_q.neg(c24))), c16)
+    check(bool(f.all()), "the quartic has a rational root at a non-square omega")
+    n_q = int((_chi(ctx_q, f) == 1).sum())
     two_omega = ctx_q.mul(2 % ctx_q.p, omega)
-    n_c3 = 1
-    for x in range(q):
-        x3x = ctx_q.sub(ctx_q.mul(x, ctx_q.mul(x, x)), x)
-        n_c3 += 1 + _chi(ctx_q, ctx_q.mul(two_omega, x3x))
-    rec = CountRecord(q=q, omega=omega, N_E3=count_E3(ctx_q), N_C3=n_c3,
-                      N_C4=n_c4_affine + 2, n_q=n_q,
-                      two_square=ctx_q.is_square(2 % ctx_q.p))
-    return rec
+    n_c3 = 1 + q + int(_chi(ctx_q, vec_mul(ctx_q, two_omega, _cubic(ctx_q, x))).sum())
+    return CountRecord(q=q, omega=omega, N_E3=count_E3(ctx_q), N_C3=n_c3, N_C4=2 * n_q + 2,
+                       n_q=n_q, two_square=ctx_q.is_square(2 % ctx_q.p))
 
 
 def condition_B_holds(q: int, ctx: FieldCtx | None = None) -> bool:
@@ -112,14 +103,8 @@ def condition_B_holds(q: int, ctx: FieldCtx | None = None) -> bool:
 
 def prime_power(q: int):
     """(p, h) with q = p^h for a prime p, or None when q is no prime power."""
-    if q < 2:
-        return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    h = 0
-    while q % p == 0:
-        q //= p
-        h += 1
-    return (p, h) if q == 1 else None
+    fs = factorize(q) if q >= 2 else {}
+    return next(iter(fs.items())) if len(fs) == 1 else None
 
 
 def _field_of_order(q: int) -> FieldCtx:

@@ -13,10 +13,12 @@ first nonzero coordinate is 1, R2 (0 at i) is below every R1 + lam R2
 is the least: the key is (R2, R1), and no point is enumerated to find
 it; so a key is its own RREF (is_rref_key).  Surface points also have a
 dense index 0 .. num_points-1 (surface_index, and its inverse
-surface_point).  Orbits and key sets are handled as one int64 line code
-per key (line_codes, and its inverse code_keys), which sorts exactly like
-the keys, so sets of lines are sorted 1-D arrays, handled by unique and
-member (numpy 2.4's np.unique, np.isin and np.setdiff1d import numpy.ma).
+surface_point, which only tests call today: it stays to decode the failing
+points a verify report will name).  Orbits and key sets are handled as one
+int64 line code per key (line_codes, and its inverse code_keys), which
+sorts exactly like the keys, so sets of lines are sorted 1-D arrays,
+handled by unique and member (numpy 2.4's np.unique, np.isin and
+np.setdiff1d import numpy.ma).
 
 count_incidences counts the points of many lines without packing any:
 with g the field's generator, coordinate k of R1 + g^t R2 (t < order-1)
@@ -335,16 +337,6 @@ def unique(a) -> np.ndarray:
 def member(a, sorted_b) -> np.ndarray:
     """True where an entry of a occurs in the non-empty sorted 1-D array sorted_b."""
     return sorted_b[np.minimum(np.searchsorted(sorted_b, a), len(sorted_b) - 1)] == a
-
-
-def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
-    """(n, q^2+1) packed point table of the lines given by key rows."""
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    out = []
-    for lo in range(0, len(keys), BLOCK_ROWS):
-        a, b = (np.stack(unpack_batch(ctx, keys[lo:lo + BLOCK_ROWS, k]), axis=1) for k in (0, 1))
-        out.append(line_points_batch(ctx, a, b))
-    return np.concatenate(out, axis=0)
 
 
 def line_points(ctx: FieldCtx, A, B) -> np.ndarray:

@@ -11,7 +11,12 @@ reference for every half-orbit the library writes down by enumeration.  The
 tests compare the library's faster routes against them.  enumerate_surface,
 cp_curve_points, on_plane, pole (with mat_inv and the scalar dot4),
 tangent_plane and classify_generator are only used by tests, so they live
-here too.
+here too.  So do the per-point diagnostics that no command runs:
+line_points_table (the packed reference for count_incidences),
+classify_point_type (types I, II and III of a point off the curve) and
+condition_checks (the balance of the curve-meeting half-set at one point).
+ft_point_sets is the per-v loop that the library's array code replaced,
+kept as its reference.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import numpy as np
 from hemisys import curves, gf, groups, pg3
 from hemisys.gf import FieldCtx
 
+RATIONAL_SUBPLANE = "RATIONAL_SUBPLANE"
+TYPE_I = "TYPE_I"
+TYPE_II = "TYPE_II"
+TYPE_III = "TYPE_III"
 G2_MEETS_OMEGA = "G2_MEETS_OMEGA"
 G1_MEETS_DELTAS = "G1_MEETS_DELTAS"
 DISJOINT = "DISJOINT"
@@ -98,9 +107,8 @@ def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSe
     if not pg3.is_generator(frame, A, B):
         raise NotGenerator(f"line {key} is not a generator")
     pts = set(int(x) for x in pg3.line_points(ctx, A, B))
-    n_om = len(pts & sets.omega_set)
-    n_p = len(pts & sets.plus_set)
-    n_m = len(pts & sets.minus_set)
+    n_om, n_p, n_m = (len(pts & set(s.tolist()))
+                      for s in (sets.omega, sets.delta_plus, sets.delta_minus))
     gf.check(n_om + n_p <= 1 and n_om + n_m <= 1,
              "two rational curve points on one generator")
     if n_om:
@@ -109,6 +117,34 @@ def classify_generator(frame: pg3.HermitianFrame, key, sets: curves.CurvePointSe
         gf.check(n_p == 1 and n_m == 1, "a generator meets one Delta set only")
         return G1_MEETS_DELTAS
     return DISJOINT
+
+
+def rational_plus(sets: curves.CurvePointSets) -> frozenset:
+    """Packed GF(q^2)-rational points of X+: Omega and Delta+."""
+    return frozenset(np.concatenate([sets.omega, sets.delta_plus]).tolist())
+
+
+def ft_point_sets(ctx2: FieldCtx) -> tuple:
+    """(Omega, Delta+, Delta-) as sorted packed arrays, Delta+- by a loop over v off
+    GF(q) that solves u^((q+1)/2) = +-(v^q - v) one v at a time."""
+    h = ctx2.d // 2
+    q = ctx2.p ** h
+    m = (q + 1) // 2
+    ys = curves.subfield_elements(ctx2)
+    omega = pg3.norm_pack_batch(ctx2, np.ones_like(ys), np.zeros_like(ys), ys,
+                                gf.vec_mul(ctx2, ys, ys))
+    omega = pg3.unique(np.append(omega, pg3.pack_point(ctx2, (0, 0, 0, 1))))
+    rows = {1: [], -1: []}
+    for v in range(ctx2.order):
+        if ctx2.frobenius(v, h) == v:
+            continue
+        c = ctx2.sub(ctx2.frobenius(v, h), v)
+        for sign, rhs in ((1, c), (-1, ctx2.neg(c))):
+            us = ctx2.power_residue_solutions(rhs, m)
+            gf.check(len(us) == m, "u^((q+1)/2) = +-(v^q - v) has not (q+1)/2 solutions")
+            rows[sign] += [(1, u, v, ctx2.mul(v, v)) for u in us]
+    return (omega, *(pg3.unique(pg3.norm_pack_batch(ctx2, *np.asarray(rows[s]).T))
+                     for s in (1, -1)))
 
 
 def tangent_plane(frame: pg3.HermitianFrame, P) -> tuple:
@@ -242,3 +278,65 @@ def cp_group_gens(ctx: FieldCtx) -> tuple:
 def ell_line(fr: curves.FTFrame, eps: int) -> tuple:
     """Generator joining the origin (1,0,0,0) to (1, eps*sqrt(-2)b, b, 0)."""
     return pg3.line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))
+
+
+
+def line_points_table(ctx: FieldCtx, keys) -> np.ndarray:
+    """(n, q^2+1) packed point table of the lines given by key rows."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    out = []
+    for lo in range(0, len(keys), pg3.BLOCK_ROWS):
+        a, b = (np.stack(pg3.unpack_batch(ctx, keys[lo:lo + pg3.BLOCK_ROWS, k]), axis=1)
+                for k in (0, 1))
+        out.append(pg3.line_points_batch(ctx, a, b))
+    return np.concatenate(out, axis=0)
+
+
+def classify_point_type(ctx2: FieldCtx, P) -> str:
+    """Type of a surface point w.r.t. the conic X0 X3 = X2^2 in the plane X1=0.
+
+    Projects from (0,1,0,0); off the Baer subplane the unique GF(q)-line
+    through the projection meets the rational conic in 0, 2 or 1 points
+    (types I, II, III).
+    """
+    h = ctx2.d // 2
+    q = ctx2.p ** h
+    proj = pg3.normalize(ctx2, (P[0], P[2], P[3]))
+    if all(ctx2.frobenius(x, h) == x for x in proj):
+        return RATIONAL_SUBPLANE
+    # GF(q)-rational points of the Baer line through proj and its conjugate
+    reps = ctx2.exp_np[: q + 1]
+    hits = 0
+    for mu in reps:
+        mu = int(mu)
+        R = tuple(ctx2.add(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
+                  for a in proj)
+        if not any(R):
+            R = tuple(ctx2.sub(ctx2.mul(mu, a), ctx2.frobenius(ctx2.mul(mu, a), h))
+                      for a in proj)
+        gf.check(all(ctx2.frobenius(x, h) == x for x in R),
+                 "a Baer line point is not over GF(q)")
+        if ctx2.sub(ctx2.mul(R[0], R[2]), ctx2.mul(R[1], R[1])) == 0:
+            hits += 1
+    return {0: TYPE_I, 2: TYPE_II, 1: TYPE_III}[hits]
+
+
+def condition_checks(fr: curves.FTFrame, m_keys, P, sets: curves.CurvePointSets) -> dict:
+    """Balance record for one surface point against the curve-meeting half-set."""
+    ctx = fr.ctx2
+    P = pg3.normalize(ctx, P)
+    rational = rational_plus(sets)
+    on_curve = pg3.pack(ctx, P) in rational
+    gens = pg3.generators_through(fr.frame, P)
+    rows = line_points_table(ctx, np.asarray(gens, dtype=np.int64))
+    meeting = [k for k, pts in zip(gens, rows)
+               if set(int(x) for x in pts) & rational]
+    m_codes = pg3.unique(pg3.line_codes(ctx, m_keys))
+    in_m = int(pg3.member(pg3.line_codes(ctx, meeting), m_codes).sum())
+    if on_curve:
+        tag = "CURVE_POINT"
+        passed = in_m == (fr.q + 1) // 2
+    else:
+        tag = classify_point_type(ctx, P)
+        passed = 2 * in_m == len(meeting)
+    return {"n_P": len(meeting), "in_M": in_m, "type": tag, "passed": passed}

@@ -207,12 +207,12 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
         frame = pg3.cp_frame(ctx2)
         chords = curves.cp_imaginary_chords(ctx2)
         curve = np.asarray(sorted(int(x) for x in oracles.cp_curve_points(ctx2)))
-        rows = pg3.line_points_table(ctx2, chords)
+        rows = oracles.line_points_table(ctx2, chords)
         parts[f"cp_chords_q{p}"] = (
             pg3.is_generator(frame, *(pg3.unpack_batch(ctx2, chords[:, c]) for c in (0, 1))).all()
             and not np.isin(rows.reshape(-1), curve).any())
     keys17 = np.asarray(ft17_chords, dtype=np.int64)
-    rows17 = pg3.line_points_table(ft17.ctx2, keys17)
+    rows17 = oracles.line_points_table(ft17.ctx2, keys17)
     rational = np.concatenate([ft17_sets.omega, ft17_sets.delta_plus,
                                ft17_sets.delta_minus])
     parts["ft_chords_q17"] = (

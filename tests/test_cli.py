@@ -387,6 +387,31 @@ def test_diagnose_stdout_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_STDOUT_SHA256[args]
 
 
+ECCOUNT_STDOUT_SHA256 = {
+    ("--p", "17"): "5edb4e1897340d0652122779c3c8a8c3e081aaef7cbb3e760a6d9172cd2e3000",
+    ("--p", "3", "--h", "2"): "ec29bd2239918bbaf373b76384f22ca82021c23e4b3434cfdac2326158f69460",
+    ("--p", "5"): "a6616a55f4806a57c6893aacef5e495027a551739729f62113cdd0b7156d8472",
+    ("--p", "13"): "9fa9e078a6e22278fc7260a79b1f668ff47856000ea66eae1580457329bc5ad0",
+    ("--p", "29"): "aa73fd5467525dad6cca795203f5ca88b128d0390b68228d1fcdb024f4644bf6",
+    ("--p", "5", "--h", "2"): "4e488b03cb08d757379e75bbb658694659400fc2f2a28b8f09653ea095b4aeea",
+}
+
+
+@pytest.mark.parametrize("args", list(ECCOUNT_STDOUT_SHA256))
+def test_eccount_stdout_pinned(capsys, args):
+    # every count of the record, and the Gaussian-integer fields at p = 1 mod 4
+    code, out, _ = run(capsys, "eccount", *args, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ECCOUNT_STDOUT_SHA256[args]
+
+
+def test_survey_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "survey", "--q-max", "101", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2c2078542801b6872fe894dd91c82151e5556a4d9983a3f53a5a069de75d93f4"
+
+
 CLI_RUNS_WITHOUT_NUMPY_MA = """
 import sys
 from hemisys import cli

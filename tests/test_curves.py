@@ -53,7 +53,7 @@ def test_cp_chords_are_generators_disjoint_from_curve(p):
     frame = pg3.cp_frame(ctx2)
     curve = set(int(x) for x in oracles.cp_curve_points(ctx2))
     chords = curves.cp_imaginary_chords(ctx2)
-    rows = pg3.line_points_table(ctx2, chords)
+    rows = oracles.line_points_table(ctx2, chords)
     for key, pts in zip(chords, rows):
         A, B = pg3.key_points(ctx2, (int(key[0]), int(key[1])))
         assert pg3.is_generator(frame, A, B)
@@ -170,6 +170,16 @@ def test_ft_sets_disjoint_and_on_surface(ft17, ft17_sets):
     assert bool(pg3.on_surface(ft17.frame, cs).all())
 
 
+@pytest.mark.parametrize("p,h", [(3, 2), (13, 1), (17, 1), (5, 2), (29, 1), (41, 1)])
+def test_ft_point_sets_match_the_per_v_loop(p, h):
+    # the array roots g^(log c / m + k (q^2 - 1) / m) are the loop's roots of u^m = +-c
+    ctx2 = gf.make_field(p, 2 * h)
+    sets = curves.ft_point_sets(ctx2)
+    for got, want in zip((sets.omega, sets.delta_plus, sets.delta_minus),
+                         oracles.ft_point_sets(ctx2)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_omega_in_plane_and_conic(ft17, ft17_sets):
     ctx = ft17.ctx2
     for packed in ft17_sets.omega:
@@ -226,7 +236,7 @@ def test_ft_chords_generators_disjoint_exhaustive_q17(ft17, ft17_sets, ft17_chor
     frame = ft17.frame
     keys = np.asarray(ft17_chords, dtype=np.int64)
     assert pg3.is_generator(frame, *(pg3.unpack_batch(ft17.ctx2, keys[:, c]) for c in (0, 1))).all()
-    rows = pg3.line_points_table(ft17.ctx2, keys)
+    rows = oracles.line_points_table(ft17.ctx2, keys)
     rational = np.concatenate([ft17_sets.omega, ft17_sets.delta_plus,
                                ft17_sets.delta_minus])
     assert not np.isin(rows.reshape(-1), rational).any()
@@ -244,7 +254,7 @@ def test_g2_size(ft17_g2):
 def test_g1_size_and_single_delta_meetings(ft17, ft17_sets, ft17_g1):
     assert len(ft17_g1) == 44064
     keys = np.asarray(ft17_g1, dtype=np.int64)
-    rows = pg3.line_points_table(ft17.ctx2, keys)
+    rows = oracles.line_points_table(ft17.ctx2, keys)
     n = rows.shape[0]
     in_plus = np.isin(rows, ft17_sets.delta_plus).sum(axis=1)
     in_minus = np.isin(rows, ft17_sets.delta_minus).sum(axis=1)
@@ -276,8 +286,8 @@ def test_classify_generator(ft17, ft17_sets, ft17_g2, ft17_g1, ft17_chords):
 # point types
 
 def test_point_type_examples(ft17):
-    assert curves.classify_point_type(ft17.ctx2, ft17.p_eps(1)) == curves.TYPE_III
-    assert curves.classify_point_type(ft17.ctx2, ft17.p_eps(-1)) == curves.TYPE_III
+    assert oracles.classify_point_type(ft17.ctx2, ft17.p_eps(1)) == oracles.TYPE_III
+    assert oracles.classify_point_type(ft17.ctx2, ft17.p_eps(-1)) == oracles.TYPE_III
     # a surface point projecting into the Baer subplane: fix x2, x3 in GF(q)
     # and solve the norm equation for x1
     ctx = ft17.ctx2
@@ -286,7 +296,7 @@ def test_point_type_examples(ft17):
     x1 = ctx.power_residue_solutions(rhs, 18)[0]
     P = (1, x1, x2, x3)
     assert pg3.on_surface(ft17.frame, P)
-    assert curves.classify_point_type(ctx, P) == curves.RATIONAL_SUBPLANE
+    assert oracles.classify_point_type(ctx, P) == oracles.RATIONAL_SUBPLANE
 
 
 def test_point_type_census_q5_against_line_scan(F25):
@@ -318,18 +328,18 @@ def test_point_type_census_q5_against_line_scan(F25):
 
     def brute_type(proj):
         if all(ctx.frobenius(x, h) == x for x in proj):
-            return curves.RATIONAL_SUBPLANE
+            return oracles.RATIONAL_SUBPLANE
         lines = [t for t in trips if dot3(t, proj) == 0]
         assert len(lines) == 1
         t = lines[0]
         hits = sum(1 for c in conic if dot3(t, c) == 0)
-        return {0: curves.TYPE_I, 2: curves.TYPE_II, 1: curves.TYPE_III}[hits]
+        return {0: oracles.TYPE_I, 2: oracles.TYPE_II, 1: oracles.TYPE_III}[hits]
 
     census = {}
     for packed in oracles.enumerate_surface(frame):
         P = pg3.unpack(ctx, int(packed))
         proj = pg3.normalize(ctx, (P[0], P[2], P[3]))
-        tag = curves.classify_point_type(ctx, P)
+        tag = oracles.classify_point_type(ctx, P)
         assert tag == brute_type(proj)
         census[tag] = census.get(tag, 0) + 1
     assert sum(census.values()) == 3276

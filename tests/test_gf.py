@@ -63,7 +63,8 @@ def _digitwise(ctx, A, B, sign=1):
 def test_field_tables_take_bytes_linear_in_the_order(p, d):
     # a 2-D addition table takes 8 order^2 bytes (27.5 MB for GF(43^2)); the tables
     # hold about 90 bytes an element (0.03 MB for GF(17^2), 0.16 MB for GF(43^2))
-    # and peak at about 170 while they are built
+    # and peak at about 140-150 while they are built, as the Zech logarithms are
+    # computed over one period
     tracemalloc.start()
     try:
         ctx = gf.make_field(p, d)
@@ -71,7 +72,7 @@ def test_field_tables_take_bytes_linear_in_the_order(p, d):
     finally:
         tracemalloc.stop()
     assert max(held, gf._table_bytes(p, d)) < 100 * ctx.order, (held, peak)
-    assert peak < 200 * ctx.order, (held, peak)
+    assert peak < 155 * ctx.order, (held, peak)
     rng = np.random.default_rng(p)
     A = np.append(rng.integers(0, ctx.order, 300), [0, 0, ctx.order - 1, 1])
     B = np.append(rng.integers(0, ctx.order, 300), [0, ctx.order - 1, ctx.order - 1, p - 1])

@@ -483,14 +483,14 @@ def test_condition_checks_types_I_II(ft17, ft17_sets, ft17_build, ft17_chords):
     m_half = [k for k in cand.key_set() if k not in chords]
     surf = oracles.enumerate_surface(ft17.frame)
     rng = random.Random(1)
-    rational = ft17_sets.rational_plus
+    rational = oracles.rational_plus(ft17_sets)
     checked = 0
     while checked < 200:
         P = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         if pg3.pack(ctx, P) in rational:
             continue
-        rec = hemisystem.condition_checks(ft17, m_half, P, ft17_sets)
-        if rec["type"] not in (curves.TYPE_I, curves.TYPE_II):
+        rec = oracles.condition_checks(ft17, m_half, P, ft17_sets)
+        if rec["type"] not in (oracles.TYPE_I, oracles.TYPE_II):
             continue
         assert rec["passed"], rec
         checked += 1
@@ -501,8 +501,8 @@ def test_condition_checks_type_III_point(ft17, ft17_sets, ft17_build, ft17_chord
     ctx = ft17.ctx2
     chords = set((int(a), int(b)) for a, b in ft17_chords)
     m_half = [k for k in cand.key_set() if k not in chords]
-    rec = hemisystem.condition_checks(ft17, m_half, ft17.p_eps(1), ft17_sets)
-    assert rec["type"] == curves.TYPE_III
+    rec = oracles.condition_checks(ft17, m_half, ft17.p_eps(1), ft17_sets)
+    assert rec["type"] == oracles.TYPE_III
     assert rec["n_P"] == 10 and rec["in_M"] == 5 and rec["passed"]
 
 
@@ -512,7 +512,7 @@ def test_condition_checks_curve_point(ft17, ft17_sets, ft17_build, ft17_chords):
     chords = set((int(a), int(b)) for a, b in ft17_chords)
     m_half = [k for k in cand.key_set() if k not in chords]
     Q = pg3.unpack(ctx, int(ft17_sets.delta_plus[0]))
-    rec = hemisystem.condition_checks(ft17, m_half, Q, ft17_sets)
+    rec = oracles.condition_checks(ft17, m_half, Q, ft17_sets)
     assert rec["type"] == "CURVE_POINT" and rec["in_M"] == 9 and rec["passed"]
 
 

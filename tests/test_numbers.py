@@ -26,6 +26,14 @@ def test_count_E3_matches_naive_oracle(q):
     assert numbers.count_E3(ctx) == oracles.count_E3_naive(ctx)
 
 
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2)])
+def test_count_E3_over_a_subfield_matches_its_own_field(p, h):
+    # condition_B_holds counts GF(q) inside the GF(q^2) of an ft build
+    ctx = gf.make_field(p, h)
+    assert numbers.count_E3(gf.make_field(p, 2 * h), p ** h) == numbers.count_E3(ctx) \
+        == oracles.count_E3_naive(ctx)
+
+
 @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29])
 def test_count_records_all_nonsquare_omegas(q):
     ctx = numbers._field_of_order(q)
@@ -62,6 +70,30 @@ def test_count_record_rejects_square_omega():
 ])
 def test_condition_B(q, expected):
     assert numbers.condition_B_holds(q) is expected
+
+
+def _prime_power_by_least_divisor(q):
+    """The definition: strip the least divisor d > 1 of q as often as it divides."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    h = 0
+    while q % p == 0:
+        q //= p
+        h += 1
+    return (p, h) if q == 1 else None
+
+
+def test_prime_power_matches_the_least_divisor_definition():
+    for q in range(-2, 5000):
+        assert numbers.prime_power(q) == _prime_power_by_least_divisor(q), q
+
+
+def test_prime_power_of_a_large_prime():
+    # trial division up to sqrt(q): the least-divisor scan takes q steps here
+    assert numbers.prime_power(1_000_000_009) == (1_000_000_009, 1)
+    assert numbers.prime_power(17 ** 7) == (17, 7)
+    assert numbers.prime_power(2 * 1_000_000_009) is None
 
 
 def test_search_primes_bounds():

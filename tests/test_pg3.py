@@ -336,8 +336,8 @@ def _packed_counts(frame, keys):
     """Incidences of key rows by the packed path: surface_index of line_points_table."""
     counts = np.zeros(frame.num_points, dtype=np.int64)
     for lo in range(0, len(keys), 4096):
-        np.add.at(counts, pg3.surface_index(frame, pg3.line_points_table(frame.ctx,
-                                                                         keys[lo:lo + 4096])), 1)
+        pts = oracles.line_points_table(frame.ctx, keys[lo:lo + 4096])
+        np.add.at(counts, pg3.surface_index(frame, pts), 1)
     return counts
 
 
@@ -372,7 +372,7 @@ def test_line_surface_index_matches_the_packed_path(family, p, h, request):
     assert len(plane) == (q + 1) // 2
     # two other points of a line are a non-canonical key row, which the kernel redoes
     some = np.concatenate([plane, rng.sample(range(len(cand.lines)), 30)])
-    other = pg3.line_points_table(ctx, cand.lines[some])[:, [3, 2]]
+    other = oracles.line_points_table(ctx, cand.lines[some])[:, [3, 2]]
     A, B = (np.stack(pg3.unpack_batch(ctx, other[:, k]), axis=1) for k in (0, 1))
     assert not pg3.is_rref_key(A, B).any()
     keys = np.vstack([cand.lines, np.asarray(extra, dtype=np.int64), other])
