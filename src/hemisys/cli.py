@@ -132,13 +132,11 @@ def cmd_eccount(args) -> int:
     from . import numbers
     q = args.p ** args.h
     ctx = numbers._field_of_order(q)
-    n_e3 = numbers.count_E3(ctx)
-    omega = next(x for x in ctx.elements_by_rank() if x and not ctx.is_square(x))
-    rec = numbers.count_C3_C4(ctx, omega)
+    rec = numbers.count_C3_C4(ctx, ctx.least_nonsquare())
     payload = {
-        "q": q, "N_E3": n_e3, "N_C3": rec.N_C3, "N_C4": rec.N_C4,
+        "q": q, "N_E3": rec.N_E3, "N_C3": rec.N_C3, "N_C4": rec.N_C4,
         "n_q": rec.n_q, "two_square": rec.two_square,
-        "conditionB": n_e3 in (q - 1, q + 3),
+        "conditionB": rec.N_E3 in (q - 1, q + 3),
         "identities_ok": rec.identities_ok(), "hasse_ok": rec.hasse_ok(),
     }
     if args.h == 1 and args.p % 4 == 1:
@@ -161,9 +159,7 @@ def cmd_diagnose(args) -> int:
     g1 = hemisystem.g_orbit(fr, m1)
     r, rp = hemisystem.count_r_rprime(fr, m1, "plus")
     m2 = curves.m2_half_orbit(fr, 1)
-    ctxq = numbers._field_of_order(fr.q)
-    omega_small = next(x for x in range(1, fr.q) if not ctxq.is_square(x % fr.q))
-    rec = numbers.count_C3_C4(ctxq, omega_small)
+    rec = numbers.count_C3_C4(fr.ctx2, fr.omega, fr.q)      # n_q and N_E3 do not depend on omega
     quad_ok = groups.quadruple_action_check(fr, args.samples, seed=0)
     q = fr.q
     payload = {

@@ -46,7 +46,7 @@ from .pg3 import HermitianFrame
 def _tower(ctx2: FieldCtx) -> tuple:
     """(q, y -> y^q table, nu the digit-lex smallest non-square, kappa = nu^((q-1)/2))."""
     q = ctx2.p ** (ctx2.d // 2)
-    nu = next(x for x in ctx2.elements_by_rank() if not ctx2.is_square(x))
+    nu = ctx2.least_nonsquare()
     return q, ctx2.frob_np(ctx2.d // 2), nu, ctx2.pow(nu, (q - 1) // 2)
 
 
@@ -150,12 +150,6 @@ class CurvePointSets:
     delta_minus: np.ndarray
 
 
-def subfield_elements(ctx2: FieldCtx) -> np.ndarray:
-    h = ctx2.d // 2
-    xs = np.arange(ctx2.order, dtype=np.int64)
-    return xs[ctx2.frob_np(h)[xs] == xs]
-
-
 def ft_point_sets(ctx2: FieldCtx) -> CurvePointSets:
     """Omega, Delta+ and Delta- for q = p^h = sqrt(|ctx2|), q = 1 mod 4, as sorted
     packed arrays.
@@ -251,7 +245,7 @@ def m2_half_orbit(fr: FTFrame, eps: int) -> np.ndarray:
     ctx2, q = fr.ctx2, fr.q
     y0 = fr.sqrtm2 if eps == 1 else ctx2.neg(fr.sqrtm2)
     y = vec_mul(ctx2, y0, ctx2.exp_np[2 * (q - 1) * np.arange((q + 1) // 2)])
-    a = subfield_elements(ctx2)[:, None]
+    a = ctx2.subfield(q)[:, None]
     two_a = vec_mul(ctx2, 2 % ctx2.p, a)
     return join_keys(ctx2, [((1, 0, a, vec_mul(ctx2, a, a)), (0, y, 1, two_a)),
                             ((0, 0, 0, 1), (0, vec_mul(ctx2, ctx2.exp_np[q - 1], y), 1, 0))],
@@ -288,16 +282,6 @@ class FTFrame:
     def in_gfq(self, x: int) -> bool:
         return self.ctx2.frobenius(x, self.h) == x
 
-    def chi_q(self, x: int) -> int:
-        """Quadratic character of GF(q) evaluated inside GF(q^2)."""
-        if x == 0:
-            return 0
-        v = self.ctx2.pow(x, (self.q - 1) // 2)
-        if v == 1:
-            return 1
-        check(v == self.ctx2.neg(1), f"x^((q-1)/2) = {v} is not +-1 for x = {x}")
-        return -1
-
     def p_eps(self, eps: int = None) -> tuple:
         """The tangency-line point (1, eps*sqrt(-2)*b, b, 0)."""
         e = self.eps if eps is None else eps
@@ -317,20 +301,15 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
         raise UsageError(f"q = {q} is not 1 mod 4")
     ctx2 = make_field(p, 2 * h)
     two = 2 % p
-    if ctx2.pow(two, (q - 1) // 2) != 1:
+    if ctx2.chi(two, q) != 1:
         raise UsageError(f"2 is a non-square in GF({q})")
-    # smallest non-square of GF(q) in digit-lex order
-    omega = None
-    neg1 = ctx2.neg(1)
-    for x in ctx2.elements_by_rank():
-        if x and ctx2.frobenius(x, h) == x and ctx2.pow(x, (q - 1) // 2) == neg1:
-            omega = x
-            break
+    omega = ctx2.least_nonsquare(q)
     b = ctx2.sqrt(omega)
     check(b is not None and ctx2.mul(b, b) == omega and ctx2.frobenius(b, h) == ctx2.neg(b),
           "b = sqrt(omega) is not a square root with b^q = -b")
     j = ctx2.pow(b, (q - 1) // 2)
-    check(ctx2.mul(j, j) == neg1 and ctx2.frobenius(j, h) == j, "j is not a sqrt(-1) in GF(q)")
+    check(ctx2.mul(j, j) == ctx2.neg(1) and ctx2.frobenius(j, h) == j,
+          "j is not a sqrt(-1) in GF(q)")
     sqrt2 = ctx2.sqrt(two)
     check(ctx2.frobenius(sqrt2, h) == sqrt2, "sqrt(2) is not in GF(q)")
     sqrtm2 = ctx2.mul(j, sqrt2)
@@ -338,12 +317,8 @@ def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:
     frame = pg3.ft_frame(ctx2)
 
     # chi solves chi = eps * (2 - chi*sqrt2)^((q-1)/2); exactly one value works
-    def char(x):
-        v = ctx2.pow(x, (q - 1) // 2)
-        return 1 if v == 1 else -1
-
     chis = [c for c in (1, -1)
-            if eps * char(ctx2.sub(two, sqrt2 if c == 1 else ctx2.neg(sqrt2))) == c]
+            if eps * ctx2.chi(ctx2.sub(two, sqrt2 if c == 1 else ctx2.neg(sqrt2)), q) == c]
     check(len(chis) == 1, f"{len(chis)} values of chi satisfy the sign identity")
     return FTFrame(p=p, h=h, eps=eps, ctx2=ctx2, frame=frame, b=b, omega=omega, j=j,
                    sqrt2=sqrt2, sqrtm2=sqrtm2, chi=chis[0])

@@ -24,6 +24,10 @@ The log of zero, 2(order-1), points past every sum of two true logs into
 a zero tail of exp, and the ends of zech take a zero operand to the other
 one, so zero needs no mask in either formula.
 
+GF(q) for q = p^k, k | d, is 0 and the powers of g^((order-1)/(q-1)):
+FieldCtx.subfield lists it, chi is its quadratic character and
+least_nonsquare its digit-lex least non-square, read off the log table.
+
 The tables are built with array operations, and make_field refuses a
 field whose tables would take more than TABLE_BYTES_CAP bytes.
 
@@ -382,11 +386,6 @@ class FieldCtx:
             self._frob_cache[k] = tab
         return self._frob_cache[k]
 
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        return bool(self.log_np[a] % 2 == 0)
-
     def sqrt(self, a: int):
         """Digit-lex smaller square root, or None for non-squares."""
         if a == 0:
@@ -410,6 +409,25 @@ class FieldCtx:
             return []
         step = n1 // m
         return sorted(int(self.exp_np[(lc // m + i * step) % n1]) for i in range(m))
+
+    def subfield(self, q: int | None = None) -> np.ndarray:
+        """GF(q) inside this field (default: all of it): 0, then the powers of
+        g^((order-1)/(q-1)) in log order."""
+        n1 = self.order - 1
+        return np.concatenate([[0], self.exp_np[:n1:n1 // ((q or self.order) - 1)]])
+
+    def chi(self, y, q: int | None = None):
+        """Quadratic character of GF(q) (default: this field) on its elements y, an int
+        or an array, with chi(0) = 0: a unit is a square iff its log is a multiple of
+        2(order-1)/(q-1)."""
+        step = 2 * (self.order - 1) // ((q or self.order) - 1)
+        return np.where(y == 0, 0, np.where(self.log_np[y] % step == 0, 1, -1))
+
+    def least_nonsquare(self, q: int | None = None) -> int:
+        """Digit-lex least non-square of GF(q) (default: this field): its log is an odd
+        multiple of s = (order-1)/(q-1)."""
+        s = (self.order - 1) // ((q or self.order) - 1)
+        return next(x for x in self.elements_by_rank() if x and self.log_np[x] % (2 * s) == s)
 
     def elements_by_rank(self):
         """All elements in digit-lex order, as an iterator: the searches over it stop

@@ -3,7 +3,7 @@
 A collineation is a plain (4, 4) int64 matrix over GF(q^2), acting on column
 points by left multiplication and taken modulo scalars: apply is its one
 kernel, on four coordinates that are ints or equal-shape arrays, and
-apply_to_keys images a batch of lines.  Products are pg3.mat_mul, and two
+apply_to_keys images a batch of lines.  Products are mat_mul, and two
 matrices are the same collineation when pg3.normalize of their 16 entries
 agrees.  Group generators are checked to preserve the active Hermitian form
 up to a scalar.
@@ -53,11 +53,16 @@ def apply(ctx: FieldCtx, M, cols) -> list:
     return out
 
 
+def mat_mul(ctx: FieldCtx, A, B) -> np.ndarray:
+    """Product of two (4, 4) matrices over the field: A applied to B's columns."""
+    return np.stack(apply(ctx, A, list(B)))
+
+
 def preserves_form(frame: HermitianFrame, M):
     """Scalar lam with M^(q)T G M = lam G, or None."""
     ctx = frame.ctx
     G = np.asarray(frame.gram, dtype=np.int64)
-    lhs = pg3.mat_mul(ctx, pg3.mat_mul(ctx, ctx.frob_np(ctx.d // 2)[M].T, G), M)
+    lhs = mat_mul(ctx, mat_mul(ctx, ctx.frob_np(ctx.d // 2)[M].T, G), M)
     nz = G != 0
     lam = vec_mul(ctx, lhs[nz], ctx.inv_np[G[nz]])
     if lam[0] and (lam == lam[0]).all() and not lhs[~nz].any():
@@ -166,11 +171,11 @@ def ft_group_gens(fr: FTFrame) -> tuple:
         check(preserves_form(fr.frame, M) is not None, "an ft generator breaks the form")
     w = mat_W(ctx)
     check(preserves_form(fr.frame, w) is not None, "w breaks the form")
-    check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, w).ravel())
+    check(pg3.normalize(ctx, mat_mul(ctx, w, w).ravel())
           == pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel()), "w^2 is not 1")
     for M in G:
-        check(pg3.normalize(ctx, pg3.mat_mul(ctx, w, M).ravel())
-              == pg3.normalize(ctx, pg3.mat_mul(ctx, M, w).ravel()), "w does not commute")
+        check(pg3.normalize(ctx, mat_mul(ctx, w, M).ravel())
+              == pg3.normalize(ctx, mat_mul(ctx, M, w).ravel()), "w does not commute")
     return G, H, w
 
 
@@ -183,10 +188,9 @@ def ft_word_images(fr: FTFrame, key) -> np.ndarray:
     one block of q (q-1)/2 (q+1)/2 lines at a time.
     """
     ctx, q = fr.ctx2, fr.q
-    e = ctx.exp_np
-    a = np.concatenate([[0], e[(q + 1) * np.arange(q - 1)]])[:, None, None]
-    rho = e[2 * (q + 1) * np.arange((q - 1) // 2)][:, None]
-    lam = e[2 * (q - 1) * np.arange((q + 1) // 2)]
+    a = ctx.subfield(q)[:, None, None]
+    rho = a[1::2, 0]
+    lam = ctx.exp_np[2 * (q - 1) * np.arange((q + 1) // 2)]
     rho_lam, rho2 = vec_mul(ctx, rho, lam), vec_mul(ctx, rho, rho)
     a2, two_a = vec_mul(ctx, a, a), vec_mul(ctx, 2 % ctx.p, a)
     shape = (len(a), len(rho), len(lam))

@@ -11,8 +11,9 @@ workspace grows with q), in place into its own uint8 row of one shared
 mapping, so memory grows with the points, not the incidences.  Workers past
 the caller are forked (np.add.at holds the GIL); failed children's shares
 are recounted in process, in order, to raise the first fault.  The caller
-then folds each child's row into its own one pg3.GROUP_SIZE span at a time
-and unmaps each folded span, so it never maps a child's whole row.
+then folds each child's row into its own one pg3.GROUP_SIZE span at a time;
+MADV_DONTNEED drops each folded span from its page tables only, as the shared
+pages stay until verify returns: _verify_bytes budgets one row per worker.
 Repeated lines could wrap a uint8 counter (a point is on q+1 <= 74
 distinct ones), making the int64 incidence total fall short.  A size whose arrays and tables
 would exceed physical memory, or whose surface indices would not fit an
@@ -143,7 +144,7 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
                if pg3.pack_point(ctx, fr.p_eps(e)) in pts]
     check(len(through) == 1, f"seed meets {len(through)} tangency points")
     # the closed-form sign rule picks + exactly when sqrt2 is itself a square
-    rule_sign = 1 if fr.chi_q(fr.sqrt2) == 1 else -1
+    rule_sign = 1 if fr.ctx2.chi(fr.sqrt2, fr.q) == 1 else -1
     prov = {"chi_used": chi, "u_sign_matches_rule": u_sign == rule_sign,
             "tangency_point": "plus" if through[0] == 1 else "minus"}
     return key, quad, prov
@@ -326,8 +327,8 @@ def verify(cand: HemisystemCandidate, threads: int = 1,
     for w in failed:                          # recount in share order: raises the first fault
         rows[w] = 0
         count(w)
-    # fold the children's rows into row 0 a span at a time, unmapping each folded span
-    # from this process; bincount casts its input to int64, so spans keep that copy small
+    # fold the children's rows into row 0 a span at a time, dropping each folded span from
+    # this process's page tables; bincount casts its input to int64, so spans keep that copy small
     counts, span = rows[0], max(pg3.GROUP_SIZE, mmap.PAGESIZE)
     hist = np.zeros(2 ** 8, dtype=np.int64)
     for lo in range(0, len(counts), span):

@@ -2,9 +2,9 @@
 
 The existence criterion for the ft family at q is that the elliptic
 curve Y^2 = X^3 - X has q-1 or q+3 points over GF(q).  Counts here are
-exact character sums, one array expression over every x of GF(q): a
-nonzero y is a square in GF(q) when its log is a multiple of step (2 in
-GF(q) itself, 2 (|ctx| - 1) / (q - 1) in a field ctx containing it).  The
+exact character sums over every x of GF(q), taken in a field ctx that
+contains it (FieldCtx.subfield and FieldCtx.chi), one pg3.GROUP_SIZE
+slice at a time so that no temporary grows with q.  The
 quartic Y^2 = X^4 - 24w X^2 + 16w^2 (w a non-square) and the cubic
 (1/2w) Y^2 = X^3 - X tie the criterion to the generator balance at the
 exceptional surface points.
@@ -31,12 +31,7 @@ import numpy as np
 
 from .gf import (FieldCtx, InvariantFailed, UsageError, check, factorize, is_prime, make_field,
                  vec_add, vec_mul, vec_neg)
-
-
-def _chi(ctx: FieldCtx, y: np.ndarray, step: int = 2) -> np.ndarray:
-    """Quadratic character, chi(0) = 0, on an array of ctx's elements that lie in the
-    subfield whose nonzero squares have logs divisible by step."""
-    return np.where(y == 0, 0, np.where(ctx.log_np[y] % step == 0, 1, -1))
+from .pg3 import GROUP_SIZE
 
 
 def _cubic(ctx: FieldCtx, x: np.ndarray) -> np.ndarray:
@@ -44,13 +39,18 @@ def _cubic(ctx: FieldCtx, x: np.ndarray) -> np.ndarray:
     return vec_add(ctx, vec_mul(ctx, x, vec_mul(ctx, x, x)), vec_neg(ctx, x))
 
 
+def _subfield_slices(ctx: FieldCtx, q: int):
+    """GF(q) inside ctx, GROUP_SIZE elements at a time."""
+    xs = ctx.subfield(q)
+    for lo in range(0, q, GROUP_SIZE):
+        yield xs[lo:lo + GROUP_SIZE]
+
+
 def count_E3(ctx: FieldCtx, q: int | None = None) -> int:
     """Projective |{Y^2 = X^3 - X}| = 1 + q + sum chi(x^3 - x) over the subfield GF(q)
-    of ctx (default: ctx), whose units are the powers of g^((|ctx| - 1) / (q - 1))."""
-    q = ctx.order if q is None else q
-    n1 = ctx.order - 1
-    xs = np.append(ctx.exp_np[:n1:n1 // (q - 1)], 0)
-    return 1 + q + int(_chi(ctx, _cubic(ctx, xs), 2 * n1 // (q - 1)).sum())
+    of ctx (default: ctx)."""
+    q = q or ctx.order
+    return 1 + q + sum(int(ctx.chi(_cubic(ctx, x), q).sum()) for x in _subfield_slices(ctx, q))
 
 
 @dataclass
@@ -78,22 +78,25 @@ class CountRecord:
         return ok
 
 
-def count_C3_C4(ctx_q: FieldCtx, omega: int) -> CountRecord:
-    """Counts of the quartic/cubic pair for a non-square omega."""
-    if ctx_q.is_square(omega):
+def count_C3_C4(ctx: FieldCtx, omega: int, q: int | None = None) -> CountRecord:
+    """Counts of the quartic/cubic pair for a non-square omega of the subfield GF(q)
+    of ctx (default: ctx)."""
+    q = q or ctx.order
+    if ctx.chi(omega, q) != -1:
         raise UsageError(f"{omega} is a square")
-    q = ctx_q.order
-    x = np.arange(q, dtype=np.int64)
-    x2 = vec_mul(ctx_q, x, x)
-    c24 = ctx_q.mul(24 % ctx_q.p, omega)
-    c16 = ctx_q.mul(16 % ctx_q.p, ctx_q.mul(omega, omega))
-    f = vec_add(ctx_q, vec_mul(ctx_q, x2, vec_add(ctx_q, x2, ctx_q.neg(c24))), c16)
-    check(bool(f.all()), "the quartic has a rational root at a non-square omega")
-    n_q = int((_chi(ctx_q, f) == 1).sum())
-    two_omega = ctx_q.mul(2 % ctx_q.p, omega)
-    n_c3 = 1 + q + int(_chi(ctx_q, vec_mul(ctx_q, two_omega, _cubic(ctx_q, x))).sum())
-    return CountRecord(q=q, omega=omega, N_E3=count_E3(ctx_q), N_C3=n_c3, N_C4=2 * n_q + 2,
-                       n_q=n_q, two_square=ctx_q.is_square(2 % ctx_q.p))
+    n_e3 = count_E3(ctx, q)                 # first, so that its slices and ours never coexist
+    c24 = ctx.mul(24 % ctx.p, omega)
+    c16 = ctx.mul(16 % ctx.p, ctx.mul(omega, omega))
+    two_omega = ctx.mul(2 % ctx.p, omega)
+    n_q = sum_c3 = 0
+    for x in _subfield_slices(ctx, q):
+        x2 = vec_mul(ctx, x, x)
+        f = vec_add(ctx, vec_mul(ctx, x2, vec_add(ctx, x2, ctx.neg(c24))), c16)
+        check(bool(f.all()), "the quartic has a rational root at a non-square omega")
+        n_q += int((ctx.chi(f, q) == 1).sum())
+        sum_c3 += int(ctx.chi(vec_mul(ctx, two_omega, _cubic(ctx, x)), q).sum())
+    return CountRecord(q=q, omega=omega, N_E3=n_e3, N_C3=1 + q + sum_c3, N_C4=2 * n_q + 2,
+                       n_q=n_q, two_square=bool(ctx.chi(2 % ctx.p, q) == 1))
 
 
 def condition_B_holds(q: int, ctx: FieldCtx | None = None) -> bool:

@@ -45,7 +45,7 @@ and the surface predicate is x^T G x^(q) = 0 in both cases.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -150,22 +150,11 @@ def normalize(ctx: FieldCtx, coords) -> tuple:
 
 
 def pack(ctx: FieldCtx, coords) -> int:
-    n = ctx.order
-    r = ctx.rank_np
-    c = coords
-    return int(((int(r[c[0]]) * n + int(r[c[1]])) * n + int(r[c[2]])) * n + int(r[c[3]]))
+    return int(_pack_rows(ctx, np.asarray(coords, dtype=np.int64)))
 
 
 def unpack(ctx: FieldCtx, packed: int) -> tuple:
-    n = ctx.order
-    u = ctx.unrank_np
-    r3 = packed % n
-    packed //= n
-    r2 = packed % n
-    packed //= n
-    r1 = packed % n
-    r0 = packed // n
-    return (int(u[r0]), int(u[r1]), int(u[r2]), int(u[r3]))
+    return tuple(map(int, unpack_batch(ctx, packed)))
 
 
 def pack_point(ctx: FieldCtx, coords) -> int:
@@ -175,14 +164,8 @@ def pack_point(ctx: FieldCtx, coords) -> int:
 def norm_pack_batch(ctx: FieldCtx, c0, c1, c2, c3):
     """Normalize and pack arrays of coordinates (no all-zero rows allowed)."""
     piv = np.where(c0 != 0, c0, np.where(c1 != 0, c1, np.where(c2 != 0, c2, c3)))
-    s = ctx.inv_np[piv]
-    r = ctx.rank_np
-    n = ctx.order
-    out = r[vec_mul(ctx, c0, s)]
-    out = out * n + r[vec_mul(ctx, c1, s)]
-    out = out * n + r[vec_mul(ctx, c2, s)]
-    out = out * n + r[vec_mul(ctx, c3, s)]
-    return out
+    return _pack_rows(ctx, vec_mul(ctx, np.stack([c0, c1, c2, c3], axis=-1),
+                                   ctx.inv_np[piv][..., None]))
 
 
 def unpack_batch(ctx: FieldCtx, packed):
@@ -218,15 +201,6 @@ def herm_form(frame: HermitianFrame, A, B):
 def on_surface(frame: HermitianFrame, P):
     """True where the point of the four coordinates P (ints or arrays) is on the surface."""
     return herm_form(frame, P, P) == 0
-
-
-# ---------------------------------------------------------------------------
-# 4x4 matrices over the field
-
-def mat_mul(ctx: FieldCtx, A, B) -> np.ndarray:
-    """Product of two (4, 4) matrices over the field."""
-    terms = vec_mul(ctx, np.asarray(A)[:, :, None], np.asarray(B)[None])   # A[i, k] B[k, j]
-    return reduce(lambda acc, t: vec_add(ctx, acc, t), terms.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

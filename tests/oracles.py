@@ -130,7 +130,7 @@ def ft_point_sets(ctx2: FieldCtx) -> tuple:
     h = ctx2.d // 2
     q = ctx2.p ** h
     m = (q + 1) // 2
-    ys = curves.subfield_elements(ctx2)
+    ys = ctx2.subfield(q)
     omega = pg3.norm_pack_batch(ctx2, np.ones_like(ys), np.zeros_like(ys), ys,
                                 gf.vec_mul(ctx2, ys, ys))
     omega = pg3.unique(np.append(omega, pg3.pack_point(ctx2, (0, 0, 0, 1))))

@@ -102,7 +102,7 @@ def test_criterion_04_orbit_structure(ft17, ft17_gens, ft17_seed, ft17_g1,
 def test_criterion_05_r_rprime_law(ft17, ft17_m1):
     r, rp = hemisystem.count_r_rprime(ft17, np.asarray(ft17_m1), "plus")
     ctxq = gf.make_field(17, 1)
-    omega = next(x for x in range(1, 17) if not ctxq.is_square(x))
+    omega = next(x for x in range(1, 17) if ctxq.chi(x) == -1)
     rec = numbers.count_C3_C4(ctxq, omega)
     n_e3 = numbers.count_E3(ctxq)
     # consistency chain: N_E3 = 16 forces N_C4 = 2q+2-16 = 20, n_q = 9
@@ -120,7 +120,7 @@ def test_criterion_06_tangency_equation_solution_count(ft17):
     b = ft17.b
     q = 17
     m = (q + 1) // 2
-    sqrt2_is_square = ft17.chi_q(ft17.sqrt2) == 1
+    sqrt2_is_square = ctx.chi(ft17.sqrt2, q) == 1
     counts = {}
     for eps in (1, -1):
         n = 0
@@ -153,7 +153,7 @@ def test_criterion_07_number_theory_suite():
         two_square = ctx.d % 2 == 0 or ctx.p % 8 in (1, 7)
         (twist_qs if two_square else iso_qs).append(q)
         for omega in range(1, q):
-            if ctx.is_square(omega):
+            if ctx.chi(omega) == 1:
                 continue
             rec = numbers.count_C3_C4(ctx, omega)
             hasse_ok &= rec.hasse_ok()

@@ -405,6 +405,13 @@ def test_eccount_stdout_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == ECCOUNT_STDOUT_SHA256[args]
 
 
+def test_eccount_counts_E3_once(capsys, monkeypatch):
+    calls, count = [], numbers.count_E3
+    monkeypatch.setattr(numbers, "count_E3", lambda *args: calls.append(args) or count(*args))
+    assert run(capsys, "eccount", "--p", "17")[0] == 0
+    assert len(calls) == 1
+
+
 def test_survey_stdout_pinned(capsys):
     code, out, _ = run(capsys, "survey", "--q-max", "101", "--format", "csv")
     assert code == 0

@@ -354,14 +354,14 @@ def test_ft_frame_setup_q17(ft17):
     assert ft17.in_gfq(ft17.j)
     assert ctx.mul(ft17.b, ctx.frobenius(ft17.b, 1)) == ctx.neg(ft17.omega)
     assert ctx.mul(ft17.sqrtm2, ft17.sqrtm2) == ctx.neg(2)
-    assert ft17.chi_q(ft17.omega) == -1      # non-square in GF(q)
+    assert ctx.chi(ft17.omega, 17) == -1     # non-square in GF(q)
     assert ft17.in_gfq(ft17.omega)
     # chi solves its sign identity, and the other value does not
     root = ft17.sqrt2 if ft17.chi == 1 else ctx.neg(ft17.sqrt2)
-    assert ft17.chi == ft17.eps * ft17.chi_q(ctx.sub(2, root))
+    assert ft17.chi == ft17.eps * ctx.chi(ctx.sub(2, root), 17)
     other = -ft17.chi
     oroot = ft17.sqrt2 if other == 1 else ctx.neg(ft17.sqrt2)
-    assert other != ft17.eps * ft17.chi_q(ctx.sub(2, oroot))
+    assert other != ft17.eps * ctx.chi(ctx.sub(2, oroot), 17)
 
 
 @pytest.mark.parametrize("p", [5, 13])

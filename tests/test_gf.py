@@ -172,12 +172,12 @@ def test_trace_of_antisymmetric_element_vanishes(F289):
 def test_euler_criterion_two_mod_17():
     F17 = gf.make_field(17, 1)
     assert F17.pow(2, 8) == 1
-    assert F17.is_square(2)
+    assert F17.chi(2) == 1
 
 
 def test_two_is_nonsquare_mod_5():
     F5 = gf.make_field(5, 1)
-    assert not F5.is_square(2)
+    assert F5.chi(2) == -1
     assert F5.pow(2, 2) == F5.neg(1)
 
 
@@ -187,6 +187,23 @@ def test_subfield_sizes(F289):
     xs = np.arange(ctx4.order, dtype=np.int64)
     fixed = (ctx4.frob_np(2)[xs] == xs).sum()
     assert fixed == 289
+
+
+@pytest.mark.parametrize("p,d,k", [(3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 4, 2), (3, 6, 3),
+                                   (5, 2, 1), (5, 4, 2), (7, 3, 1), (17, 2, 1), (17, 2, 2)])
+def test_subfield_chi_and_least_nonsquare_match_their_definitions(p, d, k):
+    # GF(q) = {x : x^q = x}, Euler's criterion, and the first non-square by rank
+    ctx, q = gf.make_field(p, d), p ** k
+    fixed = [x for x in range(ctx.order) if ctx.pow(x, q) == x]
+    xs = ctx.subfield(q)
+    assert xs.dtype == np.int64 and xs[0] == 0 and sorted(xs.tolist()) == fixed
+    euler = [0 if x == 0 else 1 if ctx.pow(x, (q - 1) // 2) == 1 else -1 for x in xs.tolist()]
+    assert ctx.chi(xs, q).tolist() == euler == [int(ctx.chi(x, q)) for x in xs.tolist()]
+    nonsquares = [x for x, c in zip(xs.tolist(), euler) if c == -1]
+    assert ctx.least_nonsquare(q) == min(nonsquares, key=lambda x: ctx.rank_np[x])
+    if k == d:
+        assert np.array_equal(ctx.subfield(), xs) and np.array_equal(ctx.chi(xs), ctx.chi(xs, q))
+        assert ctx.least_nonsquare() == ctx.least_nonsquare(q)
 
 
 def test_division_by_zero(F9):
@@ -205,7 +222,7 @@ def test_sqrt_square_roundtrip_small_fields():
 
 def test_sqrt_returns_lex_smaller_root(F289):
     for x in range(1, 289, 5):
-        if not F289.is_square(x):
+        if F289.chi(x) == -1:
             assert F289.sqrt(x) is None
             continue
         r = F289.sqrt(x)

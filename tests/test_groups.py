@@ -79,8 +79,8 @@ def test_cp_lift_multiplicative(F9):
                 F9.add(F9.mul(m1[0], m2[1]), F9.mul(m1[1], m2[3])),
                 F9.add(F9.mul(m1[2], m2[0]), F9.mul(m1[3], m2[2])),
                 F9.add(F9.mul(m1[2], m2[1]), F9.mul(m1[3], m2[3])))
-        assert pg3.normalize(F9, pg3.mat_mul(F9, oracles.cp_lift(F9, m1),
-                                             oracles.cp_lift(F9, m2)).ravel()) \
+        assert pg3.normalize(F9, groups.mat_mul(F9, oracles.cp_lift(F9, m1),
+                                                oracles.cp_lift(F9, m2)).ravel()) \
             == pg3.normalize(F9, oracles.cp_lift(F9, prod).ravel())
         done += 1
 
@@ -163,10 +163,10 @@ def test_w_is_commuting_involution(ft17, ft17_gens):
     G, H, w = ft17_gens
     ctx = ft17.ctx2
     ident = pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel())
-    assert pg3.normalize(ctx, pg3.mat_mul(ctx, w, w).ravel()) == ident
+    assert pg3.normalize(ctx, groups.mat_mul(ctx, w, w).ravel()) == ident
     for col in G:
-        assert pg3.normalize(ctx, pg3.mat_mul(ctx, w, col).ravel()) \
-            == pg3.normalize(ctx, pg3.mat_mul(ctx, col, w).ravel())
+        assert pg3.normalize(ctx, groups.mat_mul(ctx, w, col).ravel()) \
+            == pg3.normalize(ctx, groups.mat_mul(ctx, col, w).ravel())
 
 
 BUILD_GROUPS_WITH_A_BROKEN_FORM = """
@@ -229,7 +229,7 @@ def test_order2_fixed_structures(ft17):
 
     eta = ctx.pow(ctx.gen, q + 1)
     r_eta = groups.mat_R(ctx, eta)
-    sq = pg3.mat_mul(ctx, r_eta, r_eta)
+    sq = groups.mat_mul(ctx, r_eta, r_eta)
     ident = np.eye(4, dtype=np.int64)
     assert pg3.normalize(ctx, sq.ravel()) == pg3.normalize(ctx, ident.ravel())
     # fixed plane X3 = eta*X0 and isolated center (1, 0, 0, -eta)

@@ -73,7 +73,7 @@ def test_r_rprime_values(ft17, ft17_m1):
 def test_two_rprime_minus_one_equals_square_value_count(ft17, ft17_m1):
     _, rp = hemisystem.count_r_rprime(ft17, np.asarray(ft17_m1), "plus")
     ctxq = gf.make_field(17, 1)
-    omega = next(x for x in range(1, 17) if not ctxq.is_square(x))
+    omega = next(x for x in range(1, 17) if ctxq.chi(x) == -1)
     rec = numbers.count_C3_C4(ctxq, omega)
     assert 2 * rp - 1 == rec.n_q == 9
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_count_records_all_nonsquare_omegas(q):
     ctx = numbers._field_of_order(q)
     n_qs = set()
     for omega in range(1, q):
-        if ctx.is_square(omega):
+        if ctx.chi(omega) == 1:
             continue
         rec = numbers.count_C3_C4(ctx, omega)
         assert rec.identities_ok(), rec
@@ -56,6 +57,31 @@ def test_count_record_q17_values():
     rec = numbers.count_C3_C4(ctx, 3)
     assert (rec.N_E3, rec.N_C3, rec.N_C4, rec.n_q) == (16, 20, 20, 9)
     assert rec.n_q in ((17 + 1) // 2, (17 - 3) // 2)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29])
+def test_count_C3_C4_over_a_subfield_matches_its_own_field(q):
+    # diagnose counts GF(q) inside the GF(q^2) of its ft frame; no count depends on omega
+    ctx = numbers._field_of_order(q)
+    ctx2 = gf.make_field(ctx.p, 2 * ctx.d)
+    rec, rec2 = (numbers.count_C3_C4(c, c.least_nonsquare(q), q) for c in (ctx, ctx2))
+    assert (rec.q, rec.N_E3, rec.N_C3, rec.N_C4, rec.n_q, rec.two_square) \
+        == (rec2.q, rec2.N_E3, rec2.N_C3, rec2.N_C4, rec2.n_q, rec2.two_square)
+    assert rec2.identities_ok() and rec2.hasse_ok()
+
+
+def test_character_sums_hold_ten_bytes_an_element():
+    # the sums go a pg3.GROUP_SIZE slice at a time: only GF(q)'s int64 list spans q
+    q = 1_000_117
+    ctx = gf.make_field(q, 1)
+    for count, args in ((numbers.count_E3, ()), (numbers.count_C3_C4, (ctx.least_nonsquare(),))):
+        tracemalloc.start()
+        try:
+            count(ctx, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * q, (count.__name__, peak / q)
 
 
 def test_count_record_rejects_square_omega():
