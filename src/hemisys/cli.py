@@ -153,14 +153,13 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     fr = curves.ft_frame_setup(args.p, args.h, eps=args.eps)
     sets = curves.ft_point_sets(fr.ctx2)
-    groups.ft_group_gens(fr)                  # raises unless the generators preserve the form
     key0, _, prov = hemisystem.seed_generator_g0(fr)
     m1 = hemisystem.m1_half_orbit(fr, key0)
     g1 = hemisystem.g_orbit(fr, m1)
     r, rp = hemisystem.count_r_rprime(fr, m1, "plus")
     m2 = curves.m2_half_orbit(fr, 1)
     rec = numbers.count_C3_C4(fr.ctx2, fr.omega, fr.q)      # n_q and N_E3 do not depend on omega
-    quad_ok = groups.quadruple_action_check(fr, args.samples, seed=0)
+    quad_ok = groups.quadruple_action_check(fr, sets, g1)
     q = fr.q
     payload = {
         "p": args.p, "h": args.h, "q": q, "eps": fr.eps, "chi": fr.chi,
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--p", type=int, required=True)
     d.add_argument("--h", type=positive_int, default=1)
     d.add_argument("--eps", type=int, choices=(1, -1), default=1)
-    d.add_argument("--samples", type=positive_int, default=1000)
     d.set_defaults(func=cmd_diagnose)
     return ap
 

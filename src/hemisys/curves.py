@@ -279,9 +279,6 @@ class FTFrame:
     def q(self) -> int:
         return self.p ** self.h
 
-    def in_gfq(self, x: int) -> bool:
-        return self.ctx2.frobenius(x, self.h) == x
-
     def p_eps(self, eps: int = None) -> tuple:
         """The tangency-line point (1, eps*sqrt(-2)*b, b, 0)."""
         e = self.eps if eps is None else eps

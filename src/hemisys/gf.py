@@ -397,19 +397,6 @@ class FieldCtx:
         r2 = int(self.neg_np[r])
         return r if self.rank_np[r] <= self.rank_np[r2] else r2
 
-    def power_residue_solutions(self, c: int, m: int) -> list:
-        """All x with x^m = c, via discrete logs; empty if c is no m-th power."""
-        if c == 0:
-            raise ValueError("c must be nonzero")
-        n1 = self.order - 1
-        if m <= 0 or n1 % m:
-            raise ValueError(f"exponent {m} does not divide order-1")
-        lc = int(self.log_np[c])
-        if lc % m:
-            return []
-        step = n1 // m
-        return sorted(int(self.exp_np[(lc // m + i * step) % n1]) for i in range(m))
-
     def subfield(self, q: int | None = None) -> np.ndarray:
         """GF(q) inside this field (default: all of it): 0, then the powers of
         g^((order-1)/(q-1)) in log order."""
@@ -425,14 +412,9 @@ class FieldCtx:
 
     def least_nonsquare(self, q: int | None = None) -> int:
         """Digit-lex least non-square of GF(q) (default: this field): its log is an odd
-        multiple of s = (order-1)/(q-1)."""
+        multiple of s = (order-1)/(q-1).  The search stops early, so it makes few Python ints."""
         s = (self.order - 1) // ((q or self.order) - 1)
-        return next(x for x in self.elements_by_rank() if x and self.log_np[x] % (2 * s) == s)
-
-    def elements_by_rank(self):
-        """All elements in digit-lex order, as an iterator: the searches over it stop
-        early, so no command makes a Python int of every element."""
-        return map(int, self.unrank_np)
+        return next(x for x in map(int, self.unrank_np) if x and self.log_np[x] % (2 * s) == s)
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.d}), poly={list(self.poly)})"

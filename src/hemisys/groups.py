@@ -10,10 +10,15 @@ up to a scalar.
 
 The group G is generated by the five matrix families T_a, M_rho, N_sigma,
 R_mu, L_lambda together with the extra commuting involution
-w = diag(1,-1,1,1) which swaps the two curves.  The same five families act
-on parameter quadruples (u,v,s,t) of the Delta-meeting generators;
-quadruple_action_check certifies that each matrix realizes its quadruple
-map.
+w = diag(1,-1,1,1) which swaps the two curves.  A Delta-meeting generator
+joins (1, u, v, v^2) in Delta+ to (1, s, t, t^2) in Delta-, and its
+quadruple (u, v, s, t) satisfies the relations of quad_relations_hold;
+quadruples lists every solution as arrays.  Each generator of ft_generators
+maps the points (1, x, y, y^2) by one pair map (x, y) -> (x', y'), on (u, v)
+and on (s, t).  quadruple_action_check proves, on every quadruple and point
+rather than a sample, that the quadruples' lines are G's orbit of the seed,
+one line each, and that each generator's matrix sends a quadruple's line to
+the line of its image under the pair map.
 
 T, M and N act on (X0, X2, X3) as PSL(2, q) on the conic X0 X3 = X2^2 and
 L scales X1, so the index-2 subgroup H has a Bruhat normal form: with g the
@@ -28,11 +33,9 @@ curves.m2_half_orbit), and G's orbit of a line is H's and its image by R.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from .gf import FieldCtx, InvariantFailed, check, vec_add, vec_mul
+from .gf import FieldCtx, check, vec_add, vec_mul, vec_neg
 from . import pg3
 from .pg3 import HermitianFrame
 from .curves import FTFrame
@@ -112,49 +115,16 @@ def mat_W(ctx: FieldCtx):
                      [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
 
 
-def quad_T(ctx, a):
-    return lambda q: (q[0], ctx.add(q[1], a), q[2], ctx.add(q[3], a))
+def ft_generators(fr: FTFrame) -> list:
+    """(matrix, pair map, swaps) of T_1, T_eta, M_rho0, N_sigma0, L_lam0, R_eta and w.
 
-
-def quad_M(ctx, rho):
-    return lambda q: tuple(ctx.mul(rho, x) for x in q)
-
-
-def quad_N(ctx, sigma):
-    def f(q):
-        u, v, s, t = q
-        vi, ti = ctx.inv(v), ctx.inv(t)
-        return (ctx.mul(sigma, ctx.mul(ctx.mul(vi, vi), u)), vi,
-                ctx.mul(sigma, ctx.mul(ctx.mul(ti, ti), s)), ti)
-    return f
-
-
-def quad_R(ctx, mu):
-    def f(q):
-        u, v, s, t = q
-        vi, ti = ctx.inv(v), ctx.inv(t)
-        return (ctx.mul(mu, ctx.mul(ctx.mul(vi, vi), u)), ctx.mul(mu, vi),
-                ctx.mul(mu, ctx.mul(ctx.mul(ti, ti), s)), ctx.mul(mu, ti))
-    return f
-
-
-def quad_L(ctx, lam):
-    return lambda q: (ctx.mul(lam, q[0]), q[1], ctx.mul(lam, q[2]), q[3])
-
-
-def quad_W(ctx):
-    # diag(1,-1,1,1) sends (1,u,v,v^2) to (1,-u,v,v^2), which lies on the
-    # opposite curve with parameters (-u, v); the line swaps its two
-    # parameter pairs accordingly.
-    return lambda q: (ctx.neg(q[2]), q[3], ctx.neg(q[0]), q[1])
-
-
-def ft_group_gens(fr: FTFrame) -> tuple:
-    """Generator lists of the full group G and the index-2 subgroup H, and w.
-
-    The subgroup uses translations, square dilations, one sigma-inversion
-    and one central scalar; adding one non-square dilation-inversion R
-    yields the full group.  Orbit cardinalities certify the closure.
+    The first five generate the index-2 subgroup H: translations, square
+    dilations, one sigma-inversion and one central scalar; the non-square
+    dilation-inversion R adds the rest of G.  The matrix sends (1, x, y, y^2)
+    to (1, x', y', y'^2) up to a scalar, (x', y') = map(x, y) on ints or arrays,
+    and swaps is true for w alone, which swaps Delta+ and Delta-.  Raises
+    InvariantFailed unless every matrix preserves the form and w is an
+    involution that commutes with the rest.
     """
     ctx = fr.ctx2
     q = fr.q
@@ -164,19 +134,29 @@ def ft_group_gens(fr: FTFrame) -> tuple:
     lam0 = ctx.pow(ctx.gen, 2 * (q - 1))        # order (q+1)/2
     check(ctx.pow(sigma0, (q + 1) // 2) == ctx.neg(1), "sigma0^((q+1)/2) is not -1")
     check(ctx.pow(lam0, (q + 1) // 2) == 1, "lam0^((q+1)/2) is not 1")
-    H = [mat_T(ctx, 1), mat_T(ctx, eta), mat_M(ctx, rho0), mat_N(ctx, sigma0),
-         mat_L(ctx, lam0)]
-    G = H + [mat_R(ctx, eta)]
+    inv = ctx.inv_np
+
+    def mul(a, b):
+        return vec_mul(ctx, a, b)
+
+    gens = [(mat_T(ctx, 1), lambda x, y: (x, vec_add(ctx, y, 1)), False),
+            (mat_T(ctx, eta), lambda x, y: (x, vec_add(ctx, y, eta)), False),
+            (mat_M(ctx, rho0), lambda x, y: (mul(rho0, x), mul(rho0, y)), False),
+            (mat_N(ctx, sigma0), lambda x, y: (mul(sigma0, mul(x, inv[mul(y, y)])), inv[y]), False),
+            (mat_L(ctx, lam0), lambda x, y: (mul(lam0, x), y), False),
+            (mat_R(ctx, eta), lambda x, y: (mul(eta, mul(x, inv[mul(y, y)])), mul(eta, inv[y])),
+             False),
+            (mat_W(ctx), lambda x, y: (vec_neg(ctx, x), y), True)]
+    *G, w = (M for M, _, _ in gens)
     for M in G:
         check(preserves_form(fr.frame, M) is not None, "an ft generator breaks the form")
-    w = mat_W(ctx)
     check(preserves_form(fr.frame, w) is not None, "w breaks the form")
     check(pg3.normalize(ctx, mat_mul(ctx, w, w).ravel())
           == pg3.normalize(ctx, np.eye(4, dtype=np.int64).ravel()), "w^2 is not 1")
     for M in G:
         check(pg3.normalize(ctx, mat_mul(ctx, w, M).ravel())
               == pg3.normalize(ctx, mat_mul(ctx, M, w).ravel()), "w does not commute")
-    return G, H, w
+    return gens
 
 
 def ft_word_images(fr: FTFrame, key) -> np.ndarray:
@@ -213,98 +193,90 @@ def ft_word_images(fr: FTFrame, key) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadruples of Delta-meeting generators
 
-def quad_relations_hold(fr: FTFrame, quad) -> bool:
+def quad_relations_hold(fr: FTFrame, quad):
+    """True where (u, v, s, t), four ints or equal-shape arrays, is a quadruple:
+    v, t off GF(q), u^((q+1)/2) = v^q - v, s^((q+1)/2) = t - t^q,
+    s u^q = (t - v^q)^2 and (v + t)^(q+1) = 2 Tr(vt).  With v, t off GF(q) and
+    s u^q = (t - v^q)^2, any two of the other three equations imply the third."""
+    ctx, m, n1 = fr.ctx2, (fr.q + 1) // 2, fr.ctx2.order - 1
+    frob = ctx.frob_np(fr.h)
+    u, v, s, t = (np.asarray(x, dtype=np.int64) for x in quad)
+    neg = ctx.neg_np
+
+    def half_power(x):                          # x^((q+1)/2)
+        return np.where(x == 0, 0, ctx.exp_np[ctx.log_np[x] * m % n1])
+
+    fv, ft, vt, w = frob[v], frob[t], vec_mul(ctx, v, t), vec_add(ctx, v, t)
+    d = vec_add(ctx, t, neg[fv])
+    return ((fv != v) & (ft != t)
+            & (half_power(u) == vec_add(ctx, fv, neg[v]))
+            & (half_power(s) == vec_add(ctx, t, neg[ft]))
+            & (vec_mul(ctx, s, frob[u]) == vec_mul(ctx, d, d))
+            & (vec_mul(ctx, w, frob[w]) == vec_mul(ctx, 2 % ctx.p, vec_add(ctx, vt, frob[vt]))))
+
+
+def quad_line(fr: FTFrame, quad) -> np.ndarray:
+    """Key rows (n, 2) of the lines <(1, u, v, v^2), (1, s, t, t^2)> of the quadruples
+    (u, v, s, t), four ints or equal-length arrays."""
     ctx = fr.ctx2
-    q = fr.q
-    m = (q + 1) // 2
-    u, v, s, t = quad
-    if fr.in_gfq(v) or fr.in_gfq(t):
-        return False
-    fv = ctx.frobenius(v, fr.h)
-    ft = ctx.frobenius(t, fr.h)
-    if ctx.pow(u, m) != ctx.sub(fv, v):
-        return False
-    if ctx.neg(ctx.pow(s, m)) != ctx.sub(ft, t):
-        return False
-    d = ctx.sub(t, fv)
-    if s != ctx.div(ctx.mul(d, d), ctx.frobenius(u, fr.h)):
-        return False
-    vt = ctx.mul(v, t)
-    lhs = ctx.pow(ctx.add(v, t), q + 1)
-    rhs = ctx.mul(2 % ctx.p, ctx.add(vt, ctx.frobenius(vt, fr.h)))
-    return lhs == rhs
+    u, v, s, t = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in quad)
+    one = np.ones_like(v)
+    return pg3.line_keys_batch(ctx, np.stack([one, u, v, vec_mul(ctx, v, v)], axis=1),
+                               np.stack([one, s, t, vec_mul(ctx, t, t)], axis=1))
 
 
-def quad_line(fr: FTFrame, quad) -> tuple:
-    u, v, s, t = quad
+def quadruples(fr: FTFrame):
+    """Every quadruple (u, v, s, t), as four equal-length arrays, a block of v at a time.
+
+    v and t run over GF(q^2) off GF(q).  Each pair with (v + t)^(q+1) =
+    2 Tr(vt) takes the (q+1)/2 roots u of u^((q+1)/2) = v^q - v, read off the
+    log table as curves.ft_point_sets does, and s = (t - v^q)^2 / u^q; the
+    rows where every relation holds are kept.  A block holds about
+    pg3.GROUP_SIZE pairs (v, t).
+    """
+    ctx, m, n1 = fr.ctx2, (fr.q + 1) // 2, fr.ctx2.order - 1
+    frob = ctx.frob_np(fr.h)
+    xs = np.arange(ctx.order, dtype=np.int64)
+    off = xs[frob != xs]
+    for v in np.split(off, range(step := max(1, pg3.GROUP_SIZE // len(off)), len(off), step)):
+        vt, w = vec_mul(ctx, v[:, None], off), vec_add(ctx, v[:, None], off)
+        i, j = np.nonzero(vec_mul(ctx, w, frob[w])
+                          == vec_mul(ctx, 2 % ctx.p, vec_add(ctx, vt, frob[vt])))
+        lc = ctx.log_np[vec_add(ctx, frob[v[i]], vec_neg(ctx, v[i]))]
+        u = ctx.exp_np[(lc[:, None] // m + n1 // m * np.arange(m)) % n1].ravel()
+        v, t = np.repeat(v[i], m), np.repeat(off[j], m)
+        d = vec_add(ctx, t, vec_neg(ctx, frob[v]))
+        quad = (u, v, vec_mul(ctx, vec_mul(ctx, d, d), ctx.inv_np[frob[u]]), t)
+        ok = quad_relations_hold(fr, quad)
+        yield tuple(x[ok] for x in quad)
+
+
+def quadruple_action_check(fr: FTFrame, sets, g1) -> bool:
+    """True iff (a) the lines of quadruples(fr) are g1, the sorted key rows of G's orbit
+    of the seed, each once; (b) each matrix sends every point (1, x, y, y^2) of
+    Delta+ and Delta- (sets, curves.ft_point_sets) to (1, x', y', y'^2), (x', y') its
+    pair map of (x, y), in the same set (the other for w); (c) each pair map sends
+    every quadruple to one that satisfies the relations.  By (b) a matrix sends a
+    quadruple's line to its image's line; by (c) that image is again one of the
+    quadruples, which list every solution, so by (a) it acts on g1 as its pair map."""
     ctx = fr.ctx2
-    P = (1, u, v, ctx.mul(v, v))
-    Q = (1, s, t, ctx.mul(t, t))
-    return pg3.line_key(ctx, P, Q)
-
-
-def base_quadruple(fr: FTFrame) -> tuple:
-    """Deterministic first quadruple: smallest v, u, t in digit-lex order."""
-    ctx = fr.ctx2
-    q = fr.q
-    m = (q + 1) // 2
-    v = next(x for x in ctx.elements_by_rank() if x and not fr.in_gfq(x))
-    u = ctx.power_residue_solutions(
-        ctx.sub(ctx.frobenius(v, fr.h), v), m)[0]
-    two = 2 % ctx.p
-    for t in ctx.elements_by_rank():
-        if not t or fr.in_gfq(t):
-            continue
-        vt = ctx.mul(v, t)
-        if ctx.pow(ctx.add(v, t), q + 1) == ctx.mul(two, ctx.add(vt, ctx.frobenius(vt, fr.h))):
-            d = ctx.sub(t, ctx.frobenius(v, fr.h))
-            s = ctx.div(ctx.mul(d, d), ctx.frobenius(u, fr.h))
-            quad = (u, v, s, t)
-            if quad_relations_hold(fr, quad):
-                return quad
-    raise InvariantFailed("no base quadruple found")
-
-
-def _random_square(ctx, q, rng):
-    eta = ctx.pow(ctx.gen, q + 1)
-    return ctx.pow(eta, 2 * rng.randrange(1, (q - 1) // 2 + 1))
-
-
-def quadruple_action_check(fr: FTFrame, n_samples: int, seed: int = 0) -> bool:
-    """Matrix action and quadruple-map action agree on sampled generators."""
-    ctx = fr.ctx2
-    q = fr.q
-    rng = random.Random(seed)
-    eta = ctx.pow(ctx.gen, q + 1)
-    quad = base_quadruple(fr)
-
-    def random_pair(rng):
-        kind = rng.randrange(6)
-        if kind == 0:
-            a = ctx.pow(eta, rng.randrange(q - 1)) if rng.random() < 0.9 else 0
-            return mat_T(ctx, a), quad_T(ctx, a)
-        if kind == 1:
-            rho = _random_square(ctx, q, rng)
-            return mat_M(ctx, rho), quad_M(ctx, rho)
-        if kind == 2:
-            sigma = ctx.mul(ctx.pow(ctx.gen, q - 1),
-                            ctx.pow(ctx.pow(ctx.gen, 2 * (q - 1)), rng.randrange((q + 1) // 2)))
-            return mat_N(ctx, sigma), quad_N(ctx, sigma)
-        if kind == 3:
-            mu = ctx.mul(eta, _random_square(ctx, q, rng))
-            return mat_R(ctx, mu), quad_R(ctx, mu)
-        if kind == 4:
-            lam = ctx.pow(ctx.pow(ctx.gen, 2 * (q - 1)), rng.randrange((q + 1) // 2))
-            return mat_L(ctx, lam), quad_L(ctx, lam)
-        return mat_W(ctx), quad_W(ctx)
-
-    for _ in range(n_samples):
-        M, qmap = random_pair(rng)
-        image = qmap(quad)
-        if not quad_relations_hold(fr, image):
-            return False
-        A, B = pg3.key_points(ctx, quad_line(fr, quad))
-        if pg3.line_key(ctx, apply(ctx, M, A), apply(ctx, M, B)) != quad_line(fr, image):
-            return False
-        quad = image
-    return True
+    gens = ft_generators(fr)
+    deltas = (sets.delta_plus, sets.delta_minus)
+    for k, packed in enumerate(deltas):
+        P = pg3.unpack_batch(ctx, packed)
+        for M, pair, swaps in gens:
+            x, y = pair(P[1], P[2])
+            image = pg3.norm_pack_batch(ctx, *apply(ctx, M, P))
+            if not (np.array_equal(image, pg3.norm_pack_batch(ctx, P[0], x, y, vec_mul(ctx, y, y)))
+                    and pg3.member(image, deltas[k ^ swaps]).all()):
+                return False
+    codes = []
+    for quad in quadruples(fr):
+        codes.append(pg3.line_codes(ctx, quad_line(fr, quad)))
+        for _, pair, swaps in gens:
+            image = pair(*quad[:2]) + pair(*quad[2:])
+            if not quad_relations_hold(fr, image[2:] + image[:2] if swaps else image).all():
+                return False
+    codes = np.concatenate(codes)
+    codes.sort()
+    return np.array_equal(codes, pg3.line_codes(ctx, g1))

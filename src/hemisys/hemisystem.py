@@ -129,14 +129,14 @@ def seed_generator_g0(fr: FTFrame) -> tuple:
     s0 = ctx.div(ctx.mul(d, d), ctx.frobenius(u0, fr.h))
     quad = (u0, v0, s0, t0)
     checks = [
-        groups.quad_relations_hold(fr, quad),
+        bool(groups.quad_relations_hold(fr, quad)),
         ctx.mul(ctx.frobenius(u0, fr.h), s0) == sixteen_b2,
         ctx.mul(d, d) == sixteen_b2,
         ctx.add(v0, t0) == ctx.mul(ctx.neg(4 % ctx.p), b),
         ctx.mul(v0, t0) == ctx.mul(ctx.neg(4 % ctx.p), ctx.mul(b, b)),
     ]
     check(all(checks), f"structural checks failed: {checks}")
-    key = groups.quad_line(fr, quad)
+    key = tuple(int(x) for x in groups.quad_line(fr, quad)[0])
     A, B = pg3.key_points(ctx, key)
     check(pg3.is_generator(fr.frame, A, B), "seed line is not a generator")
     pts = set(int(x) for x in pg3.line_points(ctx, A, B))

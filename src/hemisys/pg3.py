@@ -317,11 +317,6 @@ def line_points(ctx: FieldCtx, A, B) -> np.ndarray:
     return np.sort(line_points_batch(ctx, [A], [B])[0])
 
 
-def line_key(ctx: FieldCtx, A, B) -> tuple:
-    k = line_keys_batch(ctx, [A], [B])
-    return (int(k[0, 0]), int(k[0, 1]))
-
-
 def key_points(ctx: FieldCtx, key) -> tuple:
     return unpack(ctx, key[0]), unpack(ctx, key[1])
 

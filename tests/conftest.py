@@ -32,7 +32,7 @@ def ft17_sets(ft17):
 
 @pytest.fixture(scope="session")
 def ft17_gens(ft17):
-    return groups.ft_group_gens(ft17)
+    return oracles.ft_group_gens(ft17)
 
 
 @pytest.fixture(scope="session")

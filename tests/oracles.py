@@ -16,7 +16,11 @@ line_points_table (the packed reference for count_incidences),
 classify_point_type (types I, II and III of a point off the curve) and
 condition_checks (the balance of the curve-meeting half-set at one point).
 ft_point_sets is the per-v loop that the library's array code replaced,
-kept as its reference.
+kept as its reference.  power_residue_solutions (the scalar m-th roots of an
+element), in_gfq (membership of GF(q) in GF(q^2)), line_key (the key of one
+line from two points) and ft_group_gens (the matrices of
+groups.ft_generators as the lists G, H and w) lost their last library caller
+to array code.
 """
 
 from __future__ import annotations
@@ -49,6 +53,50 @@ def dot4(ctx: FieldCtx, row, vec) -> int:
     for a, b in zip(row, vec):
         acc = ctx.add(acc, ctx.mul(a, b))
     return acc
+
+
+def ft_group_gens(fr: curves.FTFrame) -> tuple:
+    """Generator lists of the full group G and the index-2 subgroup H, and w, from
+    groups.ft_generators (which checks them)."""
+    *G, w = (M for M, _, _ in groups.ft_generators(fr))
+    return G, G[:5], w
+
+
+def without_sigma(table):
+    """groups.ft_generators, given as table, with N_sigma0's pair map short of its
+    sigma0 factor: (x, y) -> (x / y^2, 1 / y), a broken map for the exact check."""
+    def gens(fr):
+        out, ctx = table(fr), fr.ctx2
+        inv = ctx.inv_np
+        out[3] = (out[3][0], lambda x, y: (gf.vec_mul(ctx, x, inv[gf.vec_mul(ctx, y, y)]), inv[y]),
+                  out[3][2])
+        return out
+    return gens
+
+
+def line_key(ctx: FieldCtx, A, B) -> tuple:
+    """Key of the line through the points A and B, as a pair of ints."""
+    k = pg3.line_keys_batch(ctx, [A], [B])
+    return (int(k[0, 0]), int(k[0, 1]))
+
+
+def power_residue_solutions(ctx: FieldCtx, c: int, m: int) -> list:
+    """All x with x^m = c, via discrete logs; empty if c is no m-th power."""
+    if c == 0:
+        raise ValueError("c must be nonzero")
+    n1 = ctx.order - 1
+    if m <= 0 or n1 % m:
+        raise ValueError(f"exponent {m} does not divide order-1")
+    lc = int(ctx.log_np[c])
+    if lc % m:
+        return []
+    step = n1 // m
+    return sorted(int(ctx.exp_np[(lc // m + i * step) % n1]) for i in range(m))
+
+
+def in_gfq(fr: curves.FTFrame, x: int) -> bool:
+    """True iff the element x of GF(q^2) lies in GF(q)."""
+    return fr.ctx2.frobenius(x, fr.h) == x
 
 
 def cp_curve_points(ctx2: FieldCtx) -> np.ndarray:
@@ -140,7 +188,7 @@ def ft_point_sets(ctx2: FieldCtx) -> tuple:
             continue
         c = ctx2.sub(ctx2.frobenius(v, h), v)
         for sign, rhs in ((1, c), (-1, ctx2.neg(c))):
-            us = ctx2.power_residue_solutions(rhs, m)
+            us = power_residue_solutions(ctx2, rhs, m)
             gf.check(len(us) == m, "u^((q+1)/2) = +-(v^q - v) has not (q+1)/2 solutions")
             rows[sign] += [(1, u, v, ctx2.mul(v, v)) for u in us]
     return (omega, *(pg3.unique(pg3.norm_pack_batch(ctx2, *np.asarray(rows[s]).T))
@@ -277,7 +325,7 @@ def cp_group_gens(ctx: FieldCtx) -> tuple:
 
 def ell_line(fr: curves.FTFrame, eps: int) -> tuple:
     """Generator joining the origin (1,0,0,0) to (1, eps*sqrt(-2)b, b, 0)."""
-    return pg3.line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))
+    return line_key(fr.ctx2, (1, 0, 0, 0), fr.p_eps(eps))
 
 
 

@@ -125,7 +125,7 @@ def test_criterion_06_tangency_equation_solution_count(ft17):
     for eps in (1, -1):
         n = 0
         for v in range(ctx.order):
-            if ft17.in_gfq(v):
+            if oracles.in_gfq(ft17, v):
                 continue
             lhs = ctx.pow(ctx.add(ctx.mul(v, v), ctx.mul(2, ctx.mul(b, v))), m)
             rhs = ctx.mul(ctx.mul(ft17.sqrt2, b), ctx.sub(ctx.frobenius(v, 1), v))
@@ -198,7 +198,7 @@ def test_criterion_09_gauss_formula():
                    f"({'all exact' if ok else f'failures: {bad}'})")
 
 
-def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
+def test_criterion_10_property_suites(ft17, ft17_sets, ft17_g1, ft17_chords, cp3_build):
     parts = {}
 
     # imaginary chords are generators disjoint from the rational points
@@ -220,8 +220,8 @@ def test_criterion_10_property_suites(ft17, ft17_sets, ft17_chords, cp3_build):
                                        for c in (0, 1))).all()
         and not np.isin(rows17.reshape(-1), np.sort(rational)).any())
 
-    # quadruple action vs matrix action on 10^3 samples
-    parts["quad_action_1000"] = groups.quadruple_action_check(ft17, 1000, seed=0)
+    # quadruple action vs matrix action on every quadruple of the G-orbit
+    parts["quad_action_exact"] = groups.quadruple_action_check(ft17, ft17_sets, ft17_g1)
 
     # complement of the q=3 hemisystem is a hemisystem
     cand, _ = cp3_build

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import hemisys
-from hemisys import cli, curves, gf, hemisystem, numbers, pg3
+from hemisys import cli, curves, gf, groups, hemisystem, numbers, pg3
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -191,8 +193,8 @@ def test_bad_user_input_exit_code(capsys, tmp_path):
             (["verify", str(under_a_file)], "error: [Errno 20] Not a directory"),
             (["diagnose", "--p", "7"], "error: q = 7 is not 1 mod 4"),
             (["diagnose", "--p", "17", "--h", "0"], "invalid positive_int value: '0'"),
-            (["diagnose", "--p", "17", "--samples", "0"], "invalid positive_int value: '0'"),
-            (["diagnose", "--p", "17", "--samples", "-5"], "invalid positive_int value: '-5'")):
+            (["diagnose", "--p", "17", "--samples", "100"],
+             "unrecognized arguments: --samples 100")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err, argv
         assert fragment in err, (argv, err)
@@ -355,8 +357,7 @@ def test_construct_verify_ft17_end_to_end(capsys, tmp_path):
 
 
 def test_diagnose_q17(capsys):
-    code, out, _ = run(capsys, "diagnose", "--p", "17", "--samples", "100",
-                       "--format", "json")
+    code, out, _ = run(capsys, "diagnose", "--p", "17", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["m1_size"] == 22032
@@ -365,6 +366,14 @@ def test_diagnose_q17(capsys):
     assert {payload["r"], payload["r_prime"]} == {4, 5}
     assert payload["two_r_prime_minus_1"] == payload["n_q"] == 9
     assert payload["quad_action_ok"] is True
+
+
+def test_diagnose_reports_a_broken_quadruple_map(capsys, monkeypatch):
+    # N_sigma0's pair map without its sigma0 factor: diagnose still exits 0 and says so
+    monkeypatch.setattr(groups, "ft_generators", oracles.without_sigma(groups.ft_generators))
+    code, out, _ = run(capsys, "diagnose", "--p", "17")
+    assert code == 0
+    assert "quad_action_ok = False\n" in out
 
 
 DIAGNOSE_STDOUT_SHA256 = {
@@ -381,7 +390,7 @@ DIAGNOSE_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("args", list(DIAGNOSE_STDOUT_SHA256))
 def test_diagnose_stdout_pinned(capsys, args):
-    # the whole JSON payload at the default --samples, byte for byte
+    # the whole JSON payload, byte for byte
     code, out, _ = run(capsys, "diagnose", *args, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_STDOUT_SHA256[args]

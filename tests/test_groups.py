@@ -173,7 +173,7 @@ BUILD_GROUPS_WITH_A_BROKEN_FORM = """
 from hemisys import curves, gf, groups
 groups.preserves_form = lambda frame, col: None
 try:
-    groups.ft_group_gens(curves.ft_frame_setup(3, 2, 1))
+    groups.ft_generators(curves.ft_frame_setup(3, 2, 1))
 except gf.InvariantFailed as e:
     print(__debug__, e)
 """
@@ -291,10 +291,18 @@ def test_orbit_determinism(ft17, ft17_gens):
     assert np.array_equal(o1, o2)
 
 
+def _first_quadruple(fr):
+    return tuple(x[:1] for x in next(groups.quadruples(fr)))
+
+
 def test_base_quadruple_relations(ft17):
-    quad = groups.base_quadruple(ft17)
-    assert groups.quad_relations_hold(ft17, quad)
-    key = groups.quad_line(ft17, quad)
+    quad = _first_quadruple(ft17)
+    assert groups.quad_relations_hold(ft17, quad).all()
+    # another root of s^((q+1)/2) = t - t^q breaks s u^q = (t - v^q)^2 alone
+    ctx, (u, v, s, t) = ft17.ctx2, quad
+    zeta = ctx.exp_np[(ctx.order - 1) // 9]      # of order 9 = (q+1)/2
+    assert not groups.quad_relations_hold(ft17, (u, v, gf.vec_mul(ctx, zeta, s), t)).any()
+    key = tuple(groups.quad_line(ft17, quad)[0])
     A, B = pg3.key_points(ft17.ctx2, key)
     assert pg3.is_generator(ft17.frame, A, B)
 
@@ -302,26 +310,48 @@ def test_base_quadruple_relations(ft17):
 def test_quadruple_matrix_pairs_on_base(ft17):
     ctx = ft17.ctx2
     q = ft17.q
-    quad = groups.base_quadruple(ft17)
-    key = groups.quad_line(ft17, quad)
+    quad = _first_quadruple(ft17)
+    key = tuple(groups.quad_line(ft17, quad)[0])
     eta = ctx.pow(ctx.gen, q + 1)
     sigma0 = ctx.pow(ctx.gen, q - 1)
     lam0 = ctx.pow(ctx.gen, 2 * (q - 1))
-    pairs = [
-        (groups.mat_T(ctx, 1), groups.quad_T(ctx, 1)),
-        (groups.mat_M(ctx, ctx.mul(eta, eta)), groups.quad_M(ctx, ctx.mul(eta, eta))),
-        (groups.mat_N(ctx, sigma0), groups.quad_N(ctx, sigma0)),
-        (groups.mat_R(ctx, eta), groups.quad_R(ctx, eta)),
-        (groups.mat_L(ctx, lam0), groups.quad_L(ctx, lam0)),
-        (groups.mat_W(ctx), groups.quad_W(ctx)),
-    ]
-    for col, qmap in pairs:
-        img = qmap(quad)
-        assert groups.quad_relations_hold(ft17, img)
-        assert tuple(groups.apply_to_keys(ctx, col, key)[0]) == groups.quad_line(ft17, img)
+    mats = [groups.mat_T(ctx, 1), groups.mat_T(ctx, eta), groups.mat_M(ctx, ctx.mul(eta, eta)),
+            groups.mat_N(ctx, sigma0), groups.mat_L(ctx, lam0), groups.mat_R(ctx, eta),
+            groups.mat_W(ctx)]
+    table = groups.ft_generators(ft17)
+    assert [swaps for _, _, swaps in table] == [False] * 6 + [True]
+    for mat, (col, pair, swaps) in zip(mats, table, strict=True):
+        assert np.array_equal(col, mat)
+        img = pair(*quad[:2]) + pair(*quad[2:])
+        img = img[2:] + img[:2] if swaps else img
+        assert groups.quad_relations_hold(ft17, img).all()
+        assert np.array_equal(groups.apply_to_keys(ctx, col, key), groups.quad_line(ft17, img))
     ident_col = np.eye(4, dtype=np.int64)
     assert tuple(groups.apply_to_keys(ctx, ident_col, key)[0]) == key
 
 
-def test_quadruple_action_check(ft17):
-    assert groups.quadruple_action_check(ft17, 200, seed=7)
+def test_quadruple_action_check(ft17, ft17_sets, ft17_g1):
+    # against the breadth-first G-orbit of the seed, not the library's M1 u R M1
+    assert groups.quadruple_action_check(ft17, ft17_sets, ft17_g1)
+
+
+@pytest.mark.parametrize("p, h", [(3, 2), (17, 1)])
+def test_quadruple_action_check_sees_a_broken_map(p, h, monkeypatch):
+    # N_sigma0's pair map without its sigma0 factor, and the enumeration short of
+    # one quadruple, each fail the check
+    fr = curves.ft_frame_setup(p, h)
+    sets = curves.ft_point_sets(fr.ctx2)
+    g1 = hemisystem.g_orbit(fr, hemisystem.m1_half_orbit(fr, hemisystem.seed_generator_g0(fr)[0]))
+    assert groups.quadruple_action_check(fr, sets, g1)
+    table, quadruples = groups.ft_generators, groups.quadruples
+    monkeypatch.setattr(groups, "ft_generators", oracles.without_sigma(table))
+    assert not groups.quadruple_action_check(fr, sets, g1)
+    monkeypatch.setattr(groups, "ft_generators", table)
+
+    def short(fr):
+        blocks = quadruples(fr)
+        yield tuple(x[1:] for x in next(blocks))
+        yield from blocks
+
+    monkeypatch.setattr(groups, "quadruples", short)
+    assert not groups.quadruple_action_check(fr, sets, g1)

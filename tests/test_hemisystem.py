@@ -183,10 +183,21 @@ def test_build_ft_forced_falsification_q9(monkeypatch):
     assert len(calls) == len(set(calls)) == 2
 
 
+@pytest.mark.parametrize("p, h, histogram", [(3, 2, {4: 3600, 5: 52660, 6: 3600}),
+                                             (5, 2, {12: 202800, 13: 9376276, 14: 202800})])
+def test_build_ft_forced_histogram(p, h, histogram):
+    # condition B fails at q = 9 and 25: the pinned FAIL histogram of the rule's pick,
+    # after the fallback fails too
+    cand, report = hemisystem.build_ft_verified(p, h, eps=1, force=True)
+    assert not report.passed and report.histogram == histogram
+    assert sum(histogram.values()) == report.expected_points
+    assert cand.provenance["m2_choice"] == "both_failed"
+
+
 @pytest.mark.parametrize("p, h, eps", [(3, 2, 1), (3, 2, -1), (17, 1, 1), (17, 1, -1)])
 def test_m1_by_words_is_the_bfs_orbit(p, h, eps):
     fr = curves.ft_frame_setup(p, h, eps)
-    _, H, _ = groups.ft_group_gens(fr)
+    _, H, _ = oracles.ft_group_gens(fr)
     key0 = hemisystem.seed_generator_g0(fr)[0]
     assert np.array_equal(hemisystem.m1_half_orbit(fr, key0), oracles.orbit(fr.ctx2, H, key0))
     # M2 by pencils, at the rule's point and the fallback's
@@ -198,7 +209,7 @@ def test_m1_by_words_is_the_bfs_orbit(p, h, eps):
 @pytest.mark.parametrize("p, h", [(3, 2), (17, 1)])
 def test_g_orbit_is_the_bfs_orbit(p, h, ft17_g1):
     fr = curves.ft_frame_setup(p, h, 1)
-    G, _, _ = groups.ft_group_gens(fr)
+    G, _, _ = oracles.ft_group_gens(fr)
     key0 = hemisystem.seed_generator_g0(fr)[0]
     g1 = hemisystem.g_orbit(fr, hemisystem.m1_half_orbit(fr, key0))
     assert np.array_equal(g1, ft17_g1 if p == 17 else oracles.orbit(fr.ctx2, G, key0))
@@ -278,7 +289,7 @@ def _non_generator(ft17, seed):
         A = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         B = pg3.unpack(ctx, int(surf[rng.randrange(len(surf))]))
         if A != B and pg3.herm_form(ft17.frame, A, B) != 0:
-            return pg3.line_key(ctx, A, B)
+            return oracles.line_key(ctx, A, B)
 
 
 def test_verify_rejects_non_generator(ft17, ft17_build):
