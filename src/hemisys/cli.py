@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 
-from .gf import CandidateError, UsageError
+from .gf import CandidateError, UsageError, make_field
 
 
 def _emit(report: dict, fmt: str, out=None) -> None:
@@ -131,7 +131,7 @@ def cmd_primes(args) -> int:
 def cmd_eccount(args) -> int:
     from . import numbers
     q = args.p ** args.h
-    ctx = numbers._field_of_order(q)
+    ctx = make_field(args.p, args.h)
     rec = numbers.count_C3_C4(ctx, ctx.least_nonsquare())
     payload = {
         "q": q, "N_E3": rec.N_E3, "N_C3": rec.N_C3, "N_C4": rec.N_C4,

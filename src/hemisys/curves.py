@@ -279,14 +279,10 @@ class FTFrame:
     def q(self) -> int:
         return self.p ** self.h
 
-    def p_eps(self, eps: int = None) -> tuple:
+    def p_eps(self, eps: int) -> tuple:
         """The tangency-line point (1, eps*sqrt(-2)*b, b, 0)."""
-        e = self.eps if eps is None else eps
-        c = self.ctx2
-        a = c.mul(self.sqrtm2, self.b)
-        if e < 0:
-            a = c.neg(a)
-        return (1, a, self.b, 0)
+        a = self.ctx2.mul(self.sqrtm2, self.b)
+        return (1, a if eps > 0 else self.ctx2.neg(a), self.b, 0)
 
 
 def ft_frame_setup(p: int, h: int = 1, eps: int = 1) -> FTFrame:

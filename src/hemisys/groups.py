@@ -10,15 +10,19 @@ up to a scalar.
 
 The group G is generated by the five matrix families T_a, M_rho, N_sigma,
 R_mu, L_lambda together with the extra commuting involution
-w = diag(1,-1,1,1) which swaps the two curves.  A Delta-meeting generator
-joins (1, u, v, v^2) in Delta+ to (1, s, t, t^2) in Delta-, and its
-quadruple (u, v, s, t) satisfies the relations of quad_relations_hold;
-quadruples lists every solution as arrays.  Each generator of ft_generators
-maps the points (1, x, y, y^2) by one pair map (x, y) -> (x', y'), on (u, v)
-and on (s, t).  quadruple_action_check proves, on every quadruple and point
-rather than a sample, that the quadruples' lines are G's orbit of the seed,
-one line each, and that each generator's matrix sends a quadruple's line to
-the line of its image under the pair map.
+w = diag(1,-1,1,1) which swaps the two curves.  A quadruple (u, v, s, t) is
+exactly a generator joining P = (1, u, v, v^2) in Delta+ to
+Q = (1, s, t, t^2) in Delta-: quad_relations_hold states the independent
+relations (the paper's trace relation follows from them), and quadruples
+lists the q+1 generators through each point of Delta+ in closed form.  Each
+generator of ft_generators maps the points (1, x, y, y^2) by one pair map
+(x, y) -> (x', y'), on (u, v) and on (s, t).  quadruple_action_check
+proves, on every point and quadruple rather than a sample, that each matrix
+acts on Delta+ and Delta- as its pair map and that the quadruples' lines are
+G's orbit of the seed, one line each; as the matrices preserve the form, a
+matrix then sends a quadruple's line to the line of its pair-map image.  It
+holds at q = 9, 17, 25, 41 and 49: there G's orbit of the seed is every
+generator through a point of Delta+.
 
 T, M and N act on (X0, X2, X3) as PSL(2, q) on the conic X0 X3 = X2^2 and
 L scales X1, so the index-2 subgroup H has a Bruhat normal form: with g the
@@ -195,9 +199,13 @@ def ft_word_images(fr: FTFrame, key) -> np.ndarray:
 
 def quad_relations_hold(fr: FTFrame, quad):
     """True where (u, v, s, t), four ints or equal-shape arrays, is a quadruple:
-    v, t off GF(q), u^((q+1)/2) = v^q - v, s^((q+1)/2) = t - t^q,
-    s u^q = (t - v^q)^2 and (v + t)^(q+1) = 2 Tr(vt).  With v, t off GF(q) and
-    s u^q = (t - v^q)^2, any two of the other three equations imply the third."""
+    v, t off GF(q), u^m = v^q - v, s^m = t - t^q (m = (q+1)/2) and
+    s u^q = (t - v^q)^2.  That is, P = (1, u, v, v^2) lies in Delta+,
+    Q = (1, s, t, t^2) in Delta- and PQ is a generator, as pg3.herm_form(P, Q)
+    = u s^q - (v - t^q)^2.  The paper's fifth relation (v + t)^(q+1) = 2 Tr(vt)
+    follows: u^m = v^q - v and s u^q = (t - v^q)^2 give
+    s^m = N(t - v^q) / (v - v^q), and N(t - v^q) - (t - t^q)(v - v^q) =
+    (v + t)^(q+1) - 2 Tr(vt)."""
     ctx, m, n1 = fr.ctx2, (fr.q + 1) // 2, fr.ctx2.order - 1
     frob = ctx.frob_np(fr.h)
     u, v, s, t = (np.asarray(x, dtype=np.int64) for x in quad)
@@ -206,13 +214,12 @@ def quad_relations_hold(fr: FTFrame, quad):
     def half_power(x):                          # x^((q+1)/2)
         return np.where(x == 0, 0, ctx.exp_np[ctx.log_np[x] * m % n1])
 
-    fv, ft, vt, w = frob[v], frob[t], vec_mul(ctx, v, t), vec_add(ctx, v, t)
+    fv, ft = frob[v], frob[t]
     d = vec_add(ctx, t, neg[fv])
     return ((fv != v) & (ft != t)
             & (half_power(u) == vec_add(ctx, fv, neg[v]))
             & (half_power(s) == vec_add(ctx, t, neg[ft]))
-            & (vec_mul(ctx, s, frob[u]) == vec_mul(ctx, d, d))
-            & (vec_mul(ctx, w, frob[w]) == vec_mul(ctx, 2 % ctx.p, vec_add(ctx, vt, frob[vt]))))
+            & (vec_mul(ctx, s, frob[u]) == vec_mul(ctx, d, d)))
 
 
 def quad_line(fr: FTFrame, quad) -> np.ndarray:
@@ -225,40 +232,39 @@ def quad_line(fr: FTFrame, quad) -> np.ndarray:
                                np.stack([one, s, t, vec_mul(ctx, t, t)], axis=1))
 
 
-def quadruples(fr: FTFrame):
-    """Every quadruple (u, v, s, t), as four equal-length arrays, a block of v at a time.
+def quadruples(fr: FTFrame, delta_plus):
+    """Every quadruple (u, v, s, t), as four equal-length arrays of about
+    pg3.GROUP_SIZE rows: the q+1 generators through each point (1, u, v, v^2) of
+    Delta+ (delta_plus, packed as curves.ft_point_sets gives it), all to Delta-.
 
-    v and t run over GF(q^2) off GF(q).  Each pair with (v + t)^(q+1) =
-    2 Tr(vt) takes the (q+1)/2 roots u of u^((q+1)/2) = v^q - v, read off the
-    log table as curves.ft_point_sets does, and s = (t - v^q)^2 / u^q; the
-    rows where every relation holds are kept.  A block holds about
-    pg3.GROUP_SIZE pairs (v, t).
+    With c = v^q - v, (v + t)^(q+1) - 2 Tr(vt) = N(t + v - 2v^q) + 2c^2, so the
+    generators through P are t = 2v^q - v + z for the q+1 roots z of
+    z^(q+1) = -2c^2, which lies in GF(q)*; each such t is off GF(q), and
+    s = (c + z)^2 / u^q.  No row is filtered: there are |Delta+| (q+1).
     """
-    ctx, m, n1 = fr.ctx2, (fr.q + 1) // 2, fr.ctx2.order - 1
+    ctx, q = fr.ctx2, fr.q
     frob = ctx.frob_np(fr.h)
-    xs = np.arange(ctx.order, dtype=np.int64)
-    off = xs[frob != xs]
-    for v in np.split(off, range(step := max(1, pg3.GROUP_SIZE // len(off)), len(off), step)):
-        vt, w = vec_mul(ctx, v[:, None], off), vec_add(ctx, v[:, None], off)
-        i, j = np.nonzero(vec_mul(ctx, w, frob[w])
-                          == vec_mul(ctx, 2 % ctx.p, vec_add(ctx, vt, frob[vt])))
-        lc = ctx.log_np[vec_add(ctx, frob[v[i]], vec_neg(ctx, v[i]))]
-        u = ctx.exp_np[(lc[:, None] // m + n1 // m * np.arange(m)) % n1].ravel()
-        v, t = np.repeat(v[i], m), np.repeat(off[j], m)
-        d = vec_add(ctx, t, vec_neg(ctx, frob[v]))
-        quad = (u, v, vec_mul(ctx, vec_mul(ctx, d, d), ctx.inv_np[frob[u]]), t)
-        ok = quad_relations_hold(fr, quad)
-        yield tuple(x[ok] for x in quad)
+    for packed in np.split(delta_plus, range(step := max(1, pg3.GROUP_SIZE // (q + 1)),
+                                             len(delta_plus), step)):
+        _, u, v, _ = pg3.unpack_batch(ctx, packed)
+        c = vec_add(ctx, frob[v], vec_neg(ctx, v))
+        lz = ctx.log_np[vec_mul(ctx, ctx.neg(2 % ctx.p), vec_mul(ctx, c, c))] // (q + 1)
+        cz = vec_add(ctx, c[:, None], ctx.exp_np[lz[:, None] + (q - 1) * np.arange(q + 1)]).ravel()
+        u, v = np.repeat(u, q + 1), np.repeat(v, q + 1)
+        yield (u, v, vec_mul(ctx, vec_mul(ctx, cz, cz), ctx.inv_np[frob[u]]),
+               vec_add(ctx, frob[v], cz))
 
 
 def quadruple_action_check(fr: FTFrame, sets, g1) -> bool:
-    """True iff (a) the lines of quadruples(fr) are g1, the sorted key rows of G's orbit
-    of the seed, each once; (b) each matrix sends every point (1, x, y, y^2) of
-    Delta+ and Delta- (sets, curves.ft_point_sets) to (1, x', y', y'^2), (x', y') its
-    pair map of (x, y), in the same set (the other for w); (c) each pair map sends
-    every quadruple to one that satisfies the relations.  By (b) a matrix sends a
-    quadruple's line to its image's line; by (c) that image is again one of the
-    quadruples, which list every solution, so by (a) it acts on g1 as its pair map."""
+    """True iff (a) the lines of quadruples(fr, sets.delta_plus) are g1, the sorted key
+    rows of G's orbit of the seed, each once, and (b) each matrix sends every point
+    (1, x, y, y^2) of Delta+ and Delta- (sets, curves.ft_point_sets) to
+    (1, x', y', y'^2), (x', y') its pair map of (x, y), in the same set (the other
+    for w).  By (b), and as ft_generators checks that every matrix preserves the
+    form, a matrix sends a quadruple's line, the generator joining P in Delta+ to
+    Q in Delta-, to the generator joining the pair-map images of P and Q: again a
+    quadruple's line.  So by (a) G's orbit of the seed is every generator through
+    a point of Delta+, and each matrix acts on it as its pair maps do."""
     ctx = fr.ctx2
     gens = ft_generators(fr)
     deltas = (sets.delta_plus, sets.delta_minus)
@@ -270,13 +276,7 @@ def quadruple_action_check(fr: FTFrame, sets, g1) -> bool:
             if not (np.array_equal(image, pg3.norm_pack_batch(ctx, P[0], x, y, vec_mul(ctx, y, y)))
                     and pg3.member(image, deltas[k ^ swaps]).all()):
                 return False
-    codes = []
-    for quad in quadruples(fr):
-        codes.append(pg3.line_codes(ctx, quad_line(fr, quad)))
-        for _, pair, swaps in gens:
-            image = pair(*quad[:2]) + pair(*quad[2:])
-            if not quad_relations_hold(fr, image[2:] + image[:2] if swaps else image).all():
-                return False
-    codes = np.concatenate(codes)
+    codes = np.concatenate([pg3.line_codes(ctx, quad_line(fr, quad))
+                            for quad in quadruples(fr, sets.delta_plus)])
     codes.sort()
     return np.array_equal(codes, pg3.line_codes(ctx, g1))

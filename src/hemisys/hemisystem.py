@@ -189,7 +189,7 @@ def build_cp(p: int, h: int = 1, seed_orbit: str = "plus",
 def build_ft(p: int, h: int = 1, eps: int = 1, force: bool = False) -> HemisystemCandidate:
     """Fuhrmann-Torres hemisystem candidate (orbit rule, no verification)."""
     from . import curves
-    return _build_ft(p, h, eps, force, curves.ft_frame_setup(p, h, eps))[0]
+    return _build_ft(curves.ft_frame_setup(p, h, eps), force)[0]
 
 
 def m1_half_orbit(fr: FTFrame, key0) -> np.ndarray:
@@ -213,10 +213,10 @@ def g_orbit(fr: FTFrame, m1) -> np.ndarray:
     return _sorted_lines(ctx, m1, groups.apply_to_keys(ctx, R, m1))
 
 
-def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
+def _build_ft(fr: FTFrame, force: bool) -> tuple:
     """build_ft's candidate and its M2 half-orbit."""
     from . import curves, numbers
-    q = p ** h
+    q = fr.q
     if not force and not numbers.condition_B_holds(q, fr.ctx2):
         raise UsageError(
             f"the point-count criterion fails at q={q}; pass force to build anyway")
@@ -232,7 +232,7 @@ def _build_ft(p, h, eps, force, fr: FTFrame) -> tuple:
     check(len(m1) + len(m2) == (q + 1) * n_rational // 2,
           f"{len(m1)} + {len(m2)} curve-meeting lines")
     cand = HemisystemCandidate(
-        family="ft", p=p, h=h, eps=eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
+        family="ft", p=fr.p, h=fr.h, eps=fr.eps, chi=fr.chi, lines=lines, ctx=fr.ctx2,
         provenance={"seed": list(key0), "r": r, "r_prime": rp,
                     "m1_size": len(m1), "m2_size": len(m2),
                     "m2_point": "plus" if pick_eps == 1 else "minus",
@@ -250,7 +250,7 @@ def build_ft_verified(p: int, h: int = 1, eps: int = 1, force: bool = False,
     """
     from . import curves
     fr = curves.ft_frame_setup(p, h, eps)
-    cand, m2_old = _build_ft(p, h, eps, force, fr)
+    cand, m2_old = _build_ft(fr, force)
     report = verify(cand, threads=threads, frame=fr.frame)
     if report.passed:
         cand.provenance["m2_choice"] = "rule"

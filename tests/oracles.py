@@ -62,16 +62,70 @@ def ft_group_gens(fr: curves.FTFrame) -> tuple:
     return G, G[:5], w
 
 
-def without_sigma(table):
-    """groups.ft_generators, given as table, with N_sigma0's pair map short of its
-    sigma0 factor: (x, y) -> (x / y^2, 1 / y), a broken map for the exact check."""
+def broken_map(table, k):
+    """groups.ft_generators, given as table, with generator k's pair map
+    (x, y) -> (x', y') replaced by (x, y) -> (-x', y'): a broken map for the exact
+    check, as x' is nonzero on Delta+ and Delta-."""
     def gens(fr):
-        out, ctx = table(fr), fr.ctx2
-        inv = ctx.inv_np
-        out[3] = (out[3][0], lambda x, y: (gf.vec_mul(ctx, x, inv[gf.vec_mul(ctx, y, y)]), inv[y]),
-                  out[3][2])
+        out = table(fr)
+        M, pair, swaps = out[k]
+
+        def spoilt(x, y):
+            x1, y1 = pair(x, y)
+            return gf.vec_neg(fr.ctx2, x1), y1
+
+        out[k] = (M, spoilt, swaps)
         return out
     return gens
+
+
+def vec_pow(ctx: FieldCtx, x, e: int):
+    """x^e on an int or array, by square and multiply with no log table."""
+    x = np.asarray(x, dtype=np.int64)
+    acc = np.ones_like(x)
+    while e:
+        if e & 1:
+            acc = gf.vec_mul(ctx, acc, x)
+        x, e = gf.vec_mul(ctx, x, x), e >> 1
+    return acc
+
+
+def quad_relations_five(fr: curves.FTFrame, quad):
+    """The paper's five relations on (u, v, s, t), four ints or equal-shape arrays:
+    v, t off GF(q), u^m = v^q - v, s^m = t - t^q (m = (q+1)/2), s u^q = (t - v^q)^2
+    and (v + t)^(q+1) = 2 Tr(vt); the reference for groups.quad_relations_hold."""
+    ctx, q = fr.ctx2, fr.q
+    frob, m = ctx.frob_np(fr.h), (q + 1) // 2
+    u, v, s, t = (np.asarray(x, dtype=np.int64) for x in quad)
+
+    def sub(a, b):
+        return gf.vec_add(ctx, a, gf.vec_neg(ctx, b))
+
+    d, vt = sub(t, frob[v]), gf.vec_mul(ctx, v, t)
+    return ((frob[v] != v) & (frob[t] != t)
+            & (vec_pow(ctx, u, m) == sub(frob[v], v))
+            & (vec_pow(ctx, s, m) == sub(t, frob[t]))
+            & (gf.vec_mul(ctx, s, frob[u]) == gf.vec_mul(ctx, d, d))
+            & (vec_pow(ctx, gf.vec_add(ctx, v, t), q + 1)
+               == gf.vec_mul(ctx, 2 % ctx.p, gf.vec_add(ctx, vt, frob[vt]))))
+
+
+def quadruple_scan(fr: curves.FTFrame) -> np.ndarray:
+    """Every quadruple as lexsorted rows (u, v, s, t), by brute force: for each v off
+    GF(q) and each root u of u^((q+1)/2) = v^q - v, every t of GF(q^2) with
+    s = (t - v^q)^2 / u^q, kept where quad_relations_five holds."""
+    ctx, q = fr.ctx2, fr.q
+    frob = ctx.frob_np(fr.h)
+    ts = np.arange(ctx.order, dtype=np.int64)
+    rows = []
+    for v in ts[frob != ts].tolist():
+        u = np.array(power_residue_solutions(ctx, ctx.sub(int(frob[v]), v), (q + 1) // 2))
+        d = gf.vec_add(ctx, ts, ctx.neg(int(frob[v])))
+        s = gf.vec_mul(ctx, gf.vec_mul(ctx, d, d), ctx.inv_np[frob[u]][:, None])
+        quad = np.broadcast_arrays(u[:, None], v, s, ts)
+        rows.append(np.stack(quad, axis=-1)[quad_relations_five(fr, quad)])
+    rows = np.concatenate(rows)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def line_key(ctx: FieldCtx, A, B) -> tuple:

@@ -178,7 +178,10 @@ def test_bad_user_input_exit_code(capsys, tmp_path):
             (["survey", "--q-list", "12"], "error: survey requires q = 1 mod 4, got 12"),
             (["survey", "--q-list", "x"], "invalid q_list value: 'x'"),
             (["survey", "--q-list", "21"], "error: 21 is not a prime power"),
-            (["eccount", "--p", "21"], "error: 21 is not a prime power"),
+            (["eccount", "--p", "21"], "error: 21 is not prime"),
+            (["eccount", "--p", "9"], "error: 9 is not prime"),
+            (["eccount", "--p", "27"], "error: 27 is not prime"),
+            (["eccount", "--p", "9", "--h", "2"], "error: 9 is not prime"),
             (["eccount", "--p", "3", "--h", "20"], "bytes of tables, over the cap"),
             (["construct", "--family", "cp", "--p", "2"], "error: characteristic 2 is not"),
             (["construct", "--family", "cp", "--p", "4"], "error: 4 is not prime"),
@@ -369,8 +372,8 @@ def test_diagnose_q17(capsys):
 
 
 def test_diagnose_reports_a_broken_quadruple_map(capsys, monkeypatch):
-    # N_sigma0's pair map without its sigma0 factor: diagnose still exits 0 and says so
-    monkeypatch.setattr(groups, "ft_generators", oracles.without_sigma(groups.ft_generators))
+    # N_sigma0's pair map spoilt: diagnose still exits 0 and says so
+    monkeypatch.setattr(groups, "ft_generators", oracles.broken_map(groups.ft_generators, 3))
     code, out, _ = run(capsys, "diagnose", "--p", "17")
     assert code == 0
     assert "quad_action_ok = False\n" in out
@@ -385,6 +388,10 @@ DIAGNOSE_STDOUT_SHA256 = {
         "35606688448fec0bd5bf9cfec073dc794b018c5b2329b170f8cd9fea918c9d2f",
     ("--p", "3", "--h", "2", "--eps", "-1"):
         "67b609c8270e10a5ec866d1d4d09591216517cc7ab425b3b9ae98a2467f96acb",
+    ("--p", "5", "--h", "2"):
+        "98b790abe3f5d73dc4663aaffb8cbd5109d8effbe106b0963e258c9201120551",
+    ("--p", "41"):
+        "a94892b197548212874238d3c09f4fb9bdba2e44cd49ae0e32c3adb3753a6d7d",
 }
 
 

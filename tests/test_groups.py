@@ -291,12 +291,12 @@ def test_orbit_determinism(ft17, ft17_gens):
     assert np.array_equal(o1, o2)
 
 
-def _first_quadruple(fr):
-    return tuple(x[:1] for x in next(groups.quadruples(fr)))
+def _first_quadruple(fr, sets):
+    return tuple(x[:1] for x in next(groups.quadruples(fr, sets.delta_plus)))
 
 
-def test_base_quadruple_relations(ft17):
-    quad = _first_quadruple(ft17)
+def test_base_quadruple_relations(ft17, ft17_sets):
+    quad = _first_quadruple(ft17, ft17_sets)
     assert groups.quad_relations_hold(ft17, quad).all()
     # another root of s^((q+1)/2) = t - t^q breaks s u^q = (t - v^q)^2 alone
     ctx, (u, v, s, t) = ft17.ctx2, quad
@@ -307,10 +307,62 @@ def test_base_quadruple_relations(ft17):
     assert pg3.is_generator(ft17.frame, A, B)
 
 
-def test_quadruple_matrix_pairs_on_base(ft17):
+@pytest.fixture(scope="module", params=[(3, 2), (17, 1), (5, 2)], ids=["q9", "q17", "q25"])
+def ft_quads(request):
+    fr = curves.ft_frame_setup(*request.param)
+    sets = curves.ft_point_sets(fr.ctx2)
+    return fr, sets, tuple(map(np.concatenate, zip(*groups.quadruples(fr, sets.delta_plus))))
+
+
+def test_quad_relations_are_the_five_relations_on_random_tuples(ft_quads):
+    # near-quadruples: u a root of u^m = v^q - v or random, s forced by the
+    # generator relation or random, an eighth of v and of t in GF(q), and u = 0
+    # and s = 0 in a sixteenth each
+    fr, _, _ = ft_quads
+    ctx, q, n = fr.ctx2, fr.q, 20000
+    m, n1 = (q + 1) // 2, ctx.order - 1
+    frob, rng = ctx.frob_np(fr.h), np.random.default_rng(q)
+    v, t, u_any, s_any = rng.integers(ctx.order, size=(4, n))
+    v[:n // 8] = rng.choice(ctx.subfield(q), n // 8)
+    t[n // 8:n // 4] = rng.choice(ctx.subfield(q), n // 8)
+    c = gf.vec_add(ctx, frob[v], gf.vec_neg(ctx, v))
+    root = np.where(c != 0, ctx.exp_np[ctx.log_np[c] // m + n1 // m * rng.integers(m, size=n)], 0)
+    u = np.where(rng.random(n) < 0.5, root, u_any)
+    d = gf.vec_add(ctx, t, gf.vec_neg(ctx, frob[v]))
+    s = np.where(rng.random(n) < 0.5, gf.vec_mul(ctx, gf.vec_mul(ctx, d, d), ctx.inv_np[frob[u]]),
+                 s_any)
+    u[n // 4:n // 4 + n // 16] = 0
+    s[n // 2:n // 2 + n // 16] = 0
+    quad = (u, v, s, t)
+    hold = groups.quad_relations_hold(fr, quad)
+    assert np.array_equal(hold, oracles.quad_relations_five(fr, quad))
+    assert 0 < hold.sum() < n
+
+
+def test_quad_relations_are_the_five_relations_on_quadruples(ft_quads):
+    # every enumerated quadruple holds; s times a nontrivial (q+1)/2-th root of
+    # unity keeps both power relations and breaks the generator relation
+    fr, _, (u, v, s, t) = ft_quads
+    ctx, m = fr.ctx2, (fr.q + 1) // 2
+    zeta = ctx.exp_np[(ctx.order - 1) // m * np.random.default_rng(m).integers(1, m, size=len(s))]
+    for quad, expect in (((u, v, s, t), True), ((u, v, gf.vec_mul(ctx, zeta, s), t), False)):
+        hold = groups.quad_relations_hold(fr, quad)
+        assert np.array_equal(hold, oracles.quad_relations_five(fr, quad))
+        assert (hold == expect).all()
+
+
+def test_quadruples_are_the_scan(ft_quads):
+    # q+1 rows per point of Delta+, none filtered, and the same rows as a v x t scan
+    fr, sets, quad = ft_quads
+    rows = np.stack(quad, axis=1)
+    assert len(rows) == len(sets.delta_plus) * (fr.q + 1)
+    assert np.array_equal(rows[np.lexsort(rows.T[::-1])], oracles.quadruple_scan(fr))
+
+
+def test_quadruple_matrix_pairs_on_base(ft17, ft17_sets):
     ctx = ft17.ctx2
     q = ft17.q
-    quad = _first_quadruple(ft17)
+    quad = _first_quadruple(ft17, ft17_sets)
     key = tuple(groups.quad_line(ft17, quad)[0])
     eta = ctx.pow(ctx.gen, q + 1)
     sigma0 = ctx.pow(ctx.gen, q - 1)
@@ -337,19 +389,20 @@ def test_quadruple_action_check(ft17, ft17_sets, ft17_g1):
 
 @pytest.mark.parametrize("p, h", [(3, 2), (17, 1)])
 def test_quadruple_action_check_sees_a_broken_map(p, h, monkeypatch):
-    # N_sigma0's pair map without its sigma0 factor, and the enumeration short of
-    # one quadruple, each fail the check
+    # each of the pair maps of T_1, T_eta, M, N, L, R and w spoilt in turn, and the
+    # enumeration short of one quadruple, fail the check
     fr = curves.ft_frame_setup(p, h)
     sets = curves.ft_point_sets(fr.ctx2)
     g1 = hemisystem.g_orbit(fr, hemisystem.m1_half_orbit(fr, hemisystem.seed_generator_g0(fr)[0]))
     assert groups.quadruple_action_check(fr, sets, g1)
     table, quadruples = groups.ft_generators, groups.quadruples
-    monkeypatch.setattr(groups, "ft_generators", oracles.without_sigma(table))
-    assert not groups.quadruple_action_check(fr, sets, g1)
+    for k in range(len(table(fr))):
+        monkeypatch.setattr(groups, "ft_generators", oracles.broken_map(table, k))
+        assert not groups.quadruple_action_check(fr, sets, g1), k
     monkeypatch.setattr(groups, "ft_generators", table)
 
-    def short(fr):
-        blocks = quadruples(fr)
+    def short(fr, delta_plus):
+        blocks = quadruples(fr, delta_plus)
         yield tuple(x[1:] for x in next(blocks))
         yield from blocks
 
